@@ -20,6 +20,7 @@ from .classes import MuClass
 from .convolve import psi_pair, tensor
 from .errors import ValidationError
 from .laurent import LaurentInt
+from .sparse import Sparse
 
 PointLike = Union[Fraction, int, str]
 
@@ -42,83 +43,57 @@ def point_str(p: Fraction) -> str:
     return str(p.numerator) if p.denominator == 1 else f"{p.numerator}/{p.denominator}"
 
 
-class A1Class:
+def _checked_fiber(point: PointLike, cls: MuClass) -> tuple[Fraction, MuClass]:
+    pt = as_point(point)
+    if not isinstance(cls, MuClass):
+        raise ValidationError(f"fiber at {point_str(pt)} is not a class")
+    return pt, cls
+
+
+class A1Class(Sparse):
     """Finitely supported map from base points to classes; no zero fibers."""
 
-    __slots__ = ("_support",)
+    __slots__ = ()
 
     def __init__(self, support: Mapping[PointLike, MuClass] | Iterable[tuple[PointLike, MuClass]] = ()):
         items = support.items() if isinstance(support, Mapping) else support
-        acc: dict[Fraction, MuClass] = {}
-        for pt, cls in items:
-            pt = as_point(pt)
-            if not isinstance(cls, MuClass):
-                raise ValidationError(f"fiber at {point_str(pt)} is not a class")
-            if pt in acc:
-                cls = acc[pt] + cls
-            acc[pt] = cls
-        self._support = tuple(sorted(((p, c) for p, c in acc.items() if c),
-                                     key=lambda item: item[0]))
+        self._terms = self._canonical(_checked_fiber(pt, cls) for pt, cls in items)
 
     @classmethod
     def zero(cls) -> "A1Class":
-        return cls()
+        return cls._wrap(())
 
     def support(self) -> tuple[tuple[Fraction, MuClass], ...]:
-        return self._support
+        return self._terms
 
     def fiber(self, point: PointLike) -> MuClass:
         pt = as_point(point)
-        for p, c in self._support:
+        for p, c in self._terms:
             if p == pt:
                 return c
         return MuClass.zero()
 
-    def is_zero(self) -> bool:
-        return not self._support
-
-    def __bool__(self) -> bool:
-        return bool(self._support)
-
-    def __add__(self, other: "A1Class") -> "A1Class":
-        if not isinstance(other, A1Class):
-            return NotImplemented
-        return A1Class(list(self._support) + list(other._support))
-
-    def __neg__(self) -> "A1Class":
-        return A1Class([(p, -c) for p, c in self._support])
-
-    def __sub__(self, other: "A1Class") -> "A1Class":
-        if not isinstance(other, A1Class):
-            return NotImplemented
-        return self + (-other)
+    __add__ = Sparse.__add__
+    __neg__ = Sparse.__neg__
+    __sub__ = Sparse.__sub__
 
     def __mul__(self, other: Union[int, LaurentInt, MuClass]) -> "A1Class":
         if not isinstance(other, (int, LaurentInt, MuClass)):
             return NotImplemented
-        return A1Class([(p, c * other) for p, c in self._support])
+        return A1Class._make((p, c * other) for p, c in self._terms)
 
     __rmul__ = __mul__
 
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, A1Class) and self._support == other._support
-
-    def __hash__(self) -> int:
-        return hash(("A1Class", self._support))
-
     def pushforward(self) -> MuClass:
         """Sum of all fibers: the pushforward along the structure morphism."""
-        total = MuClass.zero()
-        for _, c in self._support:
-            total = total + c
-        return total
+        return MuClass._make(t for _, c in self._terms for t in c.terms())
 
     def __str__(self) -> str:
         from .jsonio import pretty
         return pretty(self)
 
     def __repr__(self) -> str:
-        return f"A1Class({[(point_str(p), str(c)) for p, c in self._support]!r})"
+        return f"A1Class({[(point_str(p), str(c)) for p, c in self._terms]!r})"
 
 
 def a1_unit() -> A1Class:
@@ -128,11 +103,8 @@ def a1_unit() -> A1Class:
 
 def a1_star(f: A1Class, g: A1Class) -> A1Class:
     """Convolution over the line: Psi of fibers pushed along point addition."""
-    acc: list[tuple[Fraction, MuClass]] = []
-    for p, cp in f.support():
-        for q, cq in g.support():
-            acc.append((p + q, psi_pair(tensor(cp, cq))))
-    return A1Class(acc)
+    return A1Class._make((p + q, psi_pair(tensor(cp, cq)))
+                         for p, cp in f.support() for q, cq in g.support())
 
 
 def epsilon_push(f: A1Class) -> MuClass:

@@ -46,6 +46,7 @@ from typing import Iterable, Union
 
 from .errors import ValidationError
 from .laurent import L_MINUS_1, ZERO, Coeffable, LaurentInt
+from .sparse import Sparse
 
 # Factors are plain tuples so atoms stay hashable:
 #   ("orb", d) | ("FER", n, r) | ("fer", n, r) | ("opq", tag, chi, epoly) | ("gm", d)
@@ -93,7 +94,14 @@ def opq(tag: str, chi: int, epoly=None) -> Factor:
 
 
 def factor_key(f: Factor):
+    if f[0] == "opq":
+        # None (no E-data) and a tuple of E-data do not compare: order by presence first
+        return (_KIND_RANK["opq"], (f[1], f[2], f[3] is not None, f[3] or ()))
     return (_KIND_RANK[f[0]], f[1:])
+
+
+def atom_key(a: Atom):
+    return (len(a), tuple(factor_key(f) for f in a))
 
 
 def factor_str(f: Factor) -> str:
@@ -157,36 +165,29 @@ def _tower(r: int) -> tuple[LaurentInt, LaurentInt, LaurentInt]:
 RawTerm = tuple[Coeffable, Iterable[Factor]]
 
 
-class MuClass:
+class MuClass(Sparse):
     """A normalized class: finitely supported map from atoms to LaurentInt.
 
     Values are immutable, hashable, and always in normal form; equality of
     MuClass values is structural equality of normal forms.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ()
+
+    _sort_key = staticmethod(lambda term: atom_key(term[0]))
 
     def __init__(self, raw_terms: Iterable[RawTerm] = ()):
-        acc: dict[Atom, LaurentInt] = {}
+        items: list[tuple[Atom, LaurentInt]] = []
         for coeff, factors in raw_terms:
             c = coeff if isinstance(coeff, LaurentInt) else LaurentInt.from_int(coeff)
-            for atom2, c2 in _expand_term(c, tuple(factors)):
-                prev = acc.get(atom2, ZERO)
-                acc[atom2] = prev + c2
-        self._terms = tuple(sorted(((a, c) for a, c in acc.items() if c),
-                                   key=lambda item: _atom_key(item[0])))
-
-    @classmethod
-    def _trusted(cls, terms: tuple[tuple[Atom, LaurentInt], ...]) -> "MuClass":
-        obj = cls.__new__(cls)
-        obj._terms = terms
-        return obj
+            items += _expand_term(c, tuple(factors))
+        self._terms = self._canonical(items)
 
     # constructors
 
     @classmethod
     def zero(cls) -> "MuClass":
-        return cls._trusted(())
+        return cls._wrap(())
 
     @classmethod
     def one(cls) -> "MuClass":
@@ -233,12 +234,6 @@ class MuClass:
                 return c
         return ZERO
 
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
     def is_trivial_action(self) -> bool:
         """True when no orbit or equivariant Fermat factor occurs."""
         return all(f[0] not in ("orb", "FER") for a, _ in self._terms for f in a)
@@ -248,41 +243,23 @@ class MuClass:
 
     # ring structure
 
-    def __add__(self, other: "MuClass") -> "MuClass":
-        if not isinstance(other, MuClass):
-            return NotImplemented
-        acc = dict(self._terms)
-        for a, c in other._terms:
-            acc[a] = acc.get(a, ZERO) + c
-        return MuClass._trusted(tuple(sorted(((a, c) for a, c in acc.items() if c),
-                                             key=lambda item: _atom_key(item[0]))))
-
-    def __neg__(self) -> "MuClass":
-        return MuClass._trusted(tuple((a, -c) for a, c in self._terms))
-
-    def __sub__(self, other: "MuClass") -> "MuClass":
-        if not isinstance(other, MuClass):
-            return NotImplemented
-        return self + (-other)
+    __add__ = Sparse.__add__
+    __neg__ = Sparse.__neg__
+    __sub__ = Sparse.__sub__
 
     def __mul__(self, other: Union["MuClass", LaurentInt, int]) -> "MuClass":
         if isinstance(other, (LaurentInt, int)):
             c = other if isinstance(other, LaurentInt) else LaurentInt.from_int(other)
             if not c:
                 return MuClass.zero()
-            return MuClass._trusted(tuple((a, c * k) for a, k in self._terms))
+            return MuClass._wrap(tuple((a, c * k) for a, k in self._terms))
         if not isinstance(other, MuClass):
             return NotImplemented
-        return MuClass([(c1 * c2, a1 + a2)
-                        for a1, c1 in self._terms for a2, c2 in other._terms])
+        return MuClass._make((a, c1 * c2 * m)
+                             for a1, c1 in self._terms for a2, c2 in other._terms
+                             for a, m in [atom_mul(a1, a2)])
 
     __rmul__ = __mul__
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, MuClass) and self._terms == other._terms
-
-    def __hash__(self) -> int:
-        return hash(("MuClass", self._terms))
 
     def forget_action(self) -> "MuClass":
         """Forget the group action: ORB(d) -> d, FER -> fer; idempotent."""
@@ -307,14 +284,10 @@ class MuClass:
         return f"MuClass({[(list(a), str(c)) for a, c in self._terms]!r})"
 
 
-def _atom_key(a: Atom):
-    return (len(a), tuple(factor_key(f) for f in a))
-
-
-def _expand_term(coeff: LaurentInt, factors: tuple) -> list[tuple[Atom, LaurentInt]]:
+def _expand_term(coeff: LaurentInt, factors: tuple) -> tuple[tuple[Atom, LaurentInt], ...]:
     """Rewrite one raw term to a combination of normal atoms."""
     residual: list[Factor] = []
-    expansions: list[tuple[tuple[Atom, LaurentInt], ...]] = []
+    expansions: list[MuClass] = []
     for f in factors:
         if not isinstance(f, tuple) or not f or f[0] not in ("orb", "FER", "fer", "opq", "gm"):
             raise ValidationError(f"unknown factor {f!r}")
@@ -343,7 +316,7 @@ def _expand_term(coeff: LaurentInt, factors: tuple) -> list[tuple[Atom, LaurentI
             n, r = f[1], f[2]
             if n == 2:
                 c0, c1, _ = _tower(r)
-                expansions.append((((), c0), ((("orb", 2),), c1)))
+                expansions.append(MuClass._make([((), c0), ((("orb", 2),), c1)]))
             else:
                 residual.append(f)
         else:
@@ -351,15 +324,10 @@ def _expand_term(coeff: LaurentInt, factors: tuple) -> list[tuple[Atom, LaurentI
                 raise ValidationError(f"malformed opq factor {f!r}")
             residual.append(opq(*f[1:]))
     base_atom, mult = _fuse(residual)
-    terms: dict[Atom, LaurentInt] = {base_atom: coeff * mult}
+    terms = ((base_atom, coeff * mult),)
     for expansion in expansions:
-        nxt: dict[Atom, LaurentInt] = {}
-        for a1, c1 in terms.items():
-            for a2, c2 in expansion:
-                a, m = atom_mul(a1, a2)
-                nxt[a] = nxt.get(a, ZERO) + c1 * c2 * m
-        terms = nxt
-    return [(a, c) for a, c in terms.items() if c]
+        terms = (MuClass._make(terms) * expansion).terms()
+    return terms
 
 
 def _fuse(factors: list[Factor]) -> tuple[Atom, int]:

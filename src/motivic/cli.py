@@ -33,6 +33,8 @@ def _load(path: str):
         raise ParseError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ParseError(f"{path} is nested too deeply to read") from exc
 
 
 def _emit(text: str, out_path: str | None) -> None:

@@ -24,39 +24,33 @@ from __future__ import annotations
 import math
 from typing import Iterable
 
-from .classes import FER, Atom, MuClass, atom_mul, factor_str, fer, opq, orb
+from .classes import FER, Atom, MuClass, atom_key, atom_mul, factor_str, fer, opq, orb
 from .errors import ValidationError
-from .laurent import L_MINUS_1, ZERO, LaurentInt
+from .laurent import L_MINUS_1, LaurentInt
 from .realize import factor_chi
+from .sparse import Sparse
 
 
-class BiClass:
+class BiClass(Sparse):
     """Finitely supported map from ordered atom pairs to LaurentInt."""
 
-    __slots__ = ("_terms",)
+    __slots__ = ()
+
+    _sort_key = staticmethod(lambda term: (atom_key(term[0][0]), atom_key(term[0][1])))
 
     def __init__(self, terms: Iterable[tuple[Atom, Atom, LaurentInt]] = ()):
-        acc: dict[tuple[Atom, Atom], LaurentInt] = {}
-        for a, b, c in terms:
-            key = (a, b)
-            acc[key] = acc.get(key, ZERO) + c
-        self._terms = tuple(sorted(((k, c) for k, c in acc.items() if c),
-                                   key=lambda item: item[0]))
+        self._terms = self._canonical(((a, b), c) for a, b, c in terms)
 
     def terms(self) -> tuple[tuple[tuple[Atom, Atom], LaurentInt], ...]:
         return self._terms
 
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, BiClass) and self._terms == other._terms
-
-    def __hash__(self) -> int:
-        return hash(("BiClass", self._terms))
-
 
 def tensor(a: MuClass, b: MuClass) -> BiClass:
     """Exterior product A x B of two classes."""
-    return BiClass((a1, a2, c1 * c2)
-                   for a1, c1 in a.terms() for a2, c2 in b.terms())
+    # both factors are sorted by atom key with nonzero coefficients, so the
+    # pairs come out distinct, nonzero and in BiClass order
+    return BiClass._wrap(tuple(((a1, a2), c1 * c2)
+                               for a1, c1 in a.terms() for a2, c2 in b.terms()))
 
 
 def _split_trivial(atom: Atom) -> tuple[Atom, Atom]:
@@ -105,10 +99,8 @@ def _opaque_pair(core_a: Atom, core_b: Atom) -> MuClass:
 
 def psi_pair(p: BiClass) -> MuClass:
     """Psi of an exterior product, by bilinear extension of the pair rules."""
-    out = MuClass.zero()
-    for (a, b), c in p.terms():
-        out = out + _psi_atoms(a, b) * c
-    return out
+    return MuClass._make((atom, k * c) for (a, b), c in p.terms()
+                         for atom, k in _psi_atoms(a, b).terms())
 
 
 def star(a: MuClass, b: MuClass) -> MuClass:

@@ -27,6 +27,7 @@ from .classes import Factor, MuClass
 from .errors import ParseError
 from .laurent import LaurentInt
 from .realize import EPoly
+from .sparse import monomial, power, signed_join
 from .vanishing import (Constant, Generator, Presentation, Resolved, SmoothProper,
                         SNCDatum, Stratum)
 
@@ -40,6 +41,29 @@ def _expect(condition: bool, message: str) -> None:
         raise ParseError(message)
 
 
+def _int(value, what: str) -> int:
+    """value when it is a JSON integer; a float, string or boolean is refused."""
+    _expect(type(value) is int, f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _point(value):
+    """A base point as written: a "p/q" string or a JSON integer, never a boolean."""
+    _expect(isinstance(value, str) or type(value) is int,
+            f"point must be a string or integer, got {value!r}")
+    return value
+
+
+def _decimal(text: str, what: str) -> int:
+    """The integer that text writes in plain decimal, exactly as str() would."""
+    try:
+        value = int(text)
+    except (TypeError, ValueError):
+        value = None
+    _expect(value is not None and str(value) == text, f"bad {what} {text!r}")
+    return value
+
+
 # --- classes -----------------------------------------------------------------
 
 def _coeff_to_json(c: LaurentInt) -> dict:
@@ -47,13 +71,8 @@ def _coeff_to_json(c: LaurentInt) -> dict:
 
 def _coeff_from_json(obj) -> LaurentInt:
     _expect(isinstance(obj, dict), "coefficient must be an object of exponent: integer")
-    items = []
-    for k, v in obj.items():
-        try:
-            items.append((int(k), int(v)))
-        except (TypeError, ValueError):
-            raise ParseError(f"bad coefficient entry {k!r}: {v!r}") from None
-    return LaurentInt(items)
+    return LaurentInt((_decimal(k, "exponent"), _int(v, f"coefficient of exponent {k!r}"))
+                      for k, v in obj.items())
 
 
 def _epoly_to_json(e) -> dict:
@@ -64,11 +83,11 @@ def _epoly_from_json(obj) -> dict:
     _expect(isinstance(obj, dict), "epoly must be an object")
     out = {}
     for k, v in obj.items():
-        try:
-            i, j = k.strip("()").split(",")
-            out[(int(i), int(j))] = int(v)
-        except (TypeError, ValueError):
-            raise ParseError(f"bad epoly entry {k!r}: {v!r}") from None
+        _expect(isinstance(k, str) and k.startswith("(") and k.endswith(")"),
+                f"bad epoly key {k!r}")
+        i, _, j = k[1:-1].partition(",")
+        out[(_decimal(i, "epoly key entry"), _decimal(j, "epoly key entry"))] = \
+            _int(v, f"epoly coefficient at {k!r}")
     return out
 
 
@@ -87,18 +106,15 @@ def _factor_from_json(obj) -> Factor:
     _expect(isinstance(obj, dict) and len(obj) == 1, f"factor must be a one-key object, got {obj!r}")
     (kind, payload), = obj.items()
     if kind in ("orb", "gm"):
-        _expect(isinstance(payload, int), f"{kind} factor wants an integer")
-        return (kind, payload)
+        return (kind, _int(payload, f"{kind} factor"))
     if kind in ("fer", "FER"):
-        _expect(isinstance(payload, list) and len(payload) == 2
-                and all(isinstance(x, int) for x in payload),
-                f"{kind} factor wants [n, r]")
-        return (kind, payload[0], payload[1])
+        _expect(isinstance(payload, list) and len(payload) == 2, f"{kind} factor wants [n, r]")
+        return (kind, *(_int(x, f"{kind} factor entry") for x in payload))
     if kind == "opq":
         _expect(isinstance(payload, dict) and "tag" in payload and "chi" in payload,
                 "opq factor wants {tag, chi}")
         epoly = _epoly_from_json(payload["epoly"]) if "epoly" in payload else None
-        return ("opq", payload["tag"], payload["chi"],
+        return ("opq", payload["tag"], _int(payload["chi"], "opq chi"),
                 tuple(sorted(epoly.items())) if epoly is not None else None)
     raise ParseError(f"unknown factor kind {kind!r}")
 
@@ -134,8 +150,7 @@ def a1_from_json(obj) -> A1Class:
     for entry in obj["support"]:
         _expect(isinstance(entry, dict) and "point" in entry and "class" in entry,
                 "support entry wants {point, class}")
-        _expect(isinstance(entry["point"], (str, int)), "point must be a string or integer")
-        pairs.append((entry["point"], class_from_json(entry["class"])))
+        pairs.append((_point(entry["point"]), class_from_json(entry["class"])))
     return A1Class(pairs)
 
 
@@ -160,8 +175,8 @@ def datum_from_json(obj) -> SNCDatum:
     components = []
     for c in obj["components"]:
         _expect(isinstance(c, dict) and "id" in c and "m" in c, "component wants {id, m}")
-        _expect(isinstance(c["id"], str) and isinstance(c["m"], int), "component id/m types")
-        components.append((c["id"], c["m"]))
+        _expect(isinstance(c["id"], str), "component id must be a string")
+        components.append((c["id"], _int(c["m"], "component m")))
     _expect(isinstance(obj["strata"], list), "strata must be a list")
     strata = []
     for s in obj["strata"]:
@@ -195,7 +210,7 @@ def generator_from_json(obj) -> Generator:
     if kind == "constant":
         _expect(isinstance(payload, dict) and "value" in payload and "class" in payload,
                 "constant generator wants {value, class}")
-        return Constant(payload["value"], class_from_json(payload["class"]))
+        return Constant(_point(payload["value"]), class_from_json(payload["class"]))
     if kind == "resolved":
         _expect(isinstance(payload, dict) and isinstance(payload.get("criticals"), list),
                 'resolved generator wants {"criticals": [...]}')
@@ -203,7 +218,7 @@ def generator_from_json(obj) -> Generator:
         for entry in payload["criticals"]:
             _expect(isinstance(entry, dict) and "point" in entry and "datum" in entry,
                     "critical entry wants {point, datum}")
-            criticals.append((entry["point"], datum_from_json(entry["datum"])))
+            criticals.append((_point(entry["point"]), datum_from_json(entry["datum"])))
         return Resolved(criticals)
     raise ParseError(f"unknown generator kind {kind!r}")
 
@@ -218,8 +233,8 @@ def presentation_from_json(obj) -> Presentation:
     for t in obj["terms"]:
         _expect(isinstance(t, dict) and "coeff" in t and "generator" in t,
                 "presentation term wants {coeff, generator}")
-        _expect(isinstance(t["coeff"], int), "presentation coefficient must be an integer")
-        terms.append((t["coeff"], generator_from_json(t["generator"])))
+        terms.append((_int(t["coeff"], "presentation coefficient"),
+                       generator_from_json(t["generator"])))
     return tuple(terms)
 
 
@@ -234,11 +249,16 @@ def _pretty_factor(f: Factor) -> str:
     return _FACTOR_PRETTY[f[0]].format(*f[1:])
 
 
-def _pretty_monomial(exp: int, coeff: int) -> str:
-    if exp == 0:
-        return str(coeff)
-    sym = "L" if exp == 1 else f"L^{exp}"
-    return sym if coeff == 1 else f"{coeff}*{sym}"
+def _pretty_term(atom, coeff: LaurentInt, several: bool) -> tuple[bool, str]:
+    """(negative, body) of one term; a coefficient of several monomials is bracketed."""
+    atom_str = "*".join(_pretty_factor(f) for f in atom)
+    monomials = coeff.items()
+    if len(monomials) == 1:
+        (e, c), = monomials
+        return c < 0, monomial(abs(c), power("L", e), atom_str)
+    if atom_str:
+        return False, f"({coeff})*{atom_str}"
+    return False, f"({coeff})" if several else str(coeff)
 
 
 def pretty(value) -> str:
@@ -248,28 +268,5 @@ def pretty(value) -> str:
         return "{" + inner + "}"
     if not isinstance(value, MuClass):
         raise TypeError(f"cannot pretty-print {type(value).__name__}")
-    if value.is_zero():
-        return "0"
     terms = value.terms()
-    pieces: list[tuple[int, str]] = []
-    for atom, coeff in terms:
-        atom_str = "*".join(_pretty_factor(f) for f in atom)
-        monomials = coeff.items()
-        if len(monomials) == 1:
-            (e, c), = monomials
-            sign, c = (1, c) if c > 0 else (-1, -c)
-            if atom_str:
-                body = atom_str if (e, c) == (0, 1) else f"{_pretty_monomial(e, c)}*{atom_str}"
-            else:
-                body = _pretty_monomial(e, c)
-        else:
-            sign, cs = 1, str(coeff)
-            if atom_str:
-                body = f"({cs})*{atom_str}"
-            else:
-                body = f"({cs})" if len(terms) > 1 else cs
-        pieces.append((sign, body))
-    out = [pieces[0][1] if pieces[0][0] > 0 else f"-{pieces[0][1]}"]
-    for sign, body in pieces[1:]:
-        out.append(f"+ {body}" if sign > 0 else f"- {body}")
-    return " ".join(out)
+    return signed_join(_pretty_term(atom, coeff, len(terms) > 1) for atom, coeff in terms)

@@ -11,24 +11,23 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
 
+from .sparse import Sparse, monomial, power, signed_join
+
 Coeffable = Union["LaurentInt", int]
 
 
-class LaurentInt:
+class LaurentInt(Sparse):
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ()
 
     def __init__(self, coeffs: Mapping[int, int] | Iterable[tuple[int, int]] = ()):
         items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
-        acc: dict[int, int] = {}
+        checked = []
         for exp, c in items:
             if not isinstance(exp, int) or not isinstance(c, int):
                 raise TypeError("LaurentInt wants integer exponents and coefficients")
-            if c:
-                acc[exp] = acc.get(exp, 0) + c
-                if not acc[exp]:
-                    del acc[exp]
-        self._coeffs = tuple(sorted(acc.items()))
+            checked.append((exp, int(c)))  # int() stores a bool as the integer it stands for
+        self._terms = self._canonical(checked)
 
     @classmethod
     def from_int(cls, n: int) -> "LaurentInt":
@@ -40,38 +39,19 @@ class LaurentInt:
 
     def items(self) -> tuple[tuple[int, int], ...]:
         """Coefficients as (exponent, value) pairs, exponents ascending."""
-        return self._coeffs
+        return self._terms
 
-    def is_zero(self) -> bool:
-        return not self._coeffs
-
-    def __bool__(self) -> bool:
-        return bool(self._coeffs)
-
-    @staticmethod
-    def _coerce(other: Coeffable) -> "LaurentInt | None":
+    @classmethod
+    def _coerce(cls, other: Coeffable) -> "LaurentInt | None":
         if isinstance(other, LaurentInt):
             return other
         if isinstance(other, int):
-            return LaurentInt({0: other})
+            return cls._wrap(((0, int(other)),) if other else ())
         return None
 
-    def __add__(self, other: Coeffable) -> "LaurentInt":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return LaurentInt(list(self._coeffs) + list(o._coeffs))
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "LaurentInt":
-        return LaurentInt([(e, -c) for e, c in self._coeffs])
-
-    def __sub__(self, other: Coeffable) -> "LaurentInt":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
+    __add__ = __radd__ = Sparse.__add__
+    __neg__ = Sparse.__neg__
+    __sub__ = Sparse.__sub__
 
     def __rsub__(self, other: Coeffable) -> "LaurentInt":
         return -(self - other)
@@ -80,12 +60,8 @@ class LaurentInt:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        acc: dict[int, int] = {}
-        for e1, c1 in self._coeffs:
-            for e2, c2 in o._coeffs:
-                e = e1 + e2
-                acc[e] = acc.get(e, 0) + c1 * c2
-        return LaurentInt(acc)
+        return self._make((e1 + e2, c1 * c2)
+                          for e1, c1 in self._terms for e2, c2 in o._terms)
 
     __rmul__ = __mul__
 
@@ -101,42 +77,24 @@ class LaurentInt:
             n >>= 1
         return out
 
-    def __eq__(self, other: object) -> bool:
-        o = self._coerce(other) if isinstance(other, (LaurentInt, int)) else None
-        return o is not None and self._coeffs == o._coeffs
-
-    def __hash__(self) -> int:
-        return hash(("LaurentInt", self._coeffs))
-
     def sum_of_coefficients(self) -> int:
         """Evaluation at L = 1 (the Euler-characteristic specialization)."""
-        return sum(c for _, c in self._coeffs)
+        return sum(c for _, c in self._terms)
 
     def evaluate(self, value: int | Fraction) -> Fraction:
         """Exact evaluation at a nonzero rational value."""
         x = Fraction(value)
-        if x == 0 and any(e < 0 for e, _ in self._coeffs):
+        if x == 0 and any(e < 0 for e, _ in self._terms):
             raise ZeroDivisionError("negative exponent at 0")
-        return sum((Fraction(c) * x ** e for e, c in self._coeffs), Fraction(0))
+        return sum((Fraction(c) * x ** e for e, c in self._terms), Fraction(0))
 
     def __str__(self) -> str:
-        if not self._coeffs:
-            return "0"
-        parts: list[str] = []
-        for e, c in reversed(self._coeffs):  # leading exponent first
-            if e == 0:
-                body = str(abs(c))
-            else:
-                sym = "L" if e == 1 else f"L^{e}"
-                body = sym if abs(c) == 1 else f"{abs(c)}*{sym}"
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(parts)
+        # leading exponent first
+        return signed_join((c < 0, monomial(abs(c), power("L", e)))
+                           for e, c in reversed(self._terms))
 
     def __repr__(self) -> str:
-        return f"LaurentInt({dict(self._coeffs)!r})"
+        return f"LaurentInt({dict(self._terms)!r})"
 
 
 ZERO = LaurentInt()

@@ -25,6 +25,7 @@ from typing import Iterable, Mapping
 from .classes import Factor, MuClass, factor_str
 from .errors import OracleBudgetError, RealizationUndefinedError, ValidationError
 from .laurent import LaurentInt
+from .sparse import Sparse, monomial, power, signed_join
 
 DEFAULT_ORACLE_BUDGET = 10 ** 8
 ORACLE_BUDGET_ENV = "MOTIVIC_ORACLE_BUDGET"
@@ -56,22 +57,14 @@ def chi_of_a1(f) -> int:
 
 # --- E-polynomial -----------------------------------------------------------
 
-class EPoly:
+class EPoly(Sparse):
     """Two-variable Laurent polynomial in u, v with integer coefficients."""
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ()
 
     def __init__(self, coeffs: Mapping[tuple[int, int], int] | Iterable = ()):
         items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
-        acc: dict[tuple[int, int], int] = {}
-        for (i, j), c in items:
-            key = (int(i), int(j))
-            c = int(c)
-            if c:
-                acc[key] = acc.get(key, 0) + c
-                if not acc[key]:
-                    del acc[key]
-        self._coeffs = tuple(sorted(acc.items()))
+        self._terms = self._canonical(((int(i), int(j)), int(c)) for (i, j), c in items)
 
     @classmethod
     def constant(cls, n: int) -> "EPoly":
@@ -82,50 +75,27 @@ class EPoly:
         return cls({(k, k): 1})
 
     def items(self) -> tuple[tuple[tuple[int, int], int], ...]:
-        return self._coeffs
-
-    def __add__(self, other: "EPoly") -> "EPoly":
-        return EPoly(list(self._coeffs) + list(other._coeffs))
+        return self._terms
 
     def __mul__(self, other: "EPoly") -> "EPoly":
-        acc: dict[tuple[int, int], int] = {}
-        for (i1, j1), c1 in self._coeffs:
-            for (i2, j2), c2 in other._coeffs:
-                key = (i1 + i2, j1 + j2)
-                acc[key] = acc.get(key, 0) + c1 * c2
-        return EPoly(acc)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, EPoly) and self._coeffs == other._coeffs
-
-    def __hash__(self) -> int:
-        return hash(("EPoly", self._coeffs))
+        return self._make(((i1 + i2, j1 + j2), c1 * c2)
+                          for (i1, j1), c1 in self._terms for (i2, j2), c2 in other._terms)
 
     def evaluate(self, u, v):
         from fractions import Fraction
         return sum((Fraction(c) * Fraction(u) ** i * Fraction(v) ** j
-                    for (i, j), c in self._coeffs), Fraction(0))
+                    for (i, j), c in self._terms), Fraction(0))
 
     def __str__(self) -> str:
-        if not self._coeffs:
-            return "0"
-        parts = []
-        for (i, j), c in reversed(self._coeffs):
-            mono = "*".join(s for s in (
-                "" if i == 0 else ("u" if i == 1 else f"u^{i}"),
-                "" if j == 0 else ("v" if j == 1 else f"v^{j}")) if s)
-            body = str(abs(c)) if not mono else (mono if abs(c) == 1 else f"{abs(c)}*{mono}")
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(parts)
+        return signed_join((c < 0, monomial(abs(c), power("u", i), power("v", j)))
+                           for (i, j), c in reversed(self._terms))
 
     __repr__ = __str__
 
 
 def _coeff_epoly(coeff: LaurentInt) -> EPoly:
-    return EPoly({(e, e): c for e, c in coeff.items()})
+    # L^e goes to (uv)^e; exponents ascending give keys (e, e) ascending
+    return EPoly._wrap(tuple(((e, e), c) for e, c in coeff.items()))
 
 
 def _factor_epoly(f: Factor) -> EPoly:
@@ -146,13 +116,10 @@ def e_polynomial(c: MuClass) -> EPoly:
     equivariant Fermat factor, any fer(n,r) with r >= 3, and any opaque
     factor without stored E-data raise RealizationUndefinedError.
     """
-    total = EPoly()
+    terms: list = []
     for atom, coeff in c.terms():
-        part = _coeff_epoly(coeff)
-        for f in atom:
-            part = part * _factor_epoly(f)
-        total = total + part
-    return total
+        terms += math.prod(map(_factor_epoly, atom), start=_coeff_epoly(coeff)).items()
+    return EPoly._make(terms)
 
 
 # --- finite fields and the brute-force oracle --------------------------------

@@ -126,10 +126,8 @@ def _require_valid(d: SNCDatum) -> None:
 def nearby_fiber(d: SNCDatum) -> MuClass:
     """The motivic nearby fiber of the datum."""
     _require_valid(d)
-    total = MuClass.zero()
-    for s in d.strata:
-        total = total + s.cover_class * ONE_MINUS_L ** (len(s.index_set) - 1)
-    return total
+    parts = (s.cover_class * ONE_MINUS_L ** (len(s.index_set) - 1) for s in d.strata)
+    return MuClass._make(t for part in parts for t in part.terms())
 
 
 def vanishing_cycles(d: SNCDatum) -> tuple[MuClass, MuClass]:
@@ -204,12 +202,12 @@ def phi_generator(g: Generator) -> A1Class:
 
 def phi_measure(p: Presentation) -> A1Class:
     """The measure on a presentation: coefficient-weighted sum over generators."""
-    total = A1Class.zero()
+    terms: list[tuple[Fraction, MuClass]] = []
     for coeff, g in p:
         if not isinstance(coeff, int):
             raise ValidationError(f"presentation coefficient {coeff!r} is not an integer")
-        total = total + phi_generator(g) * coeff
-    return total
+        terms += (phi_generator(g) * coeff).support()
+    return A1Class._make(terms)
 
 
 def ts_check(g_v: Generator, g_w: Generator, direct: Generator) -> dict:

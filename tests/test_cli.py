@@ -200,3 +200,26 @@ def test_outputs_are_byte_identical_across_processes(tmp_path):
                            capture_output=True, check=True).stdout
             for _ in range(2)]
     assert runs[0] == runs[1] and runs[0].strip()
+
+
+def test_opaque_atoms_differing_only_in_e_data(tmp_path, capsys):
+    same_tag = write(tmp_path, "same_tag.json", {"terms": [
+        {"coeff": {"0": 1}, "factors": [{"opq": {"tag": "t", "chi": 2}}]},
+        {"coeff": {"0": 1}, "factors": [{"opq": {"tag": "t", "chi": 2,
+                                                 "epoly": {"(0,0)": 2}}}]}]})
+    code, out = run_cli(capsys, "normalize", same_tag)
+    assert code == 0 and len(out.splitlines()) == 1
+    # the atom without E-data sorts first
+    assert [t["factors"][0]["opq"].get("epoly") for t in json.loads(out)["terms"]] == \
+        [None, {"(0,0)": 2}]
+    code, out = run_cli(capsys, "convolve", same_tag,
+                        write(tmp_path, "orb.json", class_to_json(orb(2))))
+    assert code == 0 and len(out.splitlines()) == 1
+
+
+def test_deeply_nested_json_is_a_parse_error(tmp_path, capsys):
+    path = tmp_path / "nested.json"
+    path.write_text("[" * 5000 + "]" * 5000, encoding="utf-8")
+    code, out = run_cli(capsys, "convolve", str(path), str(path))
+    assert code == 2 and len(out.splitlines()) == 1
+    assert json.loads(out)["error"] == "parse"

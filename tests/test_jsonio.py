@@ -63,6 +63,76 @@ def test_parse_errors_are_parse_errors():
             class_from_json(bad)
 
 
+def _class_doc(coeff=None, factors=()):
+    return {"terms": [{"coeff": {"0": 1} if coeff is None else coeff, "factors": list(factors)}]}
+
+
+def _presentation_doc(coeff):
+    return {"terms": [{"coeff": coeff, "generator": "smooth_proper"}]}
+
+
+def _line_doc(point):
+    return {"support": [{"point": point, "class": class_to_json(ONE)}]}
+
+
+def _constant_doc(value):
+    return {"constant": {"value": value, "class": class_to_json(ONE)}}
+
+
+def _resolved_doc(point):
+    return {"resolved": {"criticals": [{"point": point, "datum": datum_to_json(power_datum(2))}]}}
+
+
+def _datum_doc(m):
+    doc = datum_to_json(power_datum(2))
+    doc["components"][0]["m"] = m
+    return doc
+
+
+@pytest.mark.parametrize("parse,doc", [
+    (class_from_json, _class_doc({"0": 2.7})),
+    (class_from_json, _class_doc({"0": "5"})),
+    (class_from_json, _class_doc({"0": True})),
+    (class_from_json, _class_doc({"1_0": 1})),
+    (class_from_json, _class_doc({"01": 1})),
+    (class_from_json, _class_doc({"+1": 1})),
+    (class_from_json, _class_doc({" 1": 1})),
+    (class_from_json, _class_doc({"-0": 1})),
+    (class_from_json, _class_doc(factors=[{"orb": True}])),
+    (class_from_json, _class_doc(factors=[{"orb": 2.0}])),
+    (class_from_json, _class_doc(factors=[{"gm": "1"}])),
+    (class_from_json, _class_doc(factors=[{"fer": [3, 2.0]}])),
+    (class_from_json, _class_doc(factors=[{"FER": [True, 2]}])),
+    (class_from_json, _class_doc(factors=[{"opq": {"tag": "t", "chi": 2.5}}])),
+    (class_from_json, _class_doc(factors=[{"opq": {"tag": "t", "chi": False}}])),
+    (class_from_json, _class_doc(factors=[{"opq": {"tag": "t", "chi": 1,
+                                                   "epoly": {"(0,0)": 1.5}}}])),
+    (class_from_json, _class_doc(factors=[{"opq": {"tag": "t", "chi": 1,
+                                                   "epoly": {"(1, 0)": 1}}}])),
+    (class_from_json, _class_doc(factors=[{"opq": {"tag": "t", "chi": 1,
+                                                   "epoly": {"(1_0,0)": 1}}}])),
+    (class_from_json, _class_doc(factors=[{"opq": {"tag": "t", "chi": 1,
+                                                   "epoly": {"1,0": 1}}}])),
+    (presentation_from_json, _presentation_doc(True)),
+    (presentation_from_json, _presentation_doc(1.0)),
+    (datum_from_json, _datum_doc(2.0)),
+    (datum_from_json, _datum_doc(True)),
+    (a1_from_json, _line_doc(True)),
+    (generator_from_json, _constant_doc(False)),
+    (generator_from_json, _resolved_doc(True)),
+], ids=[
+    "coeff-float", "coeff-string", "coeff-bool",
+    "exponent-underscore", "exponent-leading-zero", "exponent-plus", "exponent-space",
+    "exponent-minus-zero", "orb-bool", "orb-float", "gm-string", "fer-float", "FER-bool",
+    "chi-float", "chi-bool", "epoly-float", "epoly-key-space", "epoly-key-underscore",
+    "epoly-key-no-parens", "presentation-bool", "presentation-float",
+    "component-m-float", "component-m-bool", "point-bool", "constant-value-bool",
+    "critical-point-bool"])
+def test_no_silent_coercion_of_integers(parse, doc):
+    with pytest.raises(ParseError):
+        parse(doc)
+
+
 def test_validation_errors_stay_validation_errors():
     with pytest.raises(ValidationError):
         class_from_json({"terms": [{"coeff": {"0": 1}, "factors": [{"orb": 0}]}]})
@@ -113,3 +183,6 @@ def test_pretty_more_forms():
     assert pretty(L * MuClass.fermat_trivial(3, 2)) == "L*[f(3,2)]"
     assert pretty(A1Class.zero()) == "{}"
     assert pretty(A1Class({"1/2": ONE, -1: L})) == "{-1 -> L, 1/2 -> 1}"
+    assert pretty(-orb(2)) == "-[mu_2]"
+    assert pretty(orb(2) * LaurentInt({1: -3})) == "-3*L*[mu_2]"
+    assert pretty(orb(2) * L_MINUS_1 - MuClass.fermat(3, 2)) == "(L - 1)*[mu_2] - [F(3,2)]"

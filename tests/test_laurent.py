@@ -42,6 +42,7 @@ def test_str_forms():
     assert str(L_MINUS_1) == "L - 1"
     assert str(LaurentInt({2: 1, 1: -3})) == "L^2 - 3*L"
     assert str(LaurentInt({-1: 1})) == "L^-1"
+    assert str(LaurentInt({2: -1, 0: 1})) == "-L^2 + 1"
 
 
 @given(laurents(), laurents(), laurents())

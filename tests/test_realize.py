@@ -72,6 +72,11 @@ def test_epoly_from_genus_formula_matches_three_ways():
         assert chi_c(cls) == -n ** 2
 
 
+def test_epoly_str_forms():
+    assert str(EPoly({(1, 1): 1, (1, 0): -2, (0, 1): -2, (0, 0): -8})) == "u*v - 2*u - 2*v - 8"
+    assert str(EPoly()) == "0"
+
+
 def test_epoly_undefined_factors_are_named():
     with pytest.raises(RealizationUndefinedError, match=r"fer\(3,3\)"):
         e_polynomial(MuClass.fermat_trivial(3, 3))

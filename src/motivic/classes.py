@@ -87,9 +87,13 @@ def opq(tag: str, chi: int, epoly=None) -> Factor:
         raise ValidationError("opaque factor wants a string tag and integer chi")
     if epoly is not None:
         try:
-            epoly = tuple(sorted(((int(i), int(j)), int(c)) for (i, j), c in dict(epoly).items() if int(c)))
+            items = [(i, j, c) for (i, j), c in dict(epoly).items()]
         except (TypeError, ValueError) as exc:
             raise ValidationError(f"bad opaque epoly data: {exc}") from exc
+        if not all(isinstance(x, int) for item in items for x in item):
+            raise ValidationError("opaque epoly data wants integer keys and coefficients")
+        # int() stores a bool as the integer it stands for, as LaurentInt does
+        epoly = tuple(sorted(((int(i), int(j)), int(c)) for i, j, c in items if c))
     return ("opq", tag, chi, epoly)
 
 

@@ -2,7 +2,9 @@
 
 Exit codes: 0 success (JSON on stdout), 1 validation/realization/budget
 failure (structured {"error": kind, "detail": message} object on stdout),
-2 parse errors (unreadable files, malformed JSON, bad argument syntax).
+2 parse errors (unreadable files, malformed JSON, bad argument syntax),
+3 any other failure inside the engine ({"error": "internal", "detail":
+"<exception type>: <message>"}), reported instead of a traceback.
 Output is canonical: identical inputs produce byte-identical bytes.
 """
 
@@ -146,6 +148,10 @@ def run(argv: list[str]) -> int:
     except MotivicError as exc:
         sys.stdout.write(jsonio.dumps({"error": exc.kind, "detail": str(exc)}) + "\n")
         return 1
+    except Exception as exc:
+        detail = f"{type(exc).__name__}: {exc}"
+        sys.stdout.write(jsonio.dumps({"error": "internal", "detail": detail}) + "\n")
+        return 3
 
 
 def main() -> None:

@@ -17,6 +17,13 @@ equivariant, so a side containing one only short-circuits through P2 when
 the *other* side is trivial.  P6 tags are canonical in the unordered pair,
 which keeps star exactly commutative.  The convolution is chi_c
 multiplicative on all inputs by construction of P6.
+
+The pair rules run on atoms that are already normal and emit normal terms:
+P2 is one atom product, P6 one atom of the opaque factor sorted in with the
+trivial factors, and only the closed forms of P4/P5 go through the rewrite
+rules (their FER(2,2), fer(n,1) and fer(2,r) terms need N4/N5).  The trivial
+factors split off by P3 are multiplied back with atom_mul, with no second
+normalization, and psi_pair collects all pair terms in one _make.
 """
 
 from __future__ import annotations
@@ -24,9 +31,9 @@ from __future__ import annotations
 import math
 from typing import Iterable
 
-from .classes import FER, Atom, MuClass, atom_key, atom_mul, factor_str, fer, opq, orb
+from .classes import FER, Atom, MuClass, atom_key, atom_mul, factor_key, factor_str, fer, orb
 from .errors import ValidationError
-from .laurent import L_MINUS_1, LaurentInt
+from .laurent import L_MINUS_1, ONE, Coeffable, LaurentInt
 from .realize import factor_chi
 from .sparse import Sparse
 
@@ -38,11 +45,23 @@ class BiClass(Sparse):
 
     _sort_key = staticmethod(lambda term: (atom_key(term[0][0]), atom_key(term[0][1])))
 
-    def __init__(self, terms: Iterable[tuple[Atom, Atom, LaurentInt]] = ()):
-        self._terms = self._canonical(((a, b), c) for a, b, c in terms)
+    def __init__(self, terms: Iterable[tuple[Atom, Atom, Coeffable]] = ()):
+        self._terms = self._canonical(
+            ((_normal_atom(a), _normal_atom(b)),
+             c if isinstance(c, LaurentInt) else LaurentInt.from_int(c))
+            for a, b, c in terms)
 
     def terms(self) -> tuple[tuple[tuple[Atom, Atom], LaurentInt], ...]:
         return self._terms
+
+
+def _normal_atom(factors: Iterable) -> Atom:
+    """The normal atom a product of factors equals; the pair rules take only those."""
+    factors = tuple(factors)
+    terms = MuClass([(1, factors)]).terms()
+    if len(terms) != 1 or terms[0][1] != ONE:
+        raise ValidationError(f"{factors!r} is not a single normal atom")
+    return terms[0][0]
 
 
 def tensor(a: MuClass, b: MuClass) -> BiClass:
@@ -63,44 +82,47 @@ def _core_str(core: Atom) -> str:
     return "*".join(factor_str(f) for f in core) if core else "1"
 
 
-def _psi_atoms(a: Atom, b: Atom) -> MuClass:
+def _psi_terms(a: Atom, b: Atom, c: LaurentInt) -> list[tuple[Atom, LaurentInt]]:
+    """Normal terms of Psi(c * a x b) for two normal atoms (P1 pulls c out)."""
     triv_a, core_a = _split_trivial(a)
     triv_b, core_b = _split_trivial(b)
     if not core_a or not core_b:
-        # P2: one side acts trivially, convolution degenerates to the product
-        product, mult = atom_mul(a, b)
-        return MuClass([(mult, product)])
-    if core_a == core_b and len(core_a) == 1 and core_a[0][0] == "orb":
-        n = core_a[0][1]
-        inner = MuClass([(n * L_MINUS_1, ()), (-1, (FER(n, 2),))])
-    elif (len(core_a) == 1 and len(core_b) == 1
-          and {core_a[0][0], core_b[0][0]} == {"FER", "orb"}):
-        f_fer = core_a[0] if core_a[0][0] == "FER" else core_b[0]
-        f_orb = core_a[0] if core_a[0][0] == "orb" else core_b[0]
-        n, r = f_fer[1], f_fer[2]
-        if f_orb[1] == n:
-            inner = MuClass([
-                (L_MINUS_1, (fer(n, r - 1), orb(n))),
-                (1, (FER(n, r + 1),)),
-                (-L_MINUS_1, (fer(n, r),)),
-            ])
-        else:
-            inner = _opaque_pair(core_a, core_b)
-    else:
-        inner = _opaque_pair(core_a, core_b)
-    return inner * MuClass([(1, triv_a + triv_b)])
-
-
-def _opaque_pair(core_a: Atom, core_b: Atom) -> MuClass:
+        # P2: one side acts trivially, convolution degenerates to the product;
+        # that side holds no orbit, so atom_mul fuses nothing
+        return [(atom_mul(a, b)[0], c)]
+    if len(core_a) == 1 and len(core_b) == 1:
+        kinds = (core_a[0][0], core_b[0][0])
+        if kinds == ("orb", "orb") and core_a == core_b:
+            n = core_a[0][1]
+            inner = MuClass([(n * L_MINUS_1, ()), (-1, (FER(n, 2),))])
+            return _times_trivial(inner, triv_a + triv_b, c)
+        if kinds in (("FER", "orb"), ("orb", "FER")):
+            f_fer, f_orb = (core_a[0], core_b[0]) if kinds[0] == "FER" else (core_b[0], core_a[0])
+            n, r = f_fer[1], f_fer[2]
+            if f_orb[1] == n:
+                inner = MuClass([
+                    (L_MINUS_1, (fer(n, r - 1), orb(n))),
+                    (1, (FER(n, r + 1),)),
+                    (-L_MINUS_1, (fer(n, r),)),
+                ])
+                return _times_trivial(inner, triv_a + triv_b, c)
+    # P6: the cores' orbits went into the tag, so the opaque factor and the
+    # trivial factors make one normal atom with nothing to fuse
     sa, sb = sorted((_core_str(core_a), _core_str(core_b)))
     chi = math.prod(factor_chi(f) for f in core_a + core_b)
-    return MuClass([(1, (opq(f"psi({sa}|{sb})", chi),))])
+    opaque = ("opq", f"psi({sa}|{sb})", chi, None)
+    return [(tuple(sorted(triv_a + triv_b + (opaque,), key=factor_key)), c)]
+
+
+def _times_trivial(inner: MuClass, triv: Atom, c: LaurentInt) -> list[tuple[Atom, LaurentInt]]:
+    """Normal terms of c * inner * triv, triv a product of trivial factors (P3)."""
+    # triv holds no orbit, so atom_mul fuses nothing and its multiplier is 1
+    return [(atom_mul(atom, triv)[0], c * k) for atom, k in inner.terms()]
 
 
 def psi_pair(p: BiClass) -> MuClass:
     """Psi of an exterior product, by bilinear extension of the pair rules."""
-    return MuClass._make((atom, k * c) for (a, b), c in p.terms()
-                         for atom, k in _psi_atoms(a, b).terms())
+    return MuClass._make(term for (a, b), c in p.terms() for term in _psi_terms(a, b, c))
 
 
 def star(a: MuClass, b: MuClass) -> MuClass:

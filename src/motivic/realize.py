@@ -64,7 +64,12 @@ class EPoly(Sparse):
 
     def __init__(self, coeffs: Mapping[tuple[int, int], int] | Iterable = ()):
         items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
-        self._terms = self._canonical(((int(i), int(j)), int(c)) for (i, j), c in items)
+        checked = []
+        for (i, j), c in items:
+            if not (isinstance(i, int) and isinstance(j, int) and isinstance(c, int)):
+                raise TypeError("EPoly wants integer exponents and coefficients")
+            checked.append(((int(i), int(j)), int(c)))  # a bool is stored as its integer
+        self._terms = self._canonical(checked)
 
     @classmethod
     def constant(cls, n: int) -> "EPoly":

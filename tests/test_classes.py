@@ -173,3 +173,12 @@ def test_no_forbidden_atoms_are_ever_stored():
             assert not (f[0] == "fer" and f[2] == 1)
         orbs = [f for f in atom if f[0] == "orb"]
         assert len(orbs) <= 1
+
+
+def test_opaque_e_data_refuses_non_integer_keys_and_values():
+    for data in [{(0, 0): 2.7}, {(0, 0): 2.0}, {(0.0, 0): 1}, {(1, 1.5): 1}, {(0, 0): "2"},
+                 {(0,): 1}, [1, 2]]:
+        with pytest.raises(ValidationError):
+            MuClass.opaque("t", 1, data)
+    stored = MuClass.opaque("t", 1, {(1, 1): 1, (0, 0): 2, (2, 2): 0}).terms()[0][0][0][3]
+    assert stored == (((0, 0), 2), ((1, 1), 1))

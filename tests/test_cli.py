@@ -223,3 +223,14 @@ def test_deeply_nested_json_is_a_parse_error(tmp_path, capsys):
     code, out = run_cli(capsys, "convolve", str(path), str(path))
     assert code == 2 and len(out.splitlines()) == 1
     assert json.loads(out)["error"] == "parse"
+
+
+def test_unexpected_engine_failure_is_one_internal_error_line(tmp_path, capsys, monkeypatch):
+    def broken(a, b):
+        raise RuntimeError("pair table\nis missing")
+
+    monkeypatch.setattr(motivic.cli, "star", broken)
+    a = write(tmp_path, "a.json", class_to_json(orb(2)))
+    code, out = run_cli(capsys, "convolve", a, a)
+    assert code == 3 and len(out.splitlines()) == 1
+    assert json.loads(out) == {"error": "internal", "detail": "RuntimeError: pair table\nis missing"}

@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given
 
-from motivic import (MuClass, ValidationError, assoc_check, chi_c, forget_action,
+from motivic import (BiClass, MuClass, ValidationError, assoc_check, chi_c, forget_action,
                      mul, normalize, psi_pair, star, star_power, tensor)
 from motivic.laurent import L_MINUS_1
 
@@ -63,6 +63,19 @@ def test_star_with_trivial_action_argument_degenerates_to_product():
     assert star(orb(3), GM) == GM * orb(3)
     fer32 = MuClass.fermat_trivial(3, 2)
     assert star(orb(5), fer32) == mul(orb(5), fer32)
+
+
+def test_psi_pair_of_a_built_exterior_product():
+    # integer coefficients are read as Laurent constants, factors in any order
+    p = BiClass([((("orb", 2),), (("orb", 2),), 3),
+                 ((("fer", 3, 2), ("orb", 2)), (), 1)])
+    assert psi_pair(p) == 3 * (GM + 2 * orb(2)) + mul(orb(2), MuClass.fermat_trivial(3, 2))
+
+
+def test_exterior_products_take_only_normal_atoms():
+    for atom in [(("orb", 2), ("orb", 2)), (("FER", 2, 2),), (("fer", 3, 1),), (("gm", 1),)]:
+        with pytest.raises(ValidationError):
+            BiClass([(atom, (), 1)])
 
 
 # --- star_power --------------------------------------------------------------------

@@ -93,6 +93,13 @@ def test_epoly_of_opaque_with_stored_data():
     assert e_polynomial(c) == EPoly.constant(2)
 
 
+def test_epoly_refuses_non_integer_keys_and_values():
+    for data in [{(0, 0): 2.7}, {(0, 0): 2.0}, {(0.0, 0): 1}, {(0, 1.5): 1}, {(0, 0): "2"}]:
+        with pytest.raises(TypeError):
+            EPoly(data)
+    assert EPoly({(0, 0): 2, (1, 1): 0}) == EPoly.constant(2)
+
+
 @given(mu_classes())
 def test_epoly_at_one_one_is_chi_after_forgetting(c):
     f = forget_action(c)

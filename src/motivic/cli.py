@@ -2,7 +2,8 @@
 
 Exit codes: 0 success (JSON on stdout), 1 validation/realization/budget
 failure (structured {"error": kind, "detail": message} object on stdout),
-2 parse errors (unreadable files, malformed JSON, bad argument syntax),
+2 parse errors (unreadable files, malformed JSON, bad argument syntax,
+an unwritable --out path),
 3 any other failure inside the engine ({"error": "internal", "detail":
 "<exception type>: <message>"}), reported instead of a traceback.
 Output is canonical: identical inputs produce byte-identical bytes.
@@ -41,8 +42,11 @@ def _load(path: str):
 
 def _emit(text: str, out_path: str | None) -> None:
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise ParseError(f"cannot write {out_path}: {exc}") from exc
     else:
         sys.stdout.write(text + "\n")
 

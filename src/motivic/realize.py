@@ -13,6 +13,10 @@ minus its 3n boundary points.
 
 The oracle counts points of the Fermat locus over a finite field by brute
 enumeration; it exists to validate atom data independently of the rules.
+GF(p^k) is F_p[x]/(f) for the first primitive polynomial f in a fixed order,
+kept as the table of the powers of x, so x^n is one lookup whatever n.  The
+budget counts the r entries of each of the (q-1)^r tuples, and is checked
+before q is factored or any table is built.
 """
 
 from __future__ import annotations
@@ -129,124 +133,44 @@ def e_polynomial(c: MuClass) -> EPoly:
 
 # --- finite fields and the brute-force oracle --------------------------------
 
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    for q in range(2, int(p ** 0.5) + 1):
-        if p % q == 0:
-            return False
-    return True
+_SHOWN_BITS = 7000  # larger (q-1)^r are not written out: Python prints <= 4300 digits
 
 
 def _prime_power(q: int) -> tuple[int, int]:
-    """Split q as p^k or raise."""
-    if not isinstance(q, int) or q < 2:
-        raise ValidationError(f"field size must be an integer >= 2, got {q!r}")
-    p = next((d for d in range(2, int(q ** 0.5) + 1) if q % d == 0), q)
-    k = 0
-    m = q
+    """Split q >= 2 as p^k or raise; p, the least divisor >= 2, is prime."""
+    p = next((d for d in range(2, math.isqrt(q) + 1) if q % d == 0), q)
+    k, m = 0, q
     while m % p == 0:
         m //= p
         k += 1
-    if m != 1 or not _is_prime(p):
+    if m != 1:
         raise ValidationError(f"{q} is not a prime power")
     return p, k
 
 
-def _poly_mulmod(a, b, mod, p):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-    # reduce modulo the monic polynomial mod
-    k = len(mod) - 1
-    for i in range(len(out) - 1, k - 1, -1):
-        c = out[i]
-        if c:
-            out[i] = 0
-            for j in range(k):
-                out[i - k + j] = (out[i - k + j] - c * mod[j]) % p
-    out = out[:k]
-    return out + [0] * (k - len(out))
+def _field_powers(p: int, k: int) -> list[int]:
+    """x^0, ..., x^(q-2) in GF(p^k) = F_p[x]/(f), as codes whose base-p digits
+    are the coefficients, for f = x^k - (t_0 + ... + t_(k-1) x^(k-1)) the first
+    tail t, in code order, under which x has order q - 1.  With t_0 != 0, x is a
+    unit of order at most q - 1, and order q - 1 makes every nonzero residue a
+    power of x: f is irreducible and x generates the multiplicative group.
+    """
+    q = p ** k
+    places = [p ** i for i in range(k)]
 
-
-def _poly_powmod(a, e, mod, p):
-    k = len(mod) - 1
-    out = [1] + [0] * (k - 1)
-    base = list(a)
-    while e:
-        if e & 1:
-            out = _poly_mulmod(out, base, mod, p)
-        base = _poly_mulmod(base, base, mod, p)
-        e >>= 1
-    return out
-
-
-def _poly_gcd(a, b, p):
-    a, b = list(a), list(b)
-    def deg(x):
-        d = len(x) - 1
-        while d >= 0 and x[d] == 0:
-            d -= 1
-        return d
-    while deg(b) >= 0:
-        da, db = deg(a), deg(b)
-        if da < db:
-            a, b = b, a
-            continue
-        inv = pow(b[deg(b)], p - 2, p)
-        while deg(a) >= deg(b) >= 0:
-            shift = deg(a) - deg(b)
-            c = a[deg(a)] * inv % p
-            for i in range(deg(b) + 1):
-                a[i + shift] = (a[i + shift] - c * b[i]) % p
-        a, b = b, a
-    return a
-
-
-def _find_irreducible(p: int, k: int) -> list[int]:
-    """Monic irreducible polynomial of degree k over F_p (coefficient list)."""
-    if k == 1:
-        return [0, 1]
-    x = [0, 1]
-    for tail in itertools.product(range(p), repeat=k):
-        f = list(tail) + [1]
-        if f[0] == 0:
-            continue
-        # f is irreducible iff x^(p^k) = x mod f and gcd(x^(p^i) - x, f) = 1
-        # for all i <= k/2
-        ok = True
-        for i in range(1, k // 2 + 1):
-            xpi = _poly_powmod(x, p ** i, f, p)
-            diff = [(xpi[j] - x[j] if j < len(x) else xpi[j]) % p for j in range(k)]
-            g = _poly_gcd(diff, f, p)
-            if sum(1 for c in g if c) != 1 or g[0] == 0 or any(g[1:]):
-                ok = False
+    def powers_of_x(tail: list[int]) -> list[int]:
+        powers, digits = [1], [1] + [0] * (k - 1)
+        while len(powers) < q - 1:
+            top = digits[-1]  # x * x^(k-1) = t_0 + t_1 x + ...
+            digits = [(low + top * t) % p for low, t in zip([0] + digits[:-1], tail)]
+            code = sum(d * place for d, place in zip(digits, places))
+            if code == 1:
                 break
-        if not ok:
-            continue
-        xq = _poly_powmod(x, p ** k, f, p)
-        if xq == x + [0] * (k - len(x)):
-            return f
-    raise ValidationError(f"no irreducible polynomial found for GF({p}^{k})")
+            powers.append(code)
+        return powers
 
-
-def _field_elements(q: int):
-    """Nonzero elements, the unit, addition, and multiplication for GF(q)."""
-    p, k = _prime_power(q)
-    if k == 1:
-        nonzero = list(range(1, p))
-        one = 1
-        addf = lambda a, b: (a + b) % p
-        mulf = lambda a, b: (a * b) % p
-        return nonzero, one, addf, mulf
-    mod = _find_irreducible(p, k)
-    nonzero = [tup for tup in itertools.product(range(p), repeat=k) if any(tup)]
-    one = tuple([1] + [0] * (k - 1))
-    addf = lambda a, b: tuple((x + y) % p for x, y in zip(a, b))
-    mulf = lambda a, b: tuple(_poly_mulmod(list(a), list(b), mod, p))
-    return nonzero, one, addf, mulf
+    tails = ([c // place % p for place in places] for c in range(1, q) if c % p)
+    return next(powers for powers in map(powers_of_x, tails) if len(powers) == q - 1)
 
 
 def oracle_budget() -> int:
@@ -259,35 +183,40 @@ def oracle_budget() -> int:
         raise ValidationError(f"bad {ORACLE_BUDGET_ENV} value {raw!r}") from exc
 
 
+def _check_budget(q: int, r: int, budget: int) -> None:
+    """Refuse unless the (q-1)^r tuples, and their r entries each, fit the budget."""
+    base = q - 1
+    if base > 1 and r * base.bit_length() > 2 * _SHOWN_BITS and budget < 1 << _SHOWN_BITS:
+        # base^r >= 2^(r*(bits-1)) > 2^_SHOWN_BITS: over budget and too long to write out
+        raise OracleBudgetError(f"enumeration of {base}^{r} tuples exceeds budget {budget}")
+    tuples = base ** r
+    if tuples > budget:
+        raise OracleBudgetError(f"enumeration of {tuples} tuples exceeds budget {budget}")
+    if r * tuples > budget:
+        raise OracleBudgetError(f"enumeration of {tuples} tuples of {r} entries each "
+                                f"({r * tuples} entries) exceeds budget {budget}")
+
+
 def count_fermat_points(n: int, r: int, q: int, budget: int | None = None) -> int:
     """Number of solutions of x_1^n + ... + x_r^n = 1 with all x_i nonzero in GF(q)."""
     if n < 2 or r < 1:
         raise ValidationError(f"fermat oracle wants n >= 2, r >= 1, got ({n}, {r})")
-    _prime_power(q)  # raises unless q is a prime power
+    if not isinstance(q, int) or q < 2:
+        raise ValidationError(f"field size must be an integer >= 2, got {q!r}")
+    _check_budget(q, r, oracle_budget() if budget is None else budget)
+    p, k = _prime_power(q)
     if math.gcd(q, n) != 1:
         raise ValidationError(f"field size {q} is not coprime to exponent {n}")
-    if budget is None:
-        budget = oracle_budget()
-    if (q - 1) ** r > budget:
-        raise OracleBudgetError(
-            f"enumeration of {(q - 1) ** r} tuples exceeds budget {budget}")
-    nonzero, one, addf, mulf = _field_elements(q)
-
-    def power(x):
-        out = one
-        for _ in range(n):
-            out = mulf(out, x)
-        return out
-
-    powers = [power(x) for x in nonzero]
-    count = 0
-    for combo in itertools.product(powers, repeat=r):
-        total = combo[0]
-        for y in combo[1:]:
-            total = addf(total, y)
-        if total == one:
-            count += 1
-    return count
+    powers = _field_powers(p, k)
+    # recode in base w: a sum of r codes then has every digit below w, so no
+    # digit carries, and the sum is 1 iff digit 0 is 1 and the others 0 mod p
+    w = r * (p - 1) + 1
+    wide = [sum(c // p ** i % p * w ** i for i in range(k)) for c in powers]
+    is_one = bytearray(w ** k)
+    for digits in itertools.product(range(1, w, p), *[range(0, w, p)] * (k - 1)):
+        is_one[sum(d * w ** i for i, d in enumerate(digits))] = 1
+    values = [wide[n * i % (q - 1)] for i in range(q - 1)]  # x^n for x = x^i
+    return sum(map(is_one.__getitem__, map(sum, itertools.product(values, repeat=r))))
 
 
 def point_count_oracle(factor: Factor, q: int, budget: int | None = None) -> int:

@@ -8,6 +8,7 @@ freeze the numbers these oracles produce and compare the engine against them.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 
@@ -42,6 +43,29 @@ def count_fermat_affine(n: int, r: int, q: int, target: int) -> int:
             return 1 if acc % q == target % q else 0
         return sum(rec(i + 1, acc + p) for p in powers)
     return rec(0, 0)
+
+
+def count_fermat_gf_p2(n: int, r: int, p: int) -> int:
+    """#{x in (GF(p^2)^*)^r : sum x_i^n = 1} by plain enumeration (p odd prime).
+
+    GF(p^2) is F_p[i]/(i^2 - c) with c the least quadratic non-residue mod p
+    (Euler's criterion); an element a + b i is the explicit pair (a, b).
+    """
+    c = next(t for t in range(2, p) if pow(t, (p - 1) // 2, p) == p - 1)
+
+    def mul(x, y):
+        (a, b), (s, t) = x, y
+        return (a * s + c * b * t) % p, (a * t + b * s) % p
+
+    def power(x):
+        out = (1, 0)
+        for _ in range(n):
+            out = mul(out, x)
+        return out
+
+    powers = [power((a, b)) for a in range(p) for b in range(p) if (a, b) != (0, 0)]
+    return sum(1 for combo in itertools.product(powers, repeat=r)
+               if (sum(a for a, _ in combo) % p, sum(b for _, b in combo) % p) == (1, 0))
 
 
 def circle_minus_axes_count(q: int) -> int:

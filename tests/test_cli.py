@@ -184,6 +184,24 @@ def test_out_flag_writes_file(tmp_path, capsys):
         MuClass.from_coeff(L_MINUS_1) + 2 * orb(2))
 
 
+def test_unwritable_out_path_is_a_parse_error(tmp_path, capsys):
+    a = write(tmp_path, "a.json", class_to_json(orb(2)))
+    target = tmp_path / "missing" / "x.json"
+    code, out = run_cli(capsys, "normalize", a, "--out", str(target))
+    assert code == 2 and len(out.splitlines()) == 1
+    payload = json.loads(out)
+    assert payload["error"] == "parse"
+    assert payload["detail"].startswith(f"cannot write {target}: ")
+
+
+def test_oracle_budget_error_for_a_count_too_long_to_print(capsys):
+    # 100^5000 has 10001 digits, past what Python writes out as a decimal
+    code, out = run_cli(capsys, "oracle", "--fer", "2", "5000", "--q", "101")
+    assert code == 1
+    assert json.loads(out) == {"error": "budget",
+                               "detail": "enumeration of 100^5000 tuples exceeds budget 100000000"}
+
+
 def test_outputs_are_byte_identical_across_runs(tmp_path, capsys):
     a = write(tmp_path, "a.json", class_to_json(orb(3) + MuClass.fermat(4, 2)))
     first = run_cli(capsys, "convolve", a, a)

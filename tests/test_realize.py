@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import math
+import time
+
 import pytest
 from hypothesis import given
 
@@ -10,7 +13,7 @@ from motivic import (EPoly, MuClass, OracleBudgetError, RealizationUndefinedErro
 from motivic.laurent import L_MINUS_1
 
 from conftest import mu_classes, power_datum
-from oracles import (circle_minus_axes_count, count_fermat_affine,
+from oracles import (circle_minus_axes_count, count_fermat_affine, count_fermat_gf_p2,
                      fermat_curve_euler_data, torus_fermat_chi)
 
 ONE = MuClass.one()
@@ -127,6 +130,35 @@ def test_prime_power_fields():
     assert count_fermat_points(2, 2, 25) == circle_minus_axes_count(25)
 
 
+def test_quadratic_extension_fields_match_explicit_pairs():
+    for p in (3, 5, 7, 11):
+        q = p * p
+        for n in range(2, 6):
+            for r in range(1, 4):
+                if math.gcd(n, q) == 1 and (q - 1) ** r <= 2 * 10 ** 4:
+                    assert count_fermat_points(n, r, q) == count_fermat_gf_p2(n, r, p), (n, r, q)
+
+
+# counts over the other prime-power fields, as the polynomial-arithmetic oracle gave them
+PRIME_POWER_COUNTS = {
+    4: {(3, 1): 3, (3, 2): 0, (3, 3): 27, (5, 1): 1, (5, 2): 2, (5, 3): 7},
+    8: {(3, 1): 1, (3, 2): 6, (3, 3): 43, (5, 1): 1, (5, 2): 6, (5, 3): 43},
+    16: {(3, 1): 3, (3, 2): 0, (3, 3): 351, (5, 1): 5, (5, 2): 50, (5, 3): 875},
+    27: {(2, 1): 2, (2, 2): 24, (2, 3): 624, (4, 1): 2, (4, 2): 24, (4, 3): 624,
+         (5, 1): 1, (5, 2): 25, (5, 3): 651},
+    32: {(3, 1): 1, (3, 2): 30, (5, 1): 1, (5, 2): 30},
+    64: {(3, 1): 3, (3, 2): 72, (5, 1): 1, (5, 2): 62},
+    81: {(2, 1): 2, (2, 2): 76, (4, 1): 4, (4, 2): 16, (5, 1): 5, (5, 2): 175},
+    125: {(2, 1): 2, (2, 2): 120, (3, 1): 1, (3, 2): 123, (4, 1): 4, (4, 2): 96},
+}
+
+
+def test_pinned_prime_power_counts():
+    for q, counts in PRIME_POWER_COUNTS.items():
+        for (n, r), value in counts.items():
+            assert count_fermat_points(n, r, q) == value, (n, r, q)
+
+
 def test_lefschetz_count_sanity_at_split_primes():
     # over split primes the count agrees with the E-polynomial at uv = q
     for q in (5, 13):
@@ -140,6 +172,35 @@ def test_oracle_rejects_bad_inputs():
         count_fermat_points(3, 2, 9)  # gcd(q, n) != 1
     with pytest.raises(OracleBudgetError):
         count_fermat_points(2, 3, 11, budget=10)
+
+
+def within_two_seconds(call):
+    start = time.perf_counter()
+    try:
+        return call()
+    finally:
+        elapsed = time.perf_counter() - start
+        assert elapsed < 2, f"took {elapsed:.1f} s"
+
+
+def test_budget_is_checked_before_factoring_q():
+    with pytest.raises(OracleBudgetError):
+        within_two_seconds(lambda: count_fermat_points(2, 1, 10 ** 18 + 3))
+
+
+def test_huge_exponent_costs_no_more_than_its_residue():
+    # the multiplicative group of GF(13) has order 12 and 10^9 + 2 = 6 mod 12
+    assert within_two_seconds(lambda: count_fermat_points(10 ** 9 + 2, 1, 13)) == \
+        count_fermat_points(6, 1, 13)
+
+
+def test_budget_counts_the_entries_of_each_tuple():
+    # over GF(2) there is one tuple for every r, but it has r entries
+    with pytest.raises(OracleBudgetError, match="1 tuples of 1000000000 entries each"):
+        within_two_seconds(lambda: count_fermat_points(3, 10 ** 9, 2))
+    assert count_fermat_points(3, 9, 2, budget=9) == 1
+    with pytest.raises(OracleBudgetError):
+        count_fermat_points(3, 9, 2, budget=8)
 
 
 def test_oracle_budget_env_override(monkeypatch):

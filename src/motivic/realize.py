@@ -24,6 +24,7 @@ from __future__ import annotations
 import itertools
 import math
 import os
+from functools import reduce
 from typing import Iterable, Mapping
 
 from .classes import Factor, MuClass, factor_str
@@ -216,7 +217,8 @@ def count_fermat_points(n: int, r: int, q: int, budget: int | None = None) -> in
     for digits in itertools.product(range(1, w, p), *[range(0, w, p)] * (k - 1)):
         is_one[sum(d * w ** i for i, d in enumerate(digits))] = 1
     values = [wide[n * i % (q - 1)] for i in range(q - 1)]  # x^n for x = x^i
-    return sum(map(is_one.__getitem__, map(sum, itertools.product(values, repeat=r))))
+    add = lambda a, b: a + b  # a Python-level add, not sum(): see ROADMAP, "Next change to the benchmark"
+    return sum(is_one[reduce(add, combo)] for combo in itertools.product(values, repeat=r))
 
 
 def point_count_oracle(factor: Factor, q: int, budget: int | None = None) -> int:

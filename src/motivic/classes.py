@@ -45,12 +45,12 @@ import math
 from typing import Iterable, Union
 
 from .errors import ValidationError
-from .laurent import L_MINUS_1, ZERO, Coeffable, LaurentInt
+from .laurent import L_MINUS_1, ZERO, Coeffable, EPoly, LaurentInt
 from .sparse import Sparse
 
 # Factors are plain tuples so atoms stay hashable:
 #   ("orb", d) | ("FER", n, r) | ("fer", n, r) | ("opq", tag, chi, epoly) | ("gm", d)
-# where epoly is None or a sorted tuple of ((i, j), coeff) pairs.
+# where epoly is None or the items() of an EPoly: sorted ((i, j), coeff) pairs.
 Factor = tuple
 Atom = tuple  # sorted tuple of factors; () is the point class 1
 
@@ -87,13 +87,9 @@ def opq(tag: str, chi: int, epoly=None) -> Factor:
         raise ValidationError("opaque factor wants a string tag and integer chi")
     if epoly is not None:
         try:
-            items = [(i, j, c) for (i, j), c in dict(epoly).items()]
+            epoly = EPoly(dict(epoly)).items()
         except (TypeError, ValueError) as exc:
             raise ValidationError(f"bad opaque epoly data: {exc}") from exc
-        if not all(isinstance(x, int) for item in items for x in item):
-            raise ValidationError("opaque epoly data wants integer keys and coefficients")
-        # int() stores a bool as the integer it stands for, as LaurentInt does
-        epoly = tuple(sorted(((int(i), int(j)), int(c)) for i, j, c in items if c))
     return ("opq", tag, chi, epoly)
 
 
@@ -139,29 +135,27 @@ def atom_mul(a: Atom, b: Atom) -> tuple[Atom, int]:
 
 # --- the quadratic tower ---------------------------------------------------
 
-_tower_cache: dict[int, tuple[LaurentInt, LaurentInt, LaurentInt]] = {
-    1: (ZERO, ZERO, LaurentInt.from_int(2)),  # only f_1 = 2 is meaningful
-}
+TOWER_LIMIT = 400  # largest r of FER(2,r) and fer(2,r): the expansion has Theta(r^2) bits
+_TOWER_START = ((1, (ZERO, ZERO, LaurentInt.from_int(2))),  # depth 1 carries only f_1 = 2
+                (2, (L_MINUS_1, LaurentInt.from_int(-2), LaurentInt({1: 1, 0: -5}))))
 
 
-def _tower(r: int) -> tuple[LaurentInt, LaurentInt, LaurentInt]:
-    """Expansion data for FER(2,r), r >= 2.
+def _tower(r: int, towers: dict) -> tuple[LaurentInt, LaurentInt, LaurentInt]:
+    """Expansion data for FER(2,r), 2 <= r <= TOWER_LIMIT.
 
-    Returns (c0, c1, f) with FER(2,r) = c0 * 1 + c1 * ORB(2) and
-    fer(2,r) = f * 1.  Built iteratively and cached; concurrent writers can
-    only race to store identical values.
+    Returns (c0, c1, f) with FER(2,r) = c0 * 1 + c1 * ORB(2) and fer(2,r) = f * 1.
+    towers, the depths built so far (from dict(_TOWER_START)), is extended in place.
     """
-    if 2 not in _tower_cache:
-        c0, c1 = L_MINUS_1, LaurentInt.from_int(-2)
-        _tower_cache[2] = (c0, c1, c0 + 2 * c1)
-    for k in range(max(_tower_cache) + 1, r + 1):
-        c0, c1, f = _tower_cache[k - 1]
-        f_prev = _tower_cache[k - 2][2]
+    if r > TOWER_LIMIT:
+        raise ValidationError(f"quadratic tower of depth r = {r} exceeds the limit r <= {TOWER_LIMIT}")
+    for k in range(max(towers) + 1, r + 1):
+        c0, c1, f = towers[k - 1]
+        f_prev = towers[k - 2][2]
         # Psi(E x ORB(2)) = c0 ORB(2) + c1 ((L-1) + 2 ORB(2)) on the span
         d0 = c1 * L_MINUS_1 + L_MINUS_1 * f
         d1 = c0 + 2 * c1 - L_MINUS_1 * f_prev
-        _tower_cache[k] = (d0, d1, d0 + 2 * d1)
-    return _tower_cache[r]
+        towers[k] = (d0, d1, d0 + 2 * d1)
+    return towers[r]
 
 
 # --- MuClass ----------------------------------------------------------------
@@ -182,9 +176,10 @@ class MuClass(Sparse):
 
     def __init__(self, raw_terms: Iterable[RawTerm] = ()):
         items: list[tuple[Atom, LaurentInt]] = []
+        towers = dict(_TOWER_START)  # the quadratic tower, built once per construction
         for coeff, factors in raw_terms:
             c = coeff if isinstance(coeff, LaurentInt) else LaurentInt.from_int(coeff)
-            items += _expand_term(c, tuple(factors))
+            items += _expand_term(c, tuple(factors), towers)
         self._terms = self._canonical(items)
 
     # constructors
@@ -267,18 +262,13 @@ class MuClass(Sparse):
 
     def forget_action(self) -> "MuClass":
         """Forget the group action: ORB(d) -> d, FER -> fer; idempotent."""
-        raw: list[RawTerm] = []
+        # a normal atom has at most one orbit and no FER(2,r), so its image is normal
+        terms = []
         for a, c in self._terms:
-            factors = []
-            for f in a:
-                if f[0] == "orb":
-                    c = c * f[1]
-                elif f[0] == "FER":
-                    factors.append(("fer", f[1], f[2]))
-                else:
-                    factors.append(f)
-            raw.append((c, tuple(factors)))
-        return MuClass(raw)
+            kept = (("fer", f[1], f[2]) if f[0] == "FER" else f for f in a if f[0] != "orb")
+            size = math.prod(f[1] for f in a if f[0] == "orb")
+            terms.append((tuple(sorted(kept, key=factor_key)), c * size))
+        return MuClass._make(terms)
 
     def __str__(self) -> str:
         from .jsonio import pretty
@@ -288,16 +278,16 @@ class MuClass(Sparse):
         return f"MuClass({[(list(a), str(c)) for a, c in self._terms]!r})"
 
 
-def _expand_term(coeff: LaurentInt, factors: tuple) -> tuple[tuple[Atom, LaurentInt], ...]:
-    """Rewrite one raw term to a combination of normal atoms."""
+def _expand_term(coeff: LaurentInt, factors: tuple,
+                 towers: dict) -> tuple[tuple[Atom, LaurentInt], ...]:
+    """Rewrite one raw term to a combination of normal atoms; towers is passed to _tower."""
     residual: list[Factor] = []
     expansions: list[MuClass] = []
     for f in factors:
         if not isinstance(f, tuple) or not f or f[0] not in ("orb", "FER", "fer", "opq", "gm"):
             raise ValidationError(f"unknown factor {f!r}")
         kind = f[0]
-        arity = {"orb": 1, "gm": 1, "FER": 2, "fer": 2}.get(kind)
-        if arity is not None and len(f) != arity + 1:
+        if len(f) - 1 not in {"orb": (1,), "gm": (1,), "FER": (2,), "fer": (2,), "opq": (2, 3)}[kind]:
             raise ValidationError(f"malformed {kind} factor {f!r}")
         if kind == "orb":
             f = orb(*f[1:])
@@ -312,31 +302,24 @@ def _expand_term(coeff: LaurentInt, factors: tuple) -> tuple[tuple[Atom, Laurent
             if r == 1:
                 coeff = coeff * n
             elif n == 2:
-                coeff = coeff * _tower(r)[2]
+                coeff = coeff * _tower(r, towers)[2]
             else:
                 residual.append(f)
         elif kind == "FER":
             f = FER(*f[1:])
             n, r = f[1], f[2]
             if n == 2:
-                c0, c1, _ = _tower(r)
+                c0, c1, _ = _tower(r, towers)
                 expansions.append(MuClass._make([((), c0), ((("orb", 2),), c1)]))
             else:
                 residual.append(f)
         else:
-            if len(f) not in (3, 4):
-                raise ValidationError(f"malformed opq factor {f!r}")
             residual.append(opq(*f[1:]))
-    base_atom, mult = _fuse(residual)
+    base_atom, mult = atom_mul(tuple(sorted(residual, key=factor_key)), ())
     terms = ((base_atom, coeff * mult),)
     for expansion in expansions:
         terms = (MuClass._make(terms) * expansion).terms()
     return terms
-
-
-def _fuse(factors: list[Factor]) -> tuple[Atom, int]:
-    atom = tuple(sorted(factors, key=factor_key))
-    return atom_mul(atom, ())
 
 
 # module-level operation aliases

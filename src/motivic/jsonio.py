@@ -25,8 +25,7 @@ from typing import Any
 from .a1 import A1Class, point_str
 from .classes import Factor, MuClass
 from .errors import ParseError
-from .laurent import LaurentInt
-from .realize import EPoly
+from .laurent import EPoly, LaurentInt
 from .sparse import monomial, power, signed_join
 from .vanishing import (Constant, Generator, Presentation, Resolved, SmoothProper,
                         SNCDatum, Stratum)
@@ -114,8 +113,7 @@ def _factor_from_json(obj) -> Factor:
         _expect(isinstance(payload, dict) and "tag" in payload and "chi" in payload,
                 "opq factor wants {tag, chi}")
         epoly = _epoly_from_json(payload["epoly"]) if "epoly" in payload else None
-        return ("opq", payload["tag"], _int(payload["chi"], "opq chi"),
-                tuple(sorted(epoly.items())) if epoly is not None else None)
+        return ("opq", payload["tag"], _int(payload["chi"], "opq chi"), epoly)
     raise ParseError(f"unknown factor kind {kind!r}")
 
 

@@ -1,4 +1,4 @@
-"""Exact Laurent polynomials in the Lefschetz symbol L over the integers.
+"""Exact Laurent polynomials over the integers: in L, and in u, v.
 
 A LaurentInt is a finitely supported map from integer exponents (negative
 allowed) to arbitrary-precision integer coefficients.  The invariant is that
@@ -102,3 +102,43 @@ ONE = LaurentInt({0: 1})
 L = LaurentInt({1: 1})
 L_MINUS_1 = LaurentInt({1: 1, 0: -1})
 ONE_MINUS_L = LaurentInt({0: 1, 1: -1})
+
+
+class EPoly(Sparse):
+    """Laurent polynomial in u, v: E-polynomial values, and the form of opaque E-data."""
+
+    __slots__ = ()
+
+    def __init__(self, coeffs: Mapping[tuple[int, int], int] | Iterable = ()):
+        items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
+        checked = []
+        for (i, j), c in items:
+            if not (isinstance(i, int) and isinstance(j, int) and isinstance(c, int)):
+                raise TypeError("EPoly wants integer exponents and coefficients")
+            checked.append(((int(i), int(j)), int(c)))  # a bool is stored as its integer
+        self._terms = self._canonical(checked)
+
+    @classmethod
+    def constant(cls, n: int) -> "EPoly":
+        return cls({(0, 0): n})
+
+    @classmethod
+    def uv_power(cls, k: int) -> "EPoly":
+        return cls({(k, k): 1})
+
+    def items(self) -> tuple[tuple[tuple[int, int], int], ...]:
+        return self._terms
+
+    def __mul__(self, other: "EPoly") -> "EPoly":
+        return self._make(((i1 + i2, j1 + j2), c1 * c2)
+                          for (i1, j1), c1 in self._terms for (i2, j2), c2 in other._terms)
+
+    def evaluate(self, u, v):
+        return sum((Fraction(c) * Fraction(u) ** i * Fraction(v) ** j
+                    for (i, j), c in self._terms), Fraction(0))
+
+    def __str__(self) -> str:
+        return signed_join((c < 0, monomial(abs(c), power("u", i), power("v", j)))
+                           for (i, j), c in reversed(self._terms))
+
+    __repr__ = __str__

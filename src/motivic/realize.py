@@ -9,7 +9,7 @@ The E-polynomial realization is defined on action-free classes whose atoms
 are built from L-powers, points, fer(n,2) factors, and opaque factors that
 carry E-data.  It sends L to uv and fer(n,2) to uv - g u - g v + 1 - 3n with
 g = (n-1)(n-2)/2, the Hodge numbers of the smooth projective degree-n curve
-minus its 3n boundary points.
+minus its 3n boundary points.  Its value type EPoly lives in laurent.py.
 
 The oracle counts points of the Fermat locus over a finite field by brute
 enumeration; it exists to validate atom data independently of the rules.
@@ -25,12 +25,10 @@ import itertools
 import math
 import os
 from functools import reduce
-from typing import Iterable, Mapping
 
 from .classes import Factor, MuClass, factor_str
 from .errors import OracleBudgetError, RealizationUndefinedError, ValidationError
-from .laurent import LaurentInt
-from .sparse import Sparse, monomial, power, signed_join
+from .laurent import EPoly, LaurentInt
 
 DEFAULT_ORACLE_BUDGET = 10 ** 8
 ORACLE_BUDGET_ENV = "MOTIVIC_ORACLE_BUDGET"
@@ -62,47 +60,6 @@ def chi_of_a1(f) -> int:
 
 # --- E-polynomial -----------------------------------------------------------
 
-class EPoly(Sparse):
-    """Two-variable Laurent polynomial in u, v with integer coefficients."""
-
-    __slots__ = ()
-
-    def __init__(self, coeffs: Mapping[tuple[int, int], int] | Iterable = ()):
-        items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
-        checked = []
-        for (i, j), c in items:
-            if not (isinstance(i, int) and isinstance(j, int) and isinstance(c, int)):
-                raise TypeError("EPoly wants integer exponents and coefficients")
-            checked.append(((int(i), int(j)), int(c)))  # a bool is stored as its integer
-        self._terms = self._canonical(checked)
-
-    @classmethod
-    def constant(cls, n: int) -> "EPoly":
-        return cls({(0, 0): n})
-
-    @classmethod
-    def uv_power(cls, k: int) -> "EPoly":
-        return cls({(k, k): 1})
-
-    def items(self) -> tuple[tuple[tuple[int, int], int], ...]:
-        return self._terms
-
-    def __mul__(self, other: "EPoly") -> "EPoly":
-        return self._make(((i1 + i2, j1 + j2), c1 * c2)
-                          for (i1, j1), c1 in self._terms for (i2, j2), c2 in other._terms)
-
-    def evaluate(self, u, v):
-        from fractions import Fraction
-        return sum((Fraction(c) * Fraction(u) ** i * Fraction(v) ** j
-                    for (i, j), c in self._terms), Fraction(0))
-
-    def __str__(self) -> str:
-        return signed_join((c < 0, monomial(abs(c), power("u", i), power("v", j)))
-                           for (i, j), c in reversed(self._terms))
-
-    __repr__ = __str__
-
-
 def _coeff_epoly(coeff: LaurentInt) -> EPoly:
     # L^e goes to (uv)^e; exponents ascending give keys (e, e) ascending
     return EPoly._wrap(tuple(((e, e), c) for e, c in coeff.items()))
@@ -115,7 +72,7 @@ def _factor_epoly(f: Factor) -> EPoly:
         g = (n - 1) * (n - 2) // 2
         return EPoly({(1, 1): 1, (1, 0): -g, (0, 1): -g, (0, 0): 1 - 3 * n})
     if kind == "opq" and f[3] is not None:
-        return EPoly(dict(f[3]))
+        return EPoly._wrap(f[3])  # opq() stored it in EPoly's canonical form
     raise RealizationUndefinedError(factor_str(f))
 
 

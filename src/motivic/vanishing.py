@@ -28,6 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Union
 
 from .a1 import A1Class, PointLike, as_point, point_str
@@ -61,7 +62,12 @@ class SNCDatum:
     fiber_singular: MuClass
 
     def __init__(self, components, strata, fiber_regular: MuClass, fiber_singular: MuClass):
-        object.__setattr__(self, "components", tuple((str(i), int(m)) for i, m in components))
+        checked = []
+        for i, m in components:
+            if not isinstance(i, str) or not isinstance(m, int):
+                raise ValidationError(f"component ({i!r}, {m!r}) wants a string id and integer m")
+            checked.append((i, int(m)))  # int() stores a bool as the integer it stands for
+        object.__setattr__(self, "components", tuple(checked))
         object.__setattr__(self, "strata", tuple(strata))
         object.__setattr__(self, "fiber_regular", fiber_regular)
         object.__setattr__(self, "fiber_singular", fiber_singular)
@@ -123,11 +129,18 @@ def _require_valid(d: SNCDatum) -> None:
         raise DatumValidationError(report)
 
 
+def _nearby_terms(d: SNCDatum, loci=LOCUS_TAGS, sign: int = 1):
+    """Terms of sign * the sum of (1-L)^(|I|-1) [cover] over the strata on loci."""
+    for s in d.strata:
+        if s.locus in loci:
+            weight = sign * ONE_MINUS_L ** (len(s.index_set) - 1)
+            yield from ((atom, c * weight) for atom, c in s.cover_class.terms())
+
+
 def nearby_fiber(d: SNCDatum) -> MuClass:
     """The motivic nearby fiber of the datum."""
     _require_valid(d)
-    parts = (s.cover_class * ONE_MINUS_L ** (len(s.index_set) - 1) for s in d.strata)
-    return MuClass._make(t for part in parts for t in part.terms())
+    return MuClass._make(_nearby_terms(d))
 
 
 def vanishing_cycles(d: SNCDatum) -> tuple[MuClass, MuClass]:
@@ -138,15 +151,9 @@ def vanishing_cycles(d: SNCDatum) -> tuple[MuClass, MuClass]:
     visible rather than silently absorbed.
     """
     _require_valid(d)
-    reg = d.fiber_regular
-    sing = d.fiber_singular
-    for s in d.strata:
-        part = s.cover_class * ONE_MINUS_L ** (len(s.index_set) - 1)
-        if s.locus == "regular":
-            reg = reg - part
-        else:
-            sing = sing - part
-    return sing, reg
+    phi = MuClass._make(chain(d.fiber_singular.terms(), _nearby_terms(d, ("singular",), -1)))
+    phi_regular = MuClass._make(chain(d.fiber_regular.terms(), _nearby_terms(d, ("regular",), -1)))
+    return phi, phi_regular
 
 
 # --- generators and the measure ----------------------------------------------

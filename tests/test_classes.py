@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import time
+
 import pytest
 from hypothesis import given
 
 from motivic import MuClass, ValidationError, chi_c, forget_action, mul, normalize
+from motivic.classes import TOWER_LIMIT
 from motivic.laurent import L_MINUS_1, LaurentInt
 
 from conftest import mu_classes, raw_terms
@@ -64,6 +67,27 @@ def test_quadratic_tower_chi():
     for r in range(2, 8):
         assert chi_c(MuClass.fermat(2, r)) == -2 ** r
         assert chi_c(MuClass.fermat_trivial(2, r)) == -2 ** r
+
+
+def test_quadratic_tower_beyond_the_limit_is_refused_at_once():
+    for factor in [("FER", 2, TOWER_LIMIT + 1), ("fer", 2, TOWER_LIMIT + 1), ("FER", 2, 2000)]:
+        start = time.perf_counter()
+        with pytest.raises(ValidationError, match="quadratic tower"):
+            normalize([(1, [factor])])
+        assert time.perf_counter() - start < 0.1
+
+
+def test_quadratic_tower_at_the_limit_still_normalizes():
+    start = time.perf_counter()
+    one = MuClass.fermat(2, TOWER_LIMIT)
+    single = time.perf_counter() - start
+    assert chi_c(one) == -2 ** TOWER_LIMIT
+    assert forget_action(one) == MuClass.fermat_trivial(2, TOWER_LIMIT)
+    # one construction expands each depth once, however many terms share it
+    start = time.perf_counter()
+    eight = MuClass([(LaurentInt.monomial(k), [("FER", 2, TOWER_LIMIT)]) for k in range(8)])
+    assert time.perf_counter() - start < 3 * single
+    assert eight == sum((one * LaurentInt.monomial(k) for k in range(8)), MuClass.zero())
 
 
 def test_chi_invariant_under_every_rewrite_rule():

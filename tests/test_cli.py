@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import time
 
 import motivic
 from motivic import MuClass, class_to_json, datum_to_json, generator_to_json
@@ -252,3 +253,14 @@ def test_unexpected_engine_failure_is_one_internal_error_line(tmp_path, capsys, 
     code, out = run_cli(capsys, "convolve", a, a)
     assert code == 3 and len(out.splitlines()) == 1
     assert json.loads(out) == {"error": "internal", "detail": "RuntimeError: pair table\nis missing"}
+
+
+def test_quadratic_tower_beyond_the_limit_is_one_error_line_at_once(tmp_path, capsys):
+    raw = {"terms": [{"coeff": {"0": 1}, "factors": [{"FER": [2, 2000]}]}]}
+    path = write(tmp_path, "tower.json", raw)
+    start = time.perf_counter()
+    code, out = run_cli(capsys, "normalize", path)
+    assert time.perf_counter() - start < 1.0
+    assert code == 1 and len(out.splitlines()) == 1
+    assert json.loads(out) == {"error": "validation",
+                               "detail": "quadratic tower of depth r = 2000 exceeds the limit r <= 400"}

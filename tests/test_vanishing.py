@@ -65,6 +65,15 @@ def test_more_defects_are_reported():
     assert any("nontrivial action" in line for line in report)
 
 
+def test_components_are_not_coerced():
+    for components in [[("E1", 2.7)], [("E1", 2.0)], [("E1", "2")], [(5, 1)], [(None, 1)]]:
+        with pytest.raises(ValidationError):
+            SNCDatum(components, [], MuClass.zero(), ONE)
+    # a bool multiplicity is the integer it stands for, as in LaurentInt
+    components = SNCDatum([("E1", True)], [], MuClass.zero(), ONE).components
+    assert components == (("E1", 1),) and type(components[0][1]) is int
+
+
 def test_operations_refuse_invalid_data():
     bad = SNCDatum([("E1", 1)], [Stratum({"E1"}, ONE, 2 * ONE, "singular")],
                    MuClass.zero(), ONE)

@@ -75,7 +75,7 @@ def fer(n: int, r: int) -> Factor:
     return ("fer", n, r)
 
 
-def gm(d: int = 1) -> Factor:
+def gm(d: int) -> Factor:
     """Raw-only factor: a one-dimensional torus with multiplication action."""
     if not isinstance(d, int) or d < 1:
         raise ValidationError(f"gm action level must be an integer >= 1, got {d!r}")
@@ -135,7 +135,7 @@ def atom_mul(a: Atom, b: Atom) -> tuple[Atom, int]:
 
 # --- the quadratic tower ---------------------------------------------------
 
-TOWER_LIMIT = 400  # largest r of FER(2,r) and fer(2,r): the expansion has Theta(r^2) bits
+TOWER_LIMIT = 400  # largest r of a tower (Theta(r^2) bits) or of a Fermat factor's chi
 _TOWER_START = ((1, (ZERO, ZERO, LaurentInt.from_int(2))),  # depth 1 carries only f_1 = 2
                 (2, (L_MINUS_1, LaurentInt.from_int(-2), LaurentInt({1: 1, 0: -5}))))
 
@@ -278,44 +278,36 @@ class MuClass(Sparse):
         return f"MuClass({[(list(a), str(c)) for a, c in self._terms]!r})"
 
 
+_CONSTRUCTORS = {"orb": orb, "FER": FER, "fer": fer, "opq": opq, "gm": gm}
+
+
 def _expand_term(coeff: LaurentInt, factors: tuple,
                  towers: dict) -> tuple[tuple[Atom, LaurentInt], ...]:
     """Rewrite one raw term to a combination of normal atoms; towers is passed to _tower."""
     residual: list[Factor] = []
     expansions: list[MuClass] = []
     for f in factors:
-        if not isinstance(f, tuple) or not f or f[0] not in ("orb", "FER", "fer", "opq", "gm"):
+        if not (isinstance(f, tuple) and f and isinstance(f[0], str) and f[0] in _CONSTRUCTORS):
             raise ValidationError(f"unknown factor {f!r}")
+        try:
+            f = _CONSTRUCTORS[f[0]](*f[1:])  # the constructor checks the entries
+        except TypeError:  # a wrong number of entries
+            raise ValidationError(f"malformed {f[0]} factor {f!r}") from None
         kind = f[0]
-        if len(f) - 1 not in {"orb": (1,), "gm": (1,), "FER": (2,), "fer": (2,), "opq": (2, 3)}[kind]:
-            raise ValidationError(f"malformed {kind} factor {f!r}")
-        if kind == "orb":
-            f = orb(*f[1:])
-            if f[1] > 1:
-                residual.append(f)
-        elif kind == "gm":
-            gm(*f[1:])
+        if kind == "orb" and f[1] == 1:  # N1
+            continue
+        if kind == "gm":  # N3
             coeff = coeff * L_MINUS_1
-        elif kind == "fer":
-            f = fer(*f[1:])
-            n, r = f[1], f[2]
-            if r == 1:
-                coeff = coeff * n
-            elif n == 2:
-                coeff = coeff * _tower(r, towers)[2]
-            else:
-                residual.append(f)
-        elif kind == "FER":
-            f = FER(*f[1:])
-            n, r = f[1], f[2]
-            if n == 2:
-                c0, c1, _ = _tower(r, towers)
-                expansions.append(MuClass._make([((), c0), ((("orb", 2),), c1)]))
-            else:
-                residual.append(f)
+        elif kind == "fer" and f[2] == 1:  # N5a
+            coeff = coeff * f[1]
+        elif kind == "fer" and f[1] == 2:  # N5b
+            coeff = coeff * _tower(f[2], towers)[2]
+        elif kind == "FER" and f[1] == 2:  # N4, N4'
+            c0, c1, _ = _tower(f[2], towers)
+            expansions.append(MuClass._make([((), c0), ((("orb", 2),), c1)]))
         else:
-            residual.append(opq(*f[1:]))
-    base_atom, mult = atom_mul(tuple(sorted(residual, key=factor_key)), ())
+            residual.append(f)
+    base_atom, mult = atom_mul(tuple(sorted(residual, key=factor_key)), ())  # N2
     terms = ((base_atom, coeff * mult),)
     for expansion in expansions:
         terms = (MuClass._make(terms) * expansion).terms()

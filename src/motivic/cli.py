@@ -15,10 +15,11 @@ import argparse
 import json
 import sys
 
-from . import jsonio
 from .a1 import a1_star
 from .convolve import assoc_check, star
 from .errors import MotivicError, ParseError, ValidationError
+from .jsonio import (_epoly_to_json, a1_from_json, a1_to_json, class_from_json, class_to_json,
+                     datum_from_json, dumps, generator_from_json, presentation_from_json, pretty)
 from .realize import chi_c, chi_of_a1, count_fermat_points, e_polynomial
 from .vanishing import phi_measure, ts_check, vanishing_cycles
 
@@ -36,6 +37,8 @@ def _load(path: str):
         raise ParseError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path} is not valid JSON: {exc}") from exc
+    except ValueError as exc:  # bytes that are not UTF-8, or an integer past Python's digit limit
+        raise ParseError(f"cannot read {path}: {exc}") from exc
     except RecursionError as exc:
         raise ParseError(f"{path} is nested too deeply to read") from exc
 
@@ -51,33 +54,39 @@ def _emit(text: str, out_path: str | None) -> None:
         sys.stdout.write(text + "\n")
 
 
-def _build_parser() -> _Parser:
+def _commands() -> dict:
+    """name: (reader, file arguments, computation, JSON form, pretty form or None)."""
+    same = lambda value: value
+    phi_json = lambda phis: {"phi": class_to_json(phis[0]), "phi_regular": class_to_json(phis[1])}
+    phi_pretty = lambda phis: f"phi: {pretty(phis[0])}\nphi_regular: {pretty(phis[1])}"
+    return {
+        "normalize": (class_from_json, ("class_file",), same, class_to_json, pretty),
+        "convolve": (class_from_json, ("a_file", "b_file"), star, class_to_json, pretty),
+        "star-a1": (a1_from_json, ("f_file", "g_file"), a1_star, a1_to_json, pretty),
+        "assoc-check": (class_from_json, ("a_file", "b_file", "c_file"), assoc_check, same, None),
+        "vanishing": (datum_from_json, ("datum_file",), vanishing_cycles, phi_json, phi_pretty),
+        "measure": (presentation_from_json, ("presentation_file",), phi_measure, a1_to_json, pretty),
+        "ts-check": (generator_from_json, ("v_file", "w_file", "direct_file"), ts_check, same, None),
+    }
+
+
+def _build_parser(commands: dict) -> _Parser:
     parser = _Parser(prog="motivic", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def cmd(name, *paths, pretty=False):
+    for name, (_, paths, _, _, to_pretty) in commands.items():
         p = sub.add_parser(name)
         for arg in paths:
             p.add_argument(arg)
         p.add_argument("--out", default=None)
-        if pretty:
+        if to_pretty:
             p.add_argument("--pretty", action="store_true")
-        return p
-
-    cmd("normalize", "class_file", pretty=True)
-    cmd("convolve", "a_file", "b_file", pretty=True)
-    cmd("star-a1", "f_file", "g_file", pretty=True)
-    cmd("assoc-check", "a_file", "b_file", "c_file")
-    cmd("vanishing", "datum_file", pretty=True)
-    cmd("measure", "presentation_file", pretty=True)
-    cmd("ts-check", "v_file", "w_file", "direct_file")
 
     realize = sub.add_parser("realize")
     mode = realize.add_mutually_exclusive_group(required=True)
     mode.add_argument("--chi-c", action="store_true")
     mode.add_argument("--e-poly", action="store_true")
     realize.add_argument("class_file")
-    realize.add_argument("--out", default=None)
+    realize.add_argument("--out", default=None)  # after the modes, as --help has always shown
 
     oracle = sub.add_parser("oracle")
     oracle.add_argument("--fer", nargs=2, type=int, metavar=("N", "R"), required=True)
@@ -86,75 +95,44 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _realize_payload(obj):
-    """Accept a class, a line class, or a `vanishing` output (uses its phi)."""
+def _realize(obj, chi: bool):
+    """(value, form) of a class, a line class or a `vanishing` output (its phi)."""
     if isinstance(obj, dict) and "support" in obj:
-        return jsonio.a1_from_json(obj)
-    if isinstance(obj, dict) and "phi" in obj:
-        return jsonio.class_from_json(obj["phi"])
-    return jsonio.class_from_json(obj)
+        f = a1_from_json(obj)
+        if not chi:
+            raise ValidationError("--e-poly is undefined for line classes")
+        return chi_of_a1(f), str
+    c = class_from_json(obj["phi"] if isinstance(obj, dict) and "phi" in obj else obj)
+    if chi:
+        return chi_c(c), str
+    return e_polynomial(c), lambda e: dumps({"epoly": _epoly_to_json(e)})
 
 
 def run(argv: list[str]) -> int:
     try:
-        args = _build_parser().parse_args(argv)
-        out = getattr(args, "out", None)
-        pretty_flag = getattr(args, "pretty", False)
-
-        if args.command == "normalize":
-            c = jsonio.class_from_json(_load(args.class_file))
-            _emit(jsonio.pretty(c) if pretty_flag else jsonio.dumps(jsonio.class_to_json(c)), out)
-        elif args.command == "convolve":
-            c = star(jsonio.class_from_json(_load(args.a_file)),
-                     jsonio.class_from_json(_load(args.b_file)))
-            _emit(jsonio.pretty(c) if pretty_flag else jsonio.dumps(jsonio.class_to_json(c)), out)
-        elif args.command == "star-a1":
-            f = a1_star(jsonio.a1_from_json(_load(args.f_file)),
-                        jsonio.a1_from_json(_load(args.g_file)))
-            _emit(jsonio.pretty(f) if pretty_flag else jsonio.dumps(jsonio.a1_to_json(f)), out)
-        elif args.command == "assoc-check":
-            report = assoc_check(jsonio.class_from_json(_load(args.a_file)),
-                                 jsonio.class_from_json(_load(args.b_file)),
-                                 jsonio.class_from_json(_load(args.c_file)))
-            _emit(jsonio.dumps(report), out)
-        elif args.command == "vanishing":
-            phi, phi_regular = vanishing_cycles(jsonio.datum_from_json(_load(args.datum_file)))
-            if pretty_flag:
-                _emit(f"phi: {jsonio.pretty(phi)}\nphi_regular: {jsonio.pretty(phi_regular)}", out)
-            else:
-                _emit(jsonio.dumps({"phi": jsonio.class_to_json(phi),
-                                    "phi_regular": jsonio.class_to_json(phi_regular)}), out)
-        elif args.command == "measure":
-            f = phi_measure(jsonio.presentation_from_json(_load(args.presentation_file)))
-            _emit(jsonio.pretty(f) if pretty_flag else jsonio.dumps(jsonio.a1_to_json(f)), out)
-        elif args.command == "ts-check":
-            report = ts_check(jsonio.generator_from_json(_load(args.v_file)),
-                              jsonio.generator_from_json(_load(args.w_file)),
-                              jsonio.generator_from_json(_load(args.direct_file)))
-            _emit(jsonio.dumps(report), out)
-        elif args.command == "realize":
-            payload = _realize_payload(_load(args.class_file))
-            if args.chi_c:
-                value = chi_of_a1(payload) if hasattr(payload, "pushforward") else chi_c(payload)
-                _emit(str(value), out)
-            else:
-                if hasattr(payload, "pushforward"):
-                    raise ValidationError("--e-poly is undefined for line classes")
-                epoly = e_polynomial(payload)
-                _emit(jsonio.dumps({"epoly": jsonio._epoly_to_json(epoly)}), out)
+        # built per run, so a name rebound on this module (by a test or a tracer) is the one called
+        commands = _commands()
+        args = _build_parser(commands).parse_args(argv)
+        if args.command == "realize":
+            value, form = _realize(_load(args.class_file), args.chi_c)
         elif args.command == "oracle":
-            n, r = args.fer
-            _emit(str(count_fermat_points(n, r, args.q)), out)
+            value, form = count_fermat_points(*args.fer, args.q), str
+        else:
+            read, paths, compute, to_json, to_pretty = commands[args.command]
+            value = compute(*(read(_load(getattr(args, path))) for path in paths))
+            form = to_pretty if getattr(args, "pretty", False) else lambda v: dumps(to_json(v))
+        try:
+            text = form(value)
+        except ValueError as exc:  # an int with more digits than Python converts to text
+            raise ValidationError(f"result is too long to write: {exc}") from exc
+        _emit(text, args.out)
         return 0
-    except ParseError as exc:
-        sys.stdout.write(jsonio.dumps({"error": exc.kind, "detail": str(exc)}) + "\n")
-        return 2
-    except MotivicError as exc:
-        sys.stdout.write(jsonio.dumps({"error": exc.kind, "detail": str(exc)}) + "\n")
-        return 1
+    except MotivicError as exc:  # a ParseError exits 2, any other engine error 1
+        sys.stdout.write(dumps({"error": exc.kind, "detail": str(exc)}) + "\n")
+        return 2 if isinstance(exc, ParseError) else 1
     except Exception as exc:
         detail = f"{type(exc).__name__}: {exc}"
-        sys.stdout.write(jsonio.dumps({"error": "internal", "detail": detail}) + "\n")
+        sys.stdout.write(dumps({"error": "internal", "detail": detail}) + "\n")
         return 3
 
 

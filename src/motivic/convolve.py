@@ -34,7 +34,7 @@ from typing import Iterable
 from .classes import FER, Atom, MuClass, atom_key, atom_mul, factor_key, factor_str, fer, orb
 from .errors import ValidationError
 from .laurent import L_MINUS_1, ONE, Coeffable, LaurentInt
-from .realize import factor_chi
+from .realize import chi_c, factor_chi
 from .sparse import Sparse
 
 
@@ -148,7 +148,6 @@ def assoc_check(a: MuClass, b: MuClass, c: MuClass) -> dict:
     """
     left = star(star(a, b), c)
     right = star(a, star(b, c))
-    from .realize import chi_c
     if left.has_opaque() or right.has_opaque():
         symbolic: bool | str = "skipped-opaque"
     else:

@@ -40,6 +40,18 @@ def _expect(condition: bool, message: str) -> None:
         raise ParseError(message)
 
 
+def _fields(obj, what: str, *keys: str) -> tuple:
+    """The values at keys of obj, which must be an object holding each of them."""
+    _expect(isinstance(obj, dict) and all(k in obj for k in keys),
+            f"{what} wants {{{', '.join(keys)}}}")
+    return tuple(obj[k] for k in keys)
+
+
+def _list(value, what: str) -> list:
+    _expect(isinstance(value, list), f"{what} must be a list")
+    return value
+
+
 def _int(value, what: str) -> int:
     """value when it is a JSON integer; a float, string or boolean is refused."""
     _expect(type(value) is int, f"{what} must be an integer, got {value!r}")
@@ -110,10 +122,9 @@ def _factor_from_json(obj) -> Factor:
         _expect(isinstance(payload, list) and len(payload) == 2, f"{kind} factor wants [n, r]")
         return (kind, *(_int(x, f"{kind} factor entry") for x in payload))
     if kind == "opq":
-        _expect(isinstance(payload, dict) and "tag" in payload and "chi" in payload,
-                "opq factor wants {tag, chi}")
+        tag, chi = _fields(payload, "opq factor", "tag", "chi")
         epoly = _epoly_from_json(payload["epoly"]) if "epoly" in payload else None
-        return ("opq", payload["tag"], _int(payload["chi"], "opq chi"), epoly)
+        return ("opq", tag, _int(chi, "opq chi"), epoly)
     raise ParseError(f"unknown factor kind {kind!r}")
 
 
@@ -123,15 +134,12 @@ def class_to_json(c: MuClass) -> dict:
                       for atom, coeff in c.terms()]}
 
 def class_from_json(obj) -> MuClass:
-    _expect(isinstance(obj, dict) and isinstance(obj.get("terms"), list),
-            'class must be {"terms": [...]}')
+    terms, = _fields(obj, "class", "terms")
     raw = []
-    for term in obj["terms"]:
-        _expect(isinstance(term, dict) and "coeff" in term, "term wants a coeff")
-        factors = term.get("factors", [])
-        _expect(isinstance(factors, list), "factors must be a list")
-        raw.append((_coeff_from_json(term["coeff"]),
-                    tuple(_factor_from_json(f) for f in factors)))
+    for term in _list(terms, "class terms"):
+        coeff, = _fields(term, "term", "coeff")
+        factors = _list(term.get("factors", []), "factors")
+        raw.append((_coeff_from_json(coeff), tuple(_factor_from_json(f) for f in factors)))
     return MuClass(raw)
 
 
@@ -142,13 +150,11 @@ def a1_to_json(f: A1Class) -> dict:
                         for p, c in f.support()]}
 
 def a1_from_json(obj) -> A1Class:
-    _expect(isinstance(obj, dict) and isinstance(obj.get("support"), list),
-            'line class must be {"support": [...]}')
+    support, = _fields(obj, "line class", "support")
     pairs = []
-    for entry in obj["support"]:
-        _expect(isinstance(entry, dict) and "point" in entry and "class" in entry,
-                "support entry wants {point, class}")
-        pairs.append((_point(entry["point"]), class_from_json(entry["class"])))
+    for entry in _list(support, "line class support"):
+        point, c = _fields(entry, "support entry", "point", "class")
+        pairs.append((_point(point), class_from_json(c)))
     return A1Class(pairs)
 
 
@@ -166,28 +172,21 @@ def datum_to_json(d: SNCDatum) -> dict:
     }
 
 def datum_from_json(obj) -> SNCDatum:
-    _expect(isinstance(obj, dict), "datum must be an object")
-    for key in ("components", "strata", "fiber_regular", "fiber_singular"):
-        _expect(key in obj, f"datum wants {key!r}")
-    _expect(isinstance(obj["components"], list), "components must be a list")
-    components = []
-    for c in obj["components"]:
-        _expect(isinstance(c, dict) and "id" in c and "m" in c, "component wants {id, m}")
-        _expect(isinstance(c["id"], str), "component id must be a string")
-        components.append((c["id"], _int(c["m"], "component m")))
-    _expect(isinstance(obj["strata"], list), "strata must be a list")
-    strata = []
-    for s in obj["strata"]:
-        _expect(isinstance(s, dict), "stratum must be an object")
-        for key in ("I", "base", "cover", "locus"):
-            _expect(key in s, f"stratum wants {key!r}")
-        _expect(isinstance(s["I"], list) and all(isinstance(i, str) for i in s["I"]),
+    components, strata, fiber_regular, fiber_singular = _fields(
+        obj, "datum", "components", "strata", "fiber_regular", "fiber_singular")
+    checked = []
+    for c in _list(components, "components"):
+        i, m = _fields(c, "component", "id", "m")
+        _expect(isinstance(i, str), "component id must be a string")
+        checked.append((i, _int(m, "component m")))
+    built = []
+    for s in _list(strata, "strata"):
+        index_set, base, cover, locus = _fields(s, "stratum", "I", "base", "cover", "locus")
+        _expect(isinstance(index_set, list) and all(isinstance(i, str) for i in index_set),
                 "stratum index set must be a list of component ids")
-        strata.append(Stratum(s["I"], class_from_json(s["base"]),
-                              class_from_json(s["cover"]), s["locus"]))
-    return SNCDatum(components, strata,
-                    class_from_json(obj["fiber_regular"]),
-                    class_from_json(obj["fiber_singular"]))
+        built.append(Stratum(index_set, class_from_json(base), class_from_json(cover), locus))
+    return SNCDatum(checked, built, class_from_json(fiber_regular),
+                    class_from_json(fiber_singular))
 
 
 def generator_to_json(g: Generator):
@@ -206,17 +205,14 @@ def generator_from_json(obj) -> Generator:
             'generator must be "smooth_proper" or a one-key object')
     (kind, payload), = obj.items()
     if kind == "constant":
-        _expect(isinstance(payload, dict) and "value" in payload and "class" in payload,
-                "constant generator wants {value, class}")
-        return Constant(_point(payload["value"]), class_from_json(payload["class"]))
+        value, c = _fields(payload, "constant generator", "value", "class")
+        return Constant(_point(value), class_from_json(c))
     if kind == "resolved":
-        _expect(isinstance(payload, dict) and isinstance(payload.get("criticals"), list),
-                'resolved generator wants {"criticals": [...]}')
+        entries, = _fields(payload, "resolved generator", "criticals")
         criticals = []
-        for entry in payload["criticals"]:
-            _expect(isinstance(entry, dict) and "point" in entry and "datum" in entry,
-                    "critical entry wants {point, datum}")
-            criticals.append((_point(entry["point"]), datum_from_json(entry["datum"])))
+        for entry in _list(entries, "resolved generator criticals"):
+            point, datum = _fields(entry, "critical entry", "point", "datum")
+            criticals.append((_point(point), datum_from_json(datum)))
         return Resolved(criticals)
     raise ParseError(f"unknown generator kind {kind!r}")
 
@@ -225,14 +221,11 @@ def presentation_to_json(p: Presentation) -> dict:
     return {"terms": [{"coeff": c, "generator": generator_to_json(g)} for c, g in p]}
 
 def presentation_from_json(obj) -> Presentation:
-    _expect(isinstance(obj, dict) and isinstance(obj.get("terms"), list),
-            'presentation must be {"terms": [...]}')
+    entries, = _fields(obj, "presentation", "terms")
     terms = []
-    for t in obj["terms"]:
-        _expect(isinstance(t, dict) and "coeff" in t and "generator" in t,
-                "presentation term wants {coeff, generator}")
-        terms.append((_int(t["coeff"], "presentation coefficient"),
-                       generator_from_json(t["generator"])))
+    for t in _list(entries, "presentation terms"):
+        coeff, generator = _fields(t, "presentation term", "coeff", "generator")
+        terms.append((_int(coeff, "presentation coefficient"), generator_from_json(generator)))
     return tuple(terms)
 
 

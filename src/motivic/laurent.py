@@ -130,6 +130,8 @@ class EPoly(Sparse):
         return self._terms
 
     def __mul__(self, other: "EPoly") -> "EPoly":
+        if not isinstance(other, EPoly):
+            return NotImplemented
         return self._make(((i1 + i2, j1 + j2), c1 * c2)
                           for (i1, j1), c1 in self._terms for (i2, j2), c2 in other._terms)
 

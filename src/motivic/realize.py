@@ -26,7 +26,7 @@ import math
 import os
 from functools import reduce
 
-from .classes import Factor, MuClass, factor_str
+from .classes import TOWER_LIMIT, Factor, MuClass, factor_str
 from .errors import OracleBudgetError, RealizationUndefinedError, ValidationError
 from .laurent import EPoly, LaurentInt
 
@@ -39,6 +39,8 @@ def factor_chi(f: Factor) -> int:
     if kind == "orb":
         return f[1]
     if kind in ("FER", "fer"):
+        if f[2] > TOWER_LIMIT:  # n^r has more than r bits: refuse before computing it
+            raise ValidationError(f"chi_c of {factor_str(f)} exceeds the limit r <= {TOWER_LIMIT}")
         return -(f[1] ** f[2])
     if kind == "opq":
         return f[2]

@@ -31,7 +31,7 @@ from fractions import Fraction
 from itertools import chain
 from typing import Union
 
-from .a1 import A1Class, PointLike, as_point, point_str
+from .a1 import A1Class, a1_star, as_point, point_str
 from .classes import MuClass
 from .errors import DatumValidationError, ValidationError
 from .laurent import ONE_MINUS_L
@@ -47,11 +47,8 @@ class Stratum:
     cover_class: MuClass
     locus: str
 
-    def __init__(self, index_set, base_class: MuClass, cover_class: MuClass, locus: str):
-        object.__setattr__(self, "index_set", frozenset(index_set))
-        object.__setattr__(self, "base_class", base_class)
-        object.__setattr__(self, "cover_class", cover_class)
-        object.__setattr__(self, "locus", locus)
+    def __post_init__(self):
+        object.__setattr__(self, "index_set", frozenset(self.index_set))
 
 
 @dataclass(frozen=True)
@@ -61,16 +58,14 @@ class SNCDatum:
     fiber_regular: MuClass
     fiber_singular: MuClass
 
-    def __init__(self, components, strata, fiber_regular: MuClass, fiber_singular: MuClass):
+    def __post_init__(self):
         checked = []
-        for i, m in components:
+        for i, m in self.components:
             if not isinstance(i, str) or not isinstance(m, int):
                 raise ValidationError(f"component ({i!r}, {m!r}) wants a string id and integer m")
             checked.append((i, int(m)))  # int() stores a bool as the integer it stands for
         object.__setattr__(self, "components", tuple(checked))
-        object.__setattr__(self, "strata", tuple(strata))
-        object.__setattr__(self, "fiber_regular", fiber_regular)
-        object.__setattr__(self, "fiber_singular", fiber_singular)
+        object.__setattr__(self, "strata", tuple(self.strata))
 
     def multiplicity(self, component_id: str) -> int:
         for i, m in self.components:
@@ -165,8 +160,8 @@ class Resolved:
 
     criticals: tuple[tuple[Fraction, SNCDatum], ...]
 
-    def __init__(self, criticals):
-        pts = [(as_point(p), d) for p, d in criticals]
+    def __post_init__(self):
+        pts = [(as_point(p), d) for p, d in self.criticals]
         if len({p for p, _ in pts}) != len(pts):
             raise ValidationError("critical values must be pairwise distinct")
         object.__setattr__(self, "criticals", tuple(sorted(pts, key=lambda item: item[0])))
@@ -179,11 +174,10 @@ class Constant:
     value: Fraction
     fiber_class: MuClass
 
-    def __init__(self, value: PointLike, fiber_class: MuClass):
-        if not fiber_class.is_trivial_action():
+    def __post_init__(self):
+        if not self.fiber_class.is_trivial_action():
             raise ValidationError("constant generator class carries a nontrivial action")
-        object.__setattr__(self, "value", as_point(value))
-        object.__setattr__(self, "fiber_class", fiber_class)
+        object.__setattr__(self, "value", as_point(self.value))
 
 
 @dataclass(frozen=True)
@@ -223,7 +217,6 @@ def ts_check(g_v: Generator, g_w: Generator, direct: Generator) -> dict:
     Returns per-base-point symbolic equality of a1_star(phi(g_v), phi(g_w))
     against phi(direct), plus the overall verdict.
     """
-    from .a1 import a1_star
     lhs = a1_star(phi_generator(g_v), phi_generator(g_w))
     rhs = phi_generator(direct)
     points = sorted({p for p, _ in lhs.support()} | {p for p, _ in rhs.support()})

@@ -3,6 +3,8 @@ from __future__ import annotations
 import json
 import time
 
+import pytest
+
 import motivic
 from motivic import MuClass, class_to_json, datum_to_json, generator_to_json
 from motivic.cli import run
@@ -264,3 +266,48 @@ def test_quadratic_tower_beyond_the_limit_is_one_error_line_at_once(tmp_path, ca
     assert code == 1 and len(out.splitlines()) == 1
     assert json.loads(out) == {"error": "validation",
                                "detail": "quadratic tower of depth r = 2000 exceeds the limit r <= 400"}
+
+
+def test_input_integer_past_the_digit_limit_is_a_parse_error(tmp_path, capsys):
+    # json.load raises a plain ValueError here, and a UnicodeDecodeError on bytes that are not UTF-8
+    long_int = tmp_path / "long.json"
+    long_int.write_text('{"terms": [{"coeff": {"0": ' + "7" * 5000 + '}}]}', encoding="utf-8")
+    not_utf8 = tmp_path / "latin1.json"
+    not_utf8.write_bytes(b'{"terms": [], "note": "\xe9"}')
+    for path in (long_int, not_utf8):
+        code, out = run_cli(capsys, "normalize", str(path))
+        assert code == 2 and len(out.splitlines()) == 1
+        payload = json.loads(out)
+        assert payload["error"] == "parse"
+        assert payload["detail"].startswith(f"cannot read {path}: ")
+
+
+def test_output_integer_past_the_digit_limit_is_one_validation_line(tmp_path, capsys):
+    too_long = ("result is too long to write: Exceeds the limit (4300 digits) for integer "
+                "string conversion; use sys.set_int_max_str_digits() to increase the limit")
+    # two coprime orbits of 3001 digits fuse into one of 6001 digits
+    fused = write(tmp_path, "fused.json", {"terms": [{"coeff": {"0": 1}, "factors": [
+        {"orb": 10 ** 3000 + 1}, {"orb": 10 ** 3000 + 3}]}]})
+    # chi = (-10^400)^11 has 4401 digits
+    chi = write(tmp_path, "chi.json", {"terms": [{"coeff": {"0": 1},
+                                                  "factors": [{"fer": [10, 400]}] * 11}]})
+    for argv in (["normalize", fused], ["normalize", fused, "--pretty"], ["realize", "--chi-c", chi]):
+        code, out = run_cli(capsys, *argv)
+        assert (code, out) == (1, json.dumps({"detail": too_long, "error": "validation"},
+                                             separators=(",", ":")) + "\n")
+
+
+@pytest.mark.parametrize("argv, factor", [
+    (["realize", "--chi-c", {"fer": [10, 5000]}], "fer(10,5000)"),
+    (["realize", "--chi-c", {"fer": [3, 10 ** 9]}], "fer(3,1000000000)"),
+    (["convolve", {"FER": [3, 10 ** 7]}, {"orb": 5}], "FER(3,10000000)"),
+    (["convolve", {"FER": [3, 10 ** 8]}, {"orb": 5}], "FER(3,100000000)"),
+], ids=["realize-r5000", "realize-r1e9", "convolve-r1e7", "convolve-r1e8"])
+def test_chi_of_a_fermat_factor_past_the_limit_is_refused_at_once(tmp_path, capsys, argv, factor):
+    argv = [write(tmp_path, f"{k}.json", {"terms": [{"coeff": {"0": 1}, "factors": [a]}]})
+            if isinstance(a, dict) else a for k, a in enumerate(argv)]
+    start = time.perf_counter()
+    code, out = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 1 and json.loads(out) == {
+        "error": "validation", "detail": f"chi_c of {factor} exceeds the limit r <= 400"}

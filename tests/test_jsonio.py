@@ -63,6 +63,36 @@ def test_parse_errors_are_parse_errors():
             class_from_json(bad)
 
 
+_CLASS = {"terms": []}
+_DATUM = {"components": [{"id": "E", "m": 1}],
+          "strata": [{"I": ["E"], "base": _CLASS, "cover": _CLASS, "locus": "singular"}],
+          "fiber_regular": _CLASS, "fiber_singular": _CLASS}
+
+
+@pytest.mark.parametrize("parse, doc, what, missing", [
+    (class_from_json, {}, "class", "terms"),
+    (class_from_json, {"terms": [{"factors": []}]}, "term", "coeff"),
+    (class_from_json, {"terms": [{"coeff": {}, "factors": [{"opq": {"tag": "t"}}]}]},
+     "opq factor", "chi"),
+    (a1_from_json, {"terms": []}, "line class", "support"),
+    (a1_from_json, {"support": [{"point": "0"}]}, "support entry", "class"),
+    (datum_from_json, {k: v for k, v in _DATUM.items() if k != "strata"}, "datum", "strata"),
+    (datum_from_json, dict(_DATUM, components=[{"id": "E"}]), "component", "m"),
+    (datum_from_json, dict(_DATUM, strata=[{"I": ["E"], "base": _CLASS, "cover": _CLASS}]),
+     "stratum", "locus"),
+    (generator_from_json, {"constant": {"value": "0"}}, "constant generator", "class"),
+    (generator_from_json, {"resolved": {}}, "resolved generator", "criticals"),
+    (generator_from_json, {"resolved": {"criticals": [{"point": "0"}]}}, "critical entry", "datum"),
+    (presentation_from_json, {}, "presentation", "terms"),
+    (presentation_from_json, {"terms": [{"coeff": 1}]}, "presentation term", "generator"),
+])
+def test_a_missing_key_is_named_with_its_object(parse, doc, what, missing):
+    with pytest.raises(ParseError) as info:
+        parse(doc)
+    detail = str(info.value)
+    assert detail.startswith(f"{what} wants {{") and missing in detail
+
+
 def _class_doc(coeff=None, factors=()):
     return {"terms": [{"coeff": {"0": 1} if coeff is None else coeff, "factors": list(factors)}]}
 

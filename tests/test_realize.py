@@ -10,7 +10,7 @@ from motivic import (EPoly, MuClass, OracleBudgetError, RealizationUndefinedErro
                      Resolved, ValidationError, chi_c, chi_of_a1, count_fermat_points,
                      e_polynomial, forget_action, mul, phi_generator,
                      point_count_oracle, star)
-from motivic.laurent import L_MINUS_1
+from motivic.laurent import L_MINUS_1, LaurentInt
 
 from conftest import mu_classes, power_datum
 from oracles import (circle_minus_axes_count, count_fermat_affine, count_fermat_gf_p2,
@@ -101,6 +101,13 @@ def test_epoly_refuses_non_integer_keys_and_values():
         with pytest.raises(TypeError):
             EPoly(data)
     assert EPoly({(0, 0): 2, (1, 1): 0}) == EPoly.constant(2)
+
+
+def test_epoly_times_a_foreign_operand_is_a_type_error():
+    for other in [2, LaurentInt.from_int(2), "uv"]:
+        with pytest.raises(TypeError):
+            EPoly.constant(1) * other
+    assert EPoly.constant(2) * EPoly.uv_power(1) == EPoly({(1, 1): 2})
 
 
 @given(mu_classes())

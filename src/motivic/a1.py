@@ -5,6 +5,7 @@ MuClass values; it models the classes that arise as finite sums of
 point-pushforwards.  The convolution over the line pushes the pairwise Psi
 along addition of base points, its unit is the point class sitting at 0, and
 epsilon_push (sum of all fibers) intertwines it with star on the point.
+a1_star runs the kernel of star once over all fiber pairs, summing at p + q.
 
 Base points are exact rationals even though the theory runs over an
 algebraically closed field: every computation shipped here has rational
@@ -17,10 +18,10 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Union
 
 from .classes import MuClass
-from .convolve import psi_pair, tensor
+from .convolve import _psi_into
 from .errors import ValidationError
 from .laurent import LaurentInt
-from .sparse import Sparse
+from .sparse import Sparse, nest
 
 PointLike = Union[Fraction, int, str]
 
@@ -103,8 +104,10 @@ def a1_unit() -> A1Class:
 
 def a1_star(f: A1Class, g: A1Class) -> A1Class:
     """Convolution over the line: Psi of fibers pushed along point addition."""
-    return A1Class._make((p + q, psi_pair(tensor(cp, cq)))
-                         for p, cp in f.support() for q, cq in g.support())
+    acc: dict = {}
+    _psi_into((acc.setdefault(p + q, {}), cp.terms(), cq.terms())
+              for p, cp in f.support() for q, cq in g.support())
+    return nest(acc, A1Class, MuClass, LaurentInt)
 
 
 def epsilon_push(f: A1Class) -> MuClass:

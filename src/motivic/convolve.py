@@ -23,7 +23,9 @@ P2 is one atom product, P6 one atom of the opaque factor sorted in with the
 trivial factors, and only the closed forms of P4/P5 go through the rewrite
 rules (their FER(2,2), fer(n,1) and fer(2,r) terms need N4/N5).  The trivial
 factors split off by P3 are multiplied back with atom_mul, with no second
-normalization, and psi_pair collects all pair terms in one _make.
+normalization.  star, psi_pair and a1.a1_star share one kernel, _psi_into,
+which sums every term into integer coefficients by atom and exponent (and
+by point over the line); sparse.nest builds the class once.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from .classes import FER, Atom, MuClass, atom_key, atom_mul, factor_key, factor_
 from .errors import ValidationError
 from .laurent import L_MINUS_1, ONE, Coeffable, LaurentInt
 from .realize import chi_c, factor_chi
-from .sparse import Sparse
+from .sparse import Sparse, nest
 
 
 class BiClass(Sparse):
@@ -72,31 +74,65 @@ def tensor(a: MuClass, b: MuClass) -> BiClass:
                                for a1, c1 in a.terms() for a2, c2 in b.terms()))
 
 
-def _split_trivial(atom: Atom) -> tuple[Atom, Atom]:
-    triv = tuple(f for f in atom if f[0] == "fer")
-    core = tuple(f for f in atom if f[0] != "fer")
-    return triv, core
+_UNIT = ONE.items()
 
 
-def _core_str(core: Atom) -> str:
-    return "*".join(factor_str(f) for f in core) if core else "1"
+def _psi_into(products: Iterable[tuple[dict, Iterable, Iterable]]) -> None:
+    """For each (acc, xs, ys) of products, add Psi(xs x ys) into acc.
+
+    xs and ys are (normal atom, LaurentInt) terms and acc maps atoms to dicts
+    from exponents to integers.  Each atom is split, and each distinct atom
+    pair goes through the rules, once per call.
+    """
+    splits: dict = {}
+    labels: dict = {}
+    rules: dict = {}
+
+    def split(atom: Atom) -> tuple[Atom, Atom]:
+        if atom not in splits:
+            splits[atom] = (tuple(f for f in atom if f[0] == "fer"),
+                            tuple(f for f in atom if f[0] != "fer"))
+        return splits[atom]
+
+    def label(core: Atom) -> tuple[str, int]:
+        # made only for P6: the chi of a Fermat factor past TOWER_LIMIT raises
+        if core not in labels:
+            labels[core] = ("*".join(factor_str(f) for f in core),
+                            math.prod(factor_chi(f) for f in core))
+        return labels[core]
+
+    for acc, xs, ys in products:
+        for a, ca in xs:
+            ca = ca.items()
+            for b, cb in ys:
+                terms = rules.get((a, b))
+                if terms is None:
+                    terms = rules[a, b] = _pair_terms(a, b, split, label)
+                c = [(e1 + e2, x1 * x2) for e1, x1 in ca for e2, x2 in cb.items()]  # P1
+                for atom, k in terms:
+                    coeffs = acc.get(atom)
+                    if coeffs is None:
+                        coeffs = acc[atom] = {}
+                    for e1, x1 in c:
+                        for e2, x2 in k:
+                            coeffs[e1 + e2] = coeffs.get(e1 + e2, 0) + x1 * x2
 
 
-def _psi_terms(a: Atom, b: Atom, c: LaurentInt) -> list[tuple[Atom, LaurentInt]]:
-    """Normal terms of Psi(c * a x b) for two normal atoms (P1 pulls c out)."""
-    triv_a, core_a = _split_trivial(a)
-    triv_b, core_b = _split_trivial(b)
+def _pair_terms(a: Atom, b: Atom, split, label) -> list[tuple[Atom, tuple]]:
+    """Normal terms of Psi(a x b) for two normal atoms, as (atom, LaurentInt items)."""
+    triv_a, core_a = split(a)
+    triv_b, core_b = split(b)
     if not core_a or not core_b:
         # P2: one side acts trivially, convolution degenerates to the product;
         # that side holds no orbit, so atom_mul fuses nothing
-        return [(atom_mul(a, b)[0], c)]
+        return [(atom_mul(a, b)[0], _UNIT)]
+    inner = None
     if len(core_a) == 1 and len(core_b) == 1:
         kinds = (core_a[0][0], core_b[0][0])
         if kinds == ("orb", "orb") and core_a == core_b:
             n = core_a[0][1]
             inner = MuClass([(n * L_MINUS_1, ()), (-1, (FER(n, 2),))])
-            return _times_trivial(inner, triv_a + triv_b, c)
-        if kinds in (("FER", "orb"), ("orb", "FER")):
+        elif kinds in (("FER", "orb"), ("orb", "FER")):
             f_fer, f_orb = (core_a[0], core_b[0]) if kinds[0] == "FER" else (core_b[0], core_a[0])
             n, r = f_fer[1], f_fer[2]
             if f_orb[1] == n:
@@ -105,29 +141,29 @@ def _psi_terms(a: Atom, b: Atom, c: LaurentInt) -> list[tuple[Atom, LaurentInt]]
                     (1, (FER(n, r + 1),)),
                     (-L_MINUS_1, (fer(n, r),)),
                 ])
-                return _times_trivial(inner, triv_a + triv_b, c)
+    if inner is not None:
+        # P3: the trivial factors hold no orbit, so atom_mul fuses nothing
+        return [(atom_mul(atom, triv_a + triv_b)[0], k.items()) for atom, k in inner.terms()]
     # P6: the cores' orbits went into the tag, so the opaque factor and the
     # trivial factors make one normal atom with nothing to fuse
-    sa, sb = sorted((_core_str(core_a), _core_str(core_b)))
-    chi = math.prod(factor_chi(f) for f in core_a + core_b)
-    opaque = ("opq", f"psi({sa}|{sb})", chi, None)
-    return [(tuple(sorted(triv_a + triv_b + (opaque,), key=factor_key)), c)]
-
-
-def _times_trivial(inner: MuClass, triv: Atom, c: LaurentInt) -> list[tuple[Atom, LaurentInt]]:
-    """Normal terms of c * inner * triv, triv a product of trivial factors (P3)."""
-    # triv holds no orbit, so atom_mul fuses nothing and its multiplier is 1
-    return [(atom_mul(atom, triv)[0], c * k) for atom, k in inner.terms()]
+    (str_a, chi_a), (str_b, chi_b) = label(core_a), label(core_b)
+    sa, sb = sorted((str_a, str_b))
+    opaque = ("opq", f"psi({sa}|{sb})", chi_a * chi_b, None)
+    return [(tuple(sorted(triv_a + triv_b + (opaque,), key=factor_key)), _UNIT)]
 
 
 def psi_pair(p: BiClass) -> MuClass:
     """Psi of an exterior product, by bilinear extension of the pair rules."""
-    return MuClass._make(term for (a, b), c in p.terms() for term in _psi_terms(a, b, c))
+    acc: dict = {}
+    _psi_into((acc, ((a, c),), ((b, ONE),)) for (a, b), c in p.terms())
+    return nest(acc, MuClass, LaurentInt)
 
 
 def star(a: MuClass, b: MuClass) -> MuClass:
     """The convolution product on classes over the point."""
-    return psi_pair(tensor(a, b))
+    acc: dict = {}
+    _psi_into([(acc, a.terms(), b.terms())])
+    return nest(acc, MuClass, LaurentInt)
 
 
 def star_power(n: int, r: int) -> MuClass:

@@ -54,7 +54,8 @@ class LaurentInt(Sparse):
     __sub__ = Sparse.__sub__
 
     def __rsub__(self, other: Coeffable) -> "LaurentInt":
-        return -(self - other)
+        o = self._coerce(other)
+        return NotImplemented if o is None else o - self
 
     def __mul__(self, other: Coeffable) -> "LaurentInt":
         o = self._coerce(other)
@@ -66,7 +67,9 @@ class LaurentInt(Sparse):
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "LaurentInt":
-        if not isinstance(n, int) or n < 0:
+        if not isinstance(n, int):
+            return NotImplemented
+        if n < 0:
             raise ValueError("only nonnegative integer powers")
         out = ONE
         base = self

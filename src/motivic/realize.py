@@ -51,7 +51,9 @@ def chi_c(c: MuClass) -> int:
     """Compactly supported Euler characteristic of a class."""
     total = 0
     for atom, coeff in c.terms():
-        total += coeff.sum_of_coefficients() * math.prod(factor_chi(f) for f in atom)
+        # an atom is sorted, so equal factors are neighbours: one power per run
+        total += coeff.sum_of_coefficients() * math.prod(
+            factor_chi(f) ** sum(1 for _ in run) for f, run in itertools.groupby(atom))
     return total
 
 

@@ -5,8 +5,10 @@ products and classes over the line are all finitely supported maps from keys
 to nonzero coefficients.  Sparse stores one as a tuple of (key, coefficient)
 pairs, equal keys summed, zero coefficients dropped and the pairs sorted by
 the type's sort key, so structural equality is equality of values.  Every
-sum, product and fold builds its result with one call to ``_make`` over all
-of its terms, which sorts once.
+sum and product builds its result with one call to ``_make`` over all of its
+terms, which sorts once.  The bilinear folds (``star``, ``psi_pair``,
+``a1_star``, ``phi_measure``) sum integer coefficients into nested dicts
+instead, and ``nest`` builds the value from them once.
 
 The module also holds the signed infix renderer used by ``LaurentInt``,
 ``EPoly`` and ``jsonio.pretty``.
@@ -15,6 +17,7 @@ The module also holds the signed infix renderer used by ``LaurentInt``,
 from __future__ import annotations
 
 from itertools import chain
+from operator import itemgetter
 from typing import Iterable
 
 
@@ -23,9 +26,9 @@ class Sparse:
 
     __slots__ = ("_terms",)
 
-    # sort key of a (key, coefficient) pair; None sorts the pairs themselves,
-    # which orders them by key because no two pairs share one
-    _sort_key = None
+    # sort key of a (key, coefficient) pair; by default the key itself, so a
+    # sort never compares coefficients or tests keys for equality first
+    _sort_key = staticmethod(itemgetter(0))
 
     @classmethod
     def _canonical(cls, items: Iterable[tuple]) -> tuple:
@@ -108,6 +111,24 @@ def _total(coeffs: list):
     if isinstance(first, Sparse):
         return first._make(chain.from_iterable(c._terms for c in coeffs))
     return sum(coeffs[1:], first)
+
+
+def nest(acc: dict, *levels: type) -> Sparse:
+    """The value of type levels[0] whose integer coefficients are summed in acc.
+
+    acc maps each key of levels[0] to such a dict for levels[1], and so on down
+    to dicts from exponents to integers.  Zeros are dropped at every level, so
+    a key whose coefficient cancels goes too, and each level is sorted once.
+    """
+    cls = levels[0]
+    if len(levels) == 1:
+        terms = [term for term in acc.items() if term[1]]
+    else:
+        terms = [(key, value) for key, sub in acc.items()
+                 for value in [nest(sub, *levels[1:])] if value._terms]
+    if len(terms) > 1:
+        terms.sort(key=cls._sort_key)
+    return cls._wrap(tuple(terms))
 
 
 # --- rendering ---------------------------------------------------------------------

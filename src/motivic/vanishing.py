@@ -34,8 +34,9 @@ from typing import Union
 from .a1 import A1Class, a1_star, as_point, point_str
 from .classes import MuClass
 from .errors import DatumValidationError, ValidationError
-from .laurent import ONE_MINUS_L
+from .laurent import ONE_MINUS_L, LaurentInt
 from .realize import chi_c
+from .sparse import nest
 
 LOCUS_TAGS = ("regular", "singular")
 
@@ -190,25 +191,55 @@ Generator = Union[Resolved, Constant, SmoothProper]
 Presentation = tuple  # tuple of (int coefficient, Generator) pairs
 
 
-def phi_generator(g: Generator) -> A1Class:
-    """Vanishing-cycle class of one generator, as a class over the line."""
+def _fibers(g: Generator, phi) -> list[tuple[Fraction, MuClass]]:
+    """(point, class) fibers of one generator's measure; phi maps a datum to its phi."""
     if isinstance(g, Resolved):
-        return A1Class([(p, vanishing_cycles(d)[0]) for p, d in g.criticals])
+        return [(p, phi(d)) for p, d in g.criticals]
     if isinstance(g, Constant):
-        return A1Class({g.value: g.fiber_class})
+        return [(g.value, g.fiber_class)]
     if isinstance(g, SmoothProper):
-        return A1Class.zero()
+        return []
     raise ValidationError(f"unknown generator {g!r}")
 
 
+def phi_generator(g: Generator) -> A1Class:
+    """Vanishing-cycle class of one generator, as a class over the line."""
+    return A1Class(_fibers(g, lambda d: vanishing_cycles(d)[0]))
+
+
 def phi_measure(p: Presentation) -> A1Class:
-    """The measure on a presentation: coefficient-weighted sum over generators."""
-    terms: list[tuple[Fraction, MuClass]] = []
+    """The measure on a presentation: coefficient-weighted sum over generators.
+
+    Each distinct datum is validated and its phi computed once per call; all
+    fibers are summed into one dict per point, atom and exponent (sparse.nest).
+    """
+    phis: dict = {}  # datum -> phi: equal copies of a datum share one computation
+    seen: dict = {}  # id -> (datum, phi): a datum met before is not hashed again;
+                     # holding the datum keeps its id from being reused
+
+    def phi(d: SNCDatum) -> MuClass:
+        hit = seen.get(id(d))
+        if hit is None:
+            try:
+                value = phis.get(d)
+            except TypeError:  # an unhashable field is invalid: vanishing_cycles reports it
+                value = vanishing_cycles(d)[0]
+            if value is None:
+                value = phis[d] = vanishing_cycles(d)[0]
+            hit = seen[id(d)] = (d, value)
+        return hit[1]
+
+    acc: dict = {}
     for coeff, g in p:
         if not isinstance(coeff, int):
             raise ValidationError(f"presentation coefficient {coeff!r} is not an integer")
-        terms += (phi_generator(g) * coeff).support()
-    return A1Class._make(terms)
+        for point, cls in _fibers(g, phi):
+            at_point = acc.setdefault(point, {})
+            for atom, c in cls.terms():
+                coeffs = at_point.setdefault(atom, {})
+                for e, x in c.items():
+                    coeffs[e] = coeffs.get(e, 0) + coeff * x
+    return nest(acc, A1Class, MuClass, LaurentInt)
 
 
 def ts_check(g_v: Generator, g_w: Generator, direct: Generator) -> dict:

@@ -4,15 +4,16 @@ import math
 import time
 
 import pytest
-from hypothesis import given
+from hypothesis import given, strategies as st
 
 from motivic import (EPoly, MuClass, OracleBudgetError, RealizationUndefinedError,
                      Resolved, ValidationError, chi_c, chi_of_a1, count_fermat_points,
                      e_polynomial, forget_action, mul, phi_generator,
                      point_count_oracle, star)
 from motivic.laurent import L_MINUS_1, LaurentInt
+from motivic.realize import factor_chi
 
-from conftest import mu_classes, power_datum
+from conftest import laurents, mu_classes, power_datum
 from oracles import (circle_minus_axes_count, count_fermat_affine, count_fermat_gf_p2,
                      fermat_curve_euler_data, torus_fermat_chi)
 
@@ -40,6 +41,26 @@ def test_chi_examples():
 
 def test_chi_on_opaque_uses_stored_value():
     assert chi_c(MuClass.opaque("mystery", 17)) == 17
+
+
+_REPEATABLE = [("fer", 3, 2), ("fer", 4, 3), ("FER", 3, 2), ("orb", 3), ("opq", "t", -2),
+               ("opq", "s", 3, {(0, 0): 1})]
+
+
+@given(st.lists(st.tuples(laurents(), st.lists(st.sampled_from(_REPEATABLE), max_size=9)),
+                max_size=3))
+def test_chi_of_repeated_factors_is_the_product_over_every_copy(raw):
+    c = MuClass(raw)
+    expected = sum(coeff.sum_of_coefficients() * math.prod(factor_chi(f) for f in atom)
+                   for atom, coeff in c.terms())
+    assert chi_c(c) == expected
+
+
+def test_chi_of_many_equal_factors_costs_one_power():
+    c = MuClass([(1, [("fer", 3, 400)] * 6000)])
+    start = time.perf_counter()
+    assert chi_c(c) == (-(3 ** 400)) ** 6000
+    assert time.perf_counter() - start < 5  # a product over every copy took over 10 s
 
 
 @given(mu_classes(), mu_classes())

@@ -1,13 +1,20 @@
-"""Differential tests of forget_action, vanishing_cycles and the tower against
-the routes they replaced.
+"""Differential tests of the engine's routes against the routes they replaced.
 
 ``MuClass.forget_action`` maps normal atoms straight to normal atoms, and
 ``vanishing_cycles`` builds each locus with one sum over its strata.  The
 references below are copies of the earlier routes: forget_action rebuilt raw
 terms and sent them back through the validating ``MuClass`` constructor, and
 vanishing_cycles subtracted one stratum at a time.  The quadratic tower was a
-module-level cache filled one step at a time.  Each pair must agree on every
-input.
+module-level cache filled one step at a time.
+
+``star``, ``psi_pair``, ``a1_star`` and ``phi_measure`` sum integer
+coefficients into one dict per call and build their result once.  Their
+references are copies of the earlier routes: star went through ``tensor`` and
+``psi_pair``, which merged one canonical class per pair term; a1_star merged
+one ``psi_pair`` per fiber pair; and phi_measure measured each generator
+through ``phi_generator``, validating its data every time, and merged the
+weighted classes over the line.  Each pair must agree on every input, and on
+invalid input raise the same exception with the same payload.
 """
 
 from __future__ import annotations
@@ -17,9 +24,16 @@ import math
 
 from hypothesis import given, strategies as st
 
-from motivic import MuClass, SNCDatum, Stratum, validate_datum, vanishing_cycles
-from motivic.classes import _TOWER_START, FER, _tower, fer, opq, orb
+from fractions import Fraction
+
+from motivic import (A1Class, BiClass, Constant, MuClass, Resolved, SmoothProper, SNCDatum,
+                     Stratum, a1_star, phi_measure, psi_pair, star, tensor, validate_datum,
+                     vanishing_cycles)
+from motivic.classes import (_TOWER_START, FER, _tower, atom_mul, factor_key, factor_str, fer,
+                             opq, orb)
+from motivic.errors import ValidationError
 from motivic.laurent import EPoly, L_MINUS_1, ONE_MINUS_L, LaurentInt
+from motivic.realize import factor_chi
 from motivic.vanishing import LOCUS_TAGS
 
 from conftest import cross_datum, laurents, power_datum, trivial_classes
@@ -66,6 +80,87 @@ def reference_tower(r_max):
         d1 = c0 + 2 * c1 - L_MINUS_1 * f_prev
         cache[k] = (d0, d1, d0 + 2 * d1)
     return cache
+
+
+def _split_trivial(atom):
+    triv = tuple(f for f in atom if f[0] == "fer")
+    core = tuple(f for f in atom if f[0] != "fer")
+    return triv, core
+
+
+def _core_str(core):
+    return "*".join(factor_str(f) for f in core) if core else "1"
+
+
+def reference_psi_terms(a, b, c):
+    triv_a, core_a = _split_trivial(a)
+    triv_b, core_b = _split_trivial(b)
+    if not core_a or not core_b:
+        return [(atom_mul(a, b)[0], c)]
+    if len(core_a) == 1 and len(core_b) == 1:
+        kinds = (core_a[0][0], core_b[0][0])
+        if kinds == ("orb", "orb") and core_a == core_b:
+            n = core_a[0][1]
+            inner = MuClass([(n * L_MINUS_1, ()), (-1, (FER(n, 2),))])
+            return reference_times_trivial(inner, triv_a + triv_b, c)
+        if kinds in (("FER", "orb"), ("orb", "FER")):
+            f_fer, f_orb = (core_a[0], core_b[0]) if kinds[0] == "FER" else (core_b[0], core_a[0])
+            n, r = f_fer[1], f_fer[2]
+            if f_orb[1] == n:
+                inner = MuClass([
+                    (L_MINUS_1, (fer(n, r - 1), orb(n))),
+                    (1, (FER(n, r + 1),)),
+                    (-L_MINUS_1, (fer(n, r),)),
+                ])
+                return reference_times_trivial(inner, triv_a + triv_b, c)
+    sa, sb = sorted((_core_str(core_a), _core_str(core_b)))
+    chi = math.prod(factor_chi(f) for f in core_a + core_b)
+    opaque = ("opq", f"psi({sa}|{sb})", chi, None)
+    return [(tuple(sorted(triv_a + triv_b + (opaque,), key=factor_key)), c)]
+
+
+def reference_times_trivial(inner, triv, c):
+    return [(atom_mul(atom, triv)[0], c * k) for atom, k in inner.terms()]
+
+
+def reference_psi_pair(p):
+    return MuClass._make(term for (a, b), c in p.terms() for term in reference_psi_terms(a, b, c))
+
+
+def reference_star(a, b):
+    return reference_psi_pair(tensor(a, b))
+
+
+def reference_a1_star(f, g):
+    return A1Class._make((p + q, reference_psi_pair(tensor(cp, cq)))
+                         for p, cp in f.support() for q, cq in g.support())
+
+
+def reference_phi_generator(g):
+    if isinstance(g, Resolved):
+        return A1Class([(p, vanishing_cycles(d)[0]) for p, d in g.criticals])
+    if isinstance(g, Constant):
+        return A1Class({g.value: g.fiber_class})
+    if isinstance(g, SmoothProper):
+        return A1Class.zero()
+    raise ValidationError(f"unknown generator {g!r}")
+
+
+def reference_phi_measure(p):
+    terms = []
+    for coeff, g in p:
+        if not isinstance(coeff, int):
+            raise ValidationError(f"presentation coefficient {coeff!r} is not an integer")
+        terms += (reference_phi_generator(g) * coeff).support()
+    return A1Class._make(terms)
+
+
+def outcome(fn, *args):
+    """fn's result, or the type and payload of what it raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # compared as a value: same type, same payload
+        return type(exc), exc.args
 
 
 # --- generators ----------------------------------------------------------------------
@@ -150,3 +245,92 @@ def test_tower_equals_the_cached_recursion():
 def test_opaque_stores_the_epoly_canonical_form(tag, chi, data):
     stored = MuClass.opaque(tag, chi, data).terms()[0][0][0][3]
     assert stored == EPoly(data).items()
+
+
+# --- the bilinear folds ------------------------------------------------------------------
+
+# Few points and a sum that collides often, so fibers cancel at a point.
+_POINTS = [Fraction(-1), Fraction(0), Fraction(1, 2), Fraction(1)]
+_line_classes = st.lists(st.tuples(st.sampled_from(_POINTS), _classes), max_size=3).map(A1Class)
+_exterior = st.lists(st.tuples(_classes, _classes), max_size=2).map(
+    lambda pairs: BiClass([(a, b, ca * cb) for x, y in pairs
+                           for a, ca in x.terms() for b, cb in y.terms()]))
+
+
+@given(_classes, _classes)
+def test_star_equals_the_reference_route(a, b):
+    assert star(a, b) == reference_star(a, b)
+    assert star(a, a - b) == reference_star(a, a - b)
+
+
+@given(_exterior)
+def test_psi_pair_equals_the_reference_route(p):
+    assert psi_pair(p) == reference_psi_pair(p)
+
+
+@given(_line_classes, _line_classes)
+def test_a1_star_equals_the_reference_route(f, g):
+    assert a1_star(f, g) == reference_a1_star(f, g)
+
+
+def test_cancelling_terms_and_fibers_vanish():
+    x = MuClass.orbit(2)
+    # Psi(fer(3,2) x ORB(2)) and Psi(ORB(2) x fer(3,2)) are one atom: they cancel
+    f = A1Class({0: MuClass.fermat_trivial(3, 2), 1: x})
+    g = A1Class({0: x, -1: -MuClass.fermat_trivial(3, 2)})
+    assert a1_star(f, g) == reference_a1_star(f, g)
+    assert a1_star(f, g).fiber(0).is_zero()
+    assert [p for p, _ in a1_star(f, g).support()] == [Fraction(-1), Fraction(1)]
+    both = MuClass.fermat_trivial(3, 2) + x
+    assert star(both, both - x - x) == reference_star(both, both - x - x)
+    assert star(x, MuClass.zero()).is_zero()
+
+
+def test_a_chi_past_the_limit_raises_at_the_same_pair():
+    big = MuClass([(1, (FER(3, 401),)), (1, (FER(3, 402),))])
+    other = MuClass([(1, (fer(3, 2),)), (1, (orb(5),))])
+    assert star(big, MuClass.one()) == reference_star(big, MuClass.one())  # P2 takes no chi
+    assert outcome(star, other, big) == outcome(reference_star, other, big)
+    assert outcome(star, other, big)[0] is ValidationError
+
+
+# Presentations: data are drawn as one shared object or as an equal copy, and
+# an invalid datum, an unhashable one or a non-integer coefficient may occur.
+
+def _invalid_datum():
+    return SNCDatum([("E1", 0)], [Stratum({"E1"}, MuClass.one(), MuClass.one(), "singular")],
+                    MuClass.zero(), MuClass.one())
+
+
+def _unhashable_datum():
+    return SNCDatum([("E1", 1)], [Stratum({"E1"}, MuClass.one(), MuClass.one(), ["singular"])],
+                    MuClass.zero(), MuClass.one())
+
+
+_DATA = [cross_datum, lambda: power_datum(2), lambda: power_datum(3), _invalid_datum,
+         _unhashable_datum]
+_SHARED = [make() for make in _DATA]
+_data = st.sampled_from(_SHARED) | st.sampled_from(_DATA).map(lambda make: make())
+_generators = st.one_of(
+    st.lists(st.tuples(st.sampled_from(_POINTS), _data), min_size=1, max_size=2,
+             unique_by=lambda t: t[0]).map(Resolved),
+    st.tuples(st.sampled_from(_POINTS), trivial_classes()).map(lambda t: Constant(*t)),
+    st.just(SmoothProper()),
+)
+_coefficients = st.integers(-3, 3) | st.sampled_from([True, 1.5, "2", None, Fraction(1)])
+_presentations = st.lists(st.tuples(_coefficients, _generators), max_size=8)
+
+
+@given(_presentations)
+def test_phi_measure_equals_the_reference_route(p):
+    assert outcome(phi_measure, p) == outcome(reference_phi_measure, p)
+
+
+@given(st.lists(st.tuples(st.integers(-3, 3), st.sampled_from(_SHARED[:3])), min_size=1,
+                max_size=6), st.sampled_from(_DATA[3:]), st.integers(0, 6))
+def test_phi_measure_raises_at_the_same_generator(p, make_invalid, at):
+    p = p[:at] + [(1, Resolved([(0, make_invalid())]))] + p[at:] + [(1.5, SmoothProper())]
+    assert isinstance(outcome(phi_measure, p), tuple)  # it raised
+    assert outcome(phi_measure, p) == outcome(reference_phi_measure, p)
+    q = p[:at] + [(None, SmoothProper())] + p[at:]
+    assert outcome(phi_measure, q) == outcome(reference_phi_measure, q)

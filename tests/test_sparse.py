@@ -7,12 +7,13 @@ construction performs no rewriting and the reference is a plain accumulation.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from motivic import A1Class, EPoly, LaurentInt, MuClass
+from motivic import A1Class, EPoly, LaurentInt, MuClass, tensor
 from motivic.classes import atom_key
 from motivic.laurent import ZERO
 
@@ -63,3 +64,36 @@ def test_additive_group_laws(name, data):
     assert hash((x + y) - y) == hash(x)
     assert -(-x) == x
     assert (x - x).is_zero() and not (x - x)
+
+
+# --- foreign operands --------------------------------------------------------------
+
+# An integral Fraction is left out: Fraction.__rpow__ turns x ** Fraction(n) into x ** n.
+FOREIGN = st.one_of(st.text(max_size=2), st.floats(),
+                    st.fractions().filter(lambda q: q.denominator != 1), st.none(),
+                    st.lists(st.integers(), max_size=2), st.tuples(st.integers()))
+OPERATORS = [operator.add, operator.sub, operator.mul, operator.pow]
+
+
+def _bi_classes(data):
+    x, y = (data.draw(FIBERS) for _ in range(2))
+    return tensor(x, y)
+
+
+@pytest.mark.parametrize("name", [*TYPES, "BiClass"])
+@given(data=st.data(), foreign=FOREIGN)
+def test_a_foreign_operand_is_a_type_error_on_either_side(name, data, foreign):
+    if name == "BiClass":
+        value = _bi_classes(data)
+    else:
+        item, build, _, _, _ = TYPES[name]
+        value = build(data.draw(st.lists(item, max_size=3)))
+    for op in OPERATORS:
+        for args in ((value, foreign), (foreign, value)):
+            with pytest.raises(TypeError):
+                op(*args)
+
+
+def test_a_negative_power_is_still_a_value_error():
+    with pytest.raises(ValueError):
+        LaurentInt({1: 1}) ** -1

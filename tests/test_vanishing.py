@@ -7,6 +7,7 @@ from motivic import (A1Class, Constant, DatumValidationError, MuClass, Resolved,
                      SmoothProper, SNCDatum, Stratum, ValidationError, a1_unit,
                      chi_of_a1, nearby_fiber, phi_generator, phi_measure, ts_check,
                      validate_datum, vanishing_cycles)
+from motivic import vanishing
 from motivic.laurent import L_MINUS_1, LaurentInt
 
 from conftest import cross_datum, power_datum
@@ -193,6 +194,17 @@ def test_measure_is_additive(c1, c2):
     g1 = (c1, Resolved([(0, power_datum(2))]))
     g2 = (c2, Constant(1, L))
     assert phi_measure((g1, g2)) == phi_measure((g1,)) + phi_measure((g2,))
+
+
+def test_measure_validates_each_distinct_datum_once(monkeypatch):
+    calls = []
+    monkeypatch.setattr(vanishing, "validate_datum",
+                        lambda d: calls.append(d) or validate_datum(d))
+    shared = power_datum(3)
+    pres = [(1, Resolved([(k, shared), (k + 1, cross_datum())])) for k in range(20)]
+    measure = phi_measure(pres)
+    assert calls == [shared, cross_datum()]  # one shared object, and 20 equal copies
+    assert measure == sum((phi_generator(g) for _, g in pres), A1Class.zero())
 
 
 # --- Thom-Sebastiani checks ---------------------------------------------------------------

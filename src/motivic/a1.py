@@ -7,6 +7,13 @@ along addition of base points, its unit is the point class sitting at 0, and
 epsilon_push (sum of all fibers) intertwines it with star on the point.
 a1_star runs the kernel of star once over all fiber pairs, summing at p + q.
 
+The folds over the line add and hash no Fraction per fiber pair.  a1_star
+reads each point as its reduced (numerator, denominator) pair once per call,
+sums p + q as a reduced integer pair and keys its accumulator by that pair,
+then makes one Fraction per distinct output point.  Points sort by
+floor(p * 2**64), an integer that orders them as p does; only two points
+within 2**-64 of each other fall back to comparing the Fractions.
+
 Base points are exact rationals even though the theory runs over an
 algebraically closed field: every computation shipped here has rational
 critical values, and exactness beats generality.
@@ -14,7 +21,9 @@ critical values, and exactness beats generality.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
+from math import gcd
 from typing import Iterable, Mapping, Union
 
 from .classes import MuClass
@@ -25,14 +34,17 @@ from .sparse import Sparse, nest
 
 PointLike = Union[Fraction, int, str]
 
+_POINT_STR = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
 
 def as_point(value: PointLike) -> Fraction:
-    """Coerce an exact base point; strings use the "p/q" form."""
+    """Coerce an exact base point: a Fraction, an int that is not a bool, or a
+    string [+-]?digits(/digits)? such as "-7/2"."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
-    if isinstance(value, str):
+    if isinstance(value, str) and _POINT_STR.fullmatch(value):
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
@@ -55,6 +67,12 @@ class A1Class(Sparse):
     """Finitely supported map from base points to classes; no zero fibers."""
 
     __slots__ = ()
+
+    @staticmethod
+    def _sort_key(term):
+        # floor(p * 2**64) is monotone in p; p itself breaks a tie
+        n, d = term[0].as_integer_ratio()
+        return (n << 64) // d, term[0]
 
     def __init__(self, support: Mapping[PointLike, MuClass] | Iterable[tuple[PointLike, MuClass]] = ()):
         items = support.items() if isinstance(support, Mapping) else support
@@ -104,10 +122,19 @@ def a1_unit() -> A1Class:
 
 def a1_star(f: A1Class, g: A1Class) -> A1Class:
     """Convolution over the line: Psi of fibers pushed along point addition."""
-    acc: dict = {}
-    _psi_into((acc.setdefault(p + q, {}), cp.terms(), cq.terms())
-              for p, cp in f.support() for q, cq in g.support())
-    return nest(acc, A1Class, MuClass, LaurentInt)
+    acc: dict = {}  # reduced (numerator, denominator) of p + q -> its dict for nest
+    fs = [(*p.as_integer_ratio(), c.terms()) for p, c in f.support()]
+    gs = [(*q.as_integer_ratio(), c.terms()) for q, c in g.support()]
+
+    def products():
+        for a, b, xs in fs:
+            for c, d, ys in gs:
+                n, m = a * d + b * c, b * d
+                k = gcd(n, m)
+                yield acc.setdefault((n // k, m // k), {}), xs, ys
+
+    _psi_into(products())
+    return nest({Fraction(n, d): sub for (n, d), sub in acc.items()}, A1Class, MuClass, LaurentInt)
 
 
 def epsilon_push(f: A1Class) -> MuClass:

@@ -68,7 +68,8 @@ class LaurentInt(Sparse):
 
     def __pow__(self, n: int) -> "LaurentInt":
         if not isinstance(n, int):
-            return NotImplemented
+            # not NotImplemented: Fraction.__rpow__ would turn L ** Fraction(2) into L ** 2
+            raise TypeError(f"LaurentInt ** wants an int exponent, not {type(n).__name__}")
         if n < 0:
             raise ValueError("only nonnegative integer powers")
         out = ONE

@@ -118,17 +118,32 @@ def nest(acc: dict, *levels: type) -> Sparse:
 
     acc maps each key of levels[0] to such a dict for levels[1], and so on down
     to dicts from exponents to integers.  Zeros are dropped at every level, so
-    a key whose coefficient cancels goes too, and each level is sorted once.
+    a key whose coefficient cancels goes too.  The values are built one level
+    at a time, all the leaves in one pass.  A level of one dict is sorted by
+    the sort key of each term; in a level of many dicts (a1_star's atoms at
+    each point), each distinct key's sort key is computed once per call and
+    every dict is sorted by a C-level lookup of its keys' ranks.
     """
+    return _nest_all([acc], levels)[0]
+
+
+def _nest_all(dicts: list, levels: tuple) -> list:
+    """nest of each of dicts, in order."""
     cls = levels[0]
     if len(levels) == 1:
-        terms = [term for term in acc.items() if term[1]]
-    else:
-        terms = [(key, value) for key, sub in acc.items()
-                 for value in [nest(sub, *levels[1:])] if value._terms]
-    if len(terms) > 1:
-        terms.sort(key=cls._sort_key)
-    return cls._wrap(tuple(terms))
+        return [cls._wrap(tuple(sorted([t for t in d.items() if t[1]], key=cls._sort_key)))
+                for d in dicts]
+    values = iter(_nest_all([sub for d in dicts for sub in d.values()], levels[1:]))
+    if len(dicts) == 1:
+        terms = [t for t in zip(dicts[0], values) if t[1]._terms]
+        if len(terms) > 1:
+            terms.sort(key=cls._sort_key)
+        return [cls._wrap(tuple(terms))]
+    order = sorted(dict.fromkeys(chain.from_iterable(dicts)).items(), key=cls._sort_key)
+    rank = {key: i for i, (key, _) in enumerate(order)}
+    return [cls._wrap(tuple((key, value) for _, key, value
+                            in sorted(zip(map(rank.__getitem__, d), d, values)) if value._terms))
+            for d in dicts]
 
 
 # --- rendering ---------------------------------------------------------------------

@@ -212,6 +212,9 @@ def phi_measure(p: Presentation) -> A1Class:
 
     Each distinct datum is validated and its phi computed once per call; all
     fibers are summed into one dict per point, atom and exponent (sparse.nest).
+    A point is keyed by its reduced (numerator, denominator) pair, so equal
+    points share a dict with no Fraction hash; the first Fraction met for a
+    key is the one in the output.
     """
     phis: dict = {}  # datum -> phi: equal copies of a datum share one computation
     seen: dict = {}  # id -> (datum, phi): a datum met before is not hashed again;
@@ -229,17 +232,17 @@ def phi_measure(p: Presentation) -> A1Class:
             hit = seen[id(d)] = (d, value)
         return hit[1]
 
-    acc: dict = {}
+    acc: dict = {}  # (numerator, denominator) -> (point, its dict for nest)
     for coeff, g in p:
         if not isinstance(coeff, int):
             raise ValidationError(f"presentation coefficient {coeff!r} is not an integer")
         for point, cls in _fibers(g, phi):
-            at_point = acc.setdefault(point, {})
+            at_point = acc.setdefault(point.as_integer_ratio(), (point, {}))[1]
             for atom, c in cls.terms():
                 coeffs = at_point.setdefault(atom, {})
                 for e, x in c.items():
                     coeffs[e] = coeffs.get(e, 0) + coeff * x
-    return nest(acc, A1Class, MuClass, LaurentInt)
+    return nest(dict(acc.values()), A1Class, MuClass, LaurentInt)
 
 
 def ts_check(g_v: Generator, g_w: Generator, direct: Generator) -> dict:

@@ -28,10 +28,21 @@ def test_points_parse_exactly():
     assert as_point("3/2") == Fraction(3, 2)
     assert as_point(-4) == Fraction(-4)
     assert as_point("-7/3") + as_point("1/3") == Fraction(-2)
+    assert [as_point(s) for s in ("-0", "+5", "007/21", "12345678901234567890/3")] == [
+        0, 5, Fraction(1, 3), Fraction(12345678901234567890, 3)]
     with pytest.raises(ValidationError):
         as_point("1/0")
     with pytest.raises(ValidationError):
         as_point("x")
+
+
+@pytest.mark.parametrize("value", ["1e3", "1e10000000", "0.5", " 1_0 ", "1_0", " 1", "1 ", "1\n",
+                                   "", "+", "/2", "1/", "1/-2", "-1/+2", "1//2", "\u0661\u0662",
+                                   "inf", "nan", True, False, 1.5, None, [1]])
+def test_other_points_are_refused(value):
+    # Fraction() alone would take "1e10000000" and spend seconds expanding it
+    with pytest.raises(ValidationError, match="bad base point"):
+        as_point(value)
 
 
 def test_zero_fibers_are_dropped():

@@ -268,6 +268,15 @@ def test_quadratic_tower_beyond_the_limit_is_one_error_line_at_once(tmp_path, ca
                                "detail": "quadratic tower of depth r = 2000 exceeds the limit r <= 400"}
 
 
+def test_a_point_outside_the_grammar_is_refused_at_once(tmp_path, capsys):
+    f = write(tmp_path, "f.json", {"support": [{"point": "1e10000000", "class": {"terms": []}}]})
+    start = time.perf_counter()
+    code, out = run_cli(capsys, "star-a1", f, f)
+    assert time.perf_counter() - start < 1.0
+    assert code == 1 and json.loads(out) == {"error": "validation",
+                                             "detail": "bad base point '1e10000000'"}
+
+
 def test_input_integer_past_the_digit_limit_is_a_parse_error(tmp_path, capsys):
     # json.load raises a plain ValueError here, and a UnicodeDecodeError on bytes that are not UTF-8
     long_int = tmp_path / "long.json"

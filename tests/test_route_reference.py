@@ -21,14 +21,15 @@ from __future__ import annotations
 
 import itertools
 import math
+import time
 
 from hypothesis import given, strategies as st
 
 from fractions import Fraction
 
 from motivic import (A1Class, BiClass, Constant, MuClass, Resolved, SmoothProper, SNCDatum,
-                     Stratum, a1_star, phi_measure, psi_pair, star, tensor, validate_datum,
-                     vanishing_cycles)
+                     Stratum, a1_star, chi_of_a1, phi_measure, psi_pair, star, tensor,
+                     validate_datum, vanishing_cycles)
 from motivic.classes import (_TOWER_START, FER, _tower, atom_mul, factor_key, factor_str, fer,
                              opq, orb)
 from motivic.errors import ValidationError
@@ -249,12 +250,27 @@ def test_opaque_stores_the_epoly_canonical_form(tag, chi, data):
 
 # --- the bilinear folds ------------------------------------------------------------------
 
-# Few points and a sum that collides often, so fibers cancel at a point.
+# Few points and a sum that collides often, so fibers cancel at a point:
+# 1/2 + 1/2, 1/3 + 2/3 and -1/6 + 7/6 all give 1.  Points within 2**-64 of 1/3,
+# 2/3 and 1 share floor(p * 2**64) with them, so the sort falls back to
+# comparing the points.  Over large prime denominators, sums rarely reduce.
 _POINTS = [Fraction(-1), Fraction(0), Fraction(1, 2), Fraction(1)]
-_line_classes = st.lists(st.tuples(st.sampled_from(_POINTS), _classes), max_size=3).map(A1Class)
+_TINY = Fraction(1, 2 ** 70)
+_NEAR = [Fraction(1, 3), Fraction(2, 3), Fraction(-1, 6), Fraction(7, 6), Fraction(1, 3) + _TINY,
+         Fraction(1, 3) - _TINY, Fraction(2, 3) - _TINY, 1 + _TINY, 1 - _TINY]
+_points = st.one_of(
+    st.sampled_from(_POINTS + _NEAR),
+    st.builds(Fraction, st.integers(-10 ** 12, 10 ** 12),
+              st.sampled_from([999_999_937, 10 ** 9 + 7, 10 ** 9 + 9, 2 ** 61 - 1])),
+)
+_line_classes = st.lists(st.tuples(_points, _classes), max_size=3).map(A1Class)
 _exterior = st.lists(st.tuples(_classes, _classes), max_size=2).map(
     lambda pairs: BiClass([(a, b, ca * cb) for x, y in pairs
                            for a, ca in x.terms() for b, cb in y.terms()]))
+
+
+def _points_of(f):
+    return [p for p, _ in f.support()]
 
 
 @given(_classes, _classes)
@@ -270,7 +286,34 @@ def test_psi_pair_equals_the_reference_route(p):
 
 @given(_line_classes, _line_classes)
 def test_a1_star_equals_the_reference_route(f, g):
-    assert a1_star(f, g) == reference_a1_star(f, g)
+    out = a1_star(f, g)
+    assert out == reference_a1_star(f, g)
+    assert _points_of(out) == sorted(_points_of(out))
+    assert all(type(p) is Fraction for p in _points_of(out))
+    assert a1_star(f, A1Class()) == a1_star(A1Class(), g) == A1Class.zero()
+
+
+def test_sums_over_different_denominators_meet_at_one_point():
+    x, y = MuClass.orbit(2), MuClass.fermat_trivial(3, 2)
+    # 1/2 + 1/2 = 1/3 + 2/3 = -1/6 + 7/6 = 1, and 1/2 + 2/3 = 1/3 + 5/6 = 7/6
+    f = A1Class({Fraction(1, 2): x, Fraction(1, 3): y, Fraction(-1, 6): x + y})
+    g = A1Class({Fraction(1, 2): y, Fraction(2, 3): x, Fraction(7, 6): y, Fraction(5, 6): x})
+    out = a1_star(f, g)
+    assert out == reference_a1_star(f, g)
+    assert _points_of(out).count(1) == 1
+
+
+@given(_line_classes, _line_classes)
+def test_a1_star_is_chi_multiplicative(f, g):
+    assert chi_of_a1(a1_star(f, g)) == chi_of_a1(f) * chi_of_a1(g)
+
+
+def test_points_within_two_to_the_minus_64_keep_their_order():
+    near = sorted(_NEAR + [Fraction(1, 3) + 2 * _TINY, Fraction(1, 3) + _TINY / 2])
+    f = A1Class([(p, MuClass.one()) for p in reversed(near)])
+    assert _points_of(f) == near
+    assert _points_of(a1_star(f, A1Class({0: MuClass.one()}))) == near
+    assert _points_of(phi_measure([(1, Constant(p, MuClass.one())) for p in near[::-1]])) == near
 
 
 def test_cancelling_terms_and_fibers_vanish():
@@ -312,9 +355,11 @@ _DATA = [cross_datum, lambda: power_datum(2), lambda: power_datum(3), _invalid_d
 _SHARED = [make() for make in _DATA]
 _data = st.sampled_from(_SHARED) | st.sampled_from(_DATA).map(lambda make: make())
 _generators = st.one_of(
-    st.lists(st.tuples(st.sampled_from(_POINTS), _data), min_size=1, max_size=2,
+    st.lists(st.tuples(_points, _data), min_size=1, max_size=2,
              unique_by=lambda t: t[0]).map(Resolved),
-    st.tuples(st.sampled_from(_POINTS), trivial_classes()).map(lambda t: Constant(*t)),
+    # a Constant may name its point by an int or a string, 2/4 among them
+    st.tuples(_points | st.sampled_from([2, "2/4", "-6/6", "3"]),
+              trivial_classes()).map(lambda t: Constant(*t)),
     st.just(SmoothProper()),
 )
 _coefficients = st.integers(-3, 3) | st.sampled_from([True, 1.5, "2", None, Fraction(1)])
@@ -323,7 +368,21 @@ _presentations = st.lists(st.tuples(_coefficients, _generators), max_size=8)
 
 @given(_presentations)
 def test_phi_measure_equals_the_reference_route(p):
-    assert outcome(phi_measure, p) == outcome(reference_phi_measure, p)
+    out = outcome(phi_measure, p)
+    assert out == outcome(reference_phi_measure, p)
+    if isinstance(out, A1Class):
+        assert _points_of(out) == sorted(_points_of(out))
+
+
+def test_phi_measure_is_linear_in_the_number_of_denominators():
+    # a common denominator over the whole presentation would make each point
+    # key an integer of ~10**5 digits here, and the measure take seconds
+    one = MuClass.one()
+    p = [(1, Constant(Fraction(1, 10 ** 6 + i), one)) for i in range(32_000)]
+    start = time.perf_counter()
+    out = phi_measure(p)
+    assert time.perf_counter() - start < 2.5
+    assert _points_of(out) == [Fraction(1, 10 ** 6 + i) for i in reversed(range(32_000))]
 
 
 @given(st.lists(st.tuples(st.integers(-3, 3), st.sampled_from(_SHARED[:3])), min_size=1,

@@ -19,7 +19,10 @@ from motivic.laurent import ZERO
 
 NORMAL_ATOMS = [(), (("orb", 2),), (("orb", 3),), (("FER", 3, 2),), (("fer", 3, 2),),
                 (("orb", 2), ("fer", 3, 2))]
-POINTS = [Fraction(-1), Fraction(0), Fraction(1, 2)]
+# 1/3 and the points within 2**-64 of it share floor(p * 2**64), A1Class's first sort key
+POINTS = [Fraction(-1), Fraction(0), Fraction(1, 2), Fraction(1, 3),
+          Fraction(1, 3) + Fraction(1, 2 ** 70), Fraction(1, 3) - Fraction(1, 2 ** 70),
+          Fraction(-7, 10 ** 9 + 7)]
 SMALL_INTS = st.integers(-2, 2)
 COEFFS = st.lists(st.tuples(st.integers(-1, 1), SMALL_INTS), max_size=2).map(LaurentInt)
 FIBERS = st.lists(st.tuples(st.sampled_from(NORMAL_ATOMS[:3]), SMALL_INTS),
@@ -68,9 +71,7 @@ def test_additive_group_laws(name, data):
 
 # --- foreign operands --------------------------------------------------------------
 
-# An integral Fraction is left out: Fraction.__rpow__ turns x ** Fraction(n) into x ** n.
-FOREIGN = st.one_of(st.text(max_size=2), st.floats(),
-                    st.fractions().filter(lambda q: q.denominator != 1), st.none(),
+FOREIGN = st.one_of(st.text(max_size=2), st.floats(), st.fractions(), st.none(),
                     st.lists(st.integers(), max_size=2), st.tuples(st.integers()))
 OPERATORS = [operator.add, operator.sub, operator.mul, operator.pow]
 
@@ -78,6 +79,15 @@ OPERATORS = [operator.add, operator.sub, operator.mul, operator.pow]
 def _bi_classes(data):
     x, y = (data.draw(FIBERS) for _ in range(2))
     return tensor(x, y)
+
+
+def test_an_integral_fraction_exponent_is_a_type_error():
+    # Fraction.__rpow__ would turn L ** Fraction(n) into L ** n
+    for n in (Fraction(0), Fraction(-1), Fraction(2)):
+        with pytest.raises(TypeError):
+            LaurentInt({1: 1}) ** n
+    with pytest.raises(ValueError):
+        LaurentInt({1: 1}) ** -1
 
 
 @pytest.mark.parametrize("name", [*TYPES, "BiClass"])

@@ -21,12 +21,15 @@ The measure consumes integer combinations of three generator kinds: Resolved
 over one point), and SmoothProper (fiberwise smooth proper families, which
 contribute nothing).  Smoothness/properness flags are trusted input; this is
 a calculator, not a verifier of geometry.
+
+The records (Stratum, SNCDatum and the three generator kinds) are immutable
+values, compared and hashed by their fields; each constructor converts and
+checks its arguments.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from typing import Union
@@ -41,32 +44,60 @@ from .sparse import nest
 LOCUS_TAGS = ("regular", "singular")
 
 
-@dataclass(frozen=True)
-class Stratum:
-    index_set: frozenset[str]
-    base_class: MuClass
-    cover_class: MuClass
-    locus: str
+class _Record:
+    """An immutable value named by its __slots__: equal to a record of its own
+    type with equal fields, hashed and shown by those fields."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "index_set", frozenset(self.index_set))
+    __slots__ = ()
+
+    def _set(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _fields(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __reduce__(self):
+        return self.__class__, self._fields()
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._fields()))
+        return f"{self.__class__.__qualname__}({shown})"
 
 
-@dataclass(frozen=True)
-class SNCDatum:
-    components: tuple[tuple[str, int], ...]
-    strata: tuple[Stratum, ...]
-    fiber_regular: MuClass
-    fiber_singular: MuClass
+class Stratum(_Record):
+    __slots__ = ("index_set", "base_class", "cover_class", "locus")
 
-    def __post_init__(self):
+    def __init__(self, index_set: frozenset[str], base_class: MuClass, cover_class: MuClass,
+                 locus: str):
+        self._set(frozenset(index_set), base_class, cover_class, locus)
+
+
+class SNCDatum(_Record):
+    __slots__ = ("components", "strata", "fiber_regular", "fiber_singular")
+
+    def __init__(self, components: tuple[tuple[str, int], ...], strata: tuple[Stratum, ...],
+                 fiber_regular: MuClass, fiber_singular: MuClass):
         checked = []
-        for i, m in self.components:
+        for i, m in components:
             if not isinstance(i, str) or not isinstance(m, int):
                 raise ValidationError(f"component ({i!r}, {m!r}) wants a string id and integer m")
             checked.append((i, int(m)))  # int() stores a bool as the integer it stands for
-        object.__setattr__(self, "components", tuple(checked))
-        object.__setattr__(self, "strata", tuple(self.strata))
+        self._set(tuple(checked), tuple(strata), fiber_regular, fiber_singular)
 
     def multiplicity(self, component_id: str) -> int:
         for i, m in self.components:
@@ -155,35 +186,33 @@ def vanishing_cycles(d: SNCDatum) -> tuple[MuClass, MuClass]:
 # --- generators and the measure ----------------------------------------------
 
 
-@dataclass(frozen=True)
-class Resolved:
+class Resolved(_Record):
     """A family with finitely many critical values, each carrying SNC data."""
 
-    criticals: tuple[tuple[Fraction, SNCDatum], ...]
+    __slots__ = ("criticals",)
 
-    def __post_init__(self):
-        pts = [(as_point(p), d) for p, d in self.criticals]
+    def __init__(self, criticals: tuple[tuple[Fraction, SNCDatum], ...]):
+        pts = [(as_point(p), d) for p, d in criticals]
         if len({p for p, _ in pts}) != len(pts):
             raise ValidationError("critical values must be pairwise distinct")
-        object.__setattr__(self, "criticals", tuple(sorted(pts, key=lambda item: item[0])))
+        self._set(tuple(sorted(pts, key=lambda item: item[0])))
 
 
-@dataclass(frozen=True)
-class Constant:
+class Constant(_Record):
     """A family sitting entirely over one value of the line."""
 
-    value: Fraction
-    fiber_class: MuClass
+    __slots__ = ("value", "fiber_class")
 
-    def __post_init__(self):
-        if not self.fiber_class.is_trivial_action():
+    def __init__(self, value: Fraction, fiber_class: MuClass):
+        if not fiber_class.is_trivial_action():
             raise ValidationError("constant generator class carries a nontrivial action")
-        object.__setattr__(self, "value", as_point(self.value))
+        self._set(as_point(value), fiber_class)
 
 
-@dataclass(frozen=True)
-class SmoothProper:
+class SmoothProper(_Record):
     """A fiberwise smooth and proper family; contributes nothing."""
+
+    __slots__ = ()
 
 
 Generator = Union[Resolved, Constant, SmoothProper]
@@ -249,11 +278,13 @@ def ts_check(g_v: Generator, g_w: Generator, direct: Generator) -> dict:
     """Compare the measure of a sum-of-potentials family with the convolution.
 
     Returns per-base-point symbolic equality of a1_star(phi(g_v), phi(g_w))
-    against phi(direct), plus the overall verdict.
+    against phi(direct), plus the overall verdict.  A point on one side only
+    is unequal, as neither side holds a zero fiber.
     """
     lhs = a1_star(phi_generator(g_v), phi_generator(g_w))
     rhs = phi_generator(direct)
-    points = sorted({p for p, _ in lhs.support()} | {p for p, _ in rhs.support()})
-    by_point = [{"point": point_str(p), "equal": lhs.fiber(p) == rhs.fiber(p)}
-                for p in points]
+    left, right = dict(lhs.support()), dict(rhs.support())
+    # two runs already in point order: sorted() merges them in one linear pass
+    points = sorted([*left, *(p for p in right if p not in left)])
+    by_point = [{"point": point_str(p), "equal": left.get(p) == right.get(p)} for p in points]
     return {"equal": lhs == rhs, "by_point": by_point}

@@ -1,9 +1,16 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import motivic
 from motivic import MuClass, class_to_json, datum_to_json, generator_to_json
@@ -213,14 +220,21 @@ def test_outputs_are_byte_identical_across_runs(tmp_path, capsys):
 
 
 def test_outputs_are_byte_identical_across_processes(tmp_path):
-    import subprocess
-    import sys
-
     a = write(tmp_path, "a.json", class_to_json(orb(3) + MuClass.fermat(4, 2)))
     runs = [subprocess.run([sys.executable, "-m", "motivic", "convolve", a, a],
                            capture_output=True, check=True).stdout
             for _ in range(2)]
     assert runs[0] == runs[1] and runs[0].strip()
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    # a request pays for every module its import loads; these two cost ~6 ms of start-up
+    src = str(Path(motivic.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import motivic.cli, sys; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=env).stdout
+    assert out == "[]\n"
 
 
 def test_opaque_atoms_differing_only_in_e_data(tmp_path, capsys):
@@ -320,3 +334,119 @@ def test_chi_of_a_fermat_factor_past_the_limit_is_refused_at_once(tmp_path, caps
     assert time.perf_counter() - start < 1.0
     assert code == 1 and json.loads(out) == {
         "error": "validation", "detail": f"chi_c of {factor} exceeds the limit r <= 400"}
+
+
+# --- fuzz: every subcommand on recursive JSON and on mutated pinned inputs --------------
+
+INPUTS = Path(__file__).resolve().parent / "cli_outputs" / "inputs"
+
+# each file-taking subcommand with the pinned inputs it reads in tests/test_cli_outputs.py
+FUZZ_REQUESTS = [
+    (["normalize"], ["raw.json"]),
+    (["convolve"], ["orb2.json", "mixed.json"]),
+    (["star-a1"], ["line_f.json", "line_g.json"]),
+    (["assoc-check"], ["orb2.json", "mixed.json", "trivial.json"]),
+    (["vanishing"], ["datum_cross.json"]),
+    (["measure"], ["presentation.json"]),
+    (["ts-check"], ["gen_v.json", "gen_w.json", "gen_direct.json"]),
+    (["realize", "--chi-c"], ["line_g.json"]),
+    (["realize", "--chi-c"], ["phi_a3.json"]),
+    (["realize", "--e-poly"], ["trivial.json"]),
+    (["realize", "--e-poly"], ["phi_a3.json"]),
+]
+PINNED = {name: json.loads((INPUTS / name).read_text(encoding="utf-8"))
+          for _, names in FUZZ_REQUESTS for name in names}
+
+
+def _strings(doc):
+    """Every key and string value in doc."""
+    if isinstance(doc, dict):
+        for key, value in doc.items():
+            yield key
+            yield from _strings(value)
+    elif isinstance(doc, list):
+        for value in doc:
+            yield from _strings(value)
+    elif isinstance(doc, str):
+        yield doc
+
+
+def _leaves(doc, path=()):
+    """The path to every scalar and every empty list or object in doc."""
+    children = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    children = list(children)
+    for key, value in children:
+        yield from _leaves(value, path + (key,))
+    if not children:
+        yield path
+
+
+_WORDS = sorted({s for doc in PINNED.values() for s in _strings(doc)})
+_text = st.sampled_from(_WORDS) | st.text(max_size=4)
+_scalar = st.none() | st.booleans() | st.integers(-3, 9) | st.integers() | st.floats() | _text
+_json = st.recursive(
+    _scalar,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_text, inner, max_size=3),
+    max_leaves=10)
+
+
+@st.composite
+def _mutated(draw, doc):
+    """doc with 1-3 leaves set to new JSON, wrapped in a list or an object, or deleted."""
+    doc = json.loads(json.dumps(doc))
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(list(_leaves(doc))))
+        if not path:
+            return draw(_json)
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        edit = draw(st.sampled_from(["set", "wrap", "delete"]))
+        if edit == "set":
+            parent[path[-1]] = draw(_scalar | _json)
+        elif edit == "wrap":
+            leaf = parent[path[-1]]
+            parent[path[-1]] = [leaf] if draw(st.booleans()) else {draw(_text): leaf}
+        else:
+            del parent[path[-1]]
+    return doc
+
+
+@st.composite
+def _fuzz_requests(draw):
+    """argv for one request, and the texts of the files it names."""
+    if draw(st.integers(0, len(FUZZ_REQUESTS))) == len(FUZZ_REQUESTS):
+        small = st.integers(-2, 7).map(str) | _text
+        return ["oracle", "--fer", draw(small), draw(small), "--q", draw(small)], {}
+    argv, names = draw(st.sampled_from(FUZZ_REQUESTS))
+    docs = [PINNED[name] for name in names]
+    k = draw(st.integers(0, len(docs) - 1))
+    # one file changed, the others as pinned; one time in four by a new document
+    docs[k] = draw(_json if draw(st.integers(0, 3)) == 0 else _mutated(docs[k]))
+    files = {f"{i}.json": json.dumps(doc) for i, doc in enumerate(docs)}
+    return argv + list(files), files
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
+@given(_fuzz_requests())
+def test_every_request_ends_in_one_line_and_a_known_exit_code(monkeypatch, request_and_files):
+    # the files are served from memory, so an example costs the request alone
+    argv, files = request_and_files
+
+    def open_in_memory(path, mode="r", encoding=None):
+        if path not in files:
+            raise FileNotFoundError(2, "No such file or directory", path)
+        return io.StringIO(files[path])
+
+    monkeypatch.setattr(motivic.cli, "open", open_in_memory, raising=False)
+    stdout = io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(stdout):
+        code = run(argv)
+    assert time.perf_counter() - start < 2.0
+    out = stdout.getvalue()
+    assert code in (0, 1, 2), out
+    assert out.endswith("\n") and out.count("\n") == 1
+    payload = json.loads(out)
+    assert code == 0 or set(payload) == {"error", "detail"}

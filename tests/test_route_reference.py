@@ -13,8 +13,10 @@ references are copies of the earlier routes: star went through ``tensor`` and
 ``psi_pair``, which merged one canonical class per pair term; a1_star merged
 one ``psi_pair`` per fiber pair; and phi_measure measured each generator
 through ``phi_generator``, validating its data every time, and merged the
-weighted classes over the line.  Each pair must agree on every input, and on
-invalid input raise the same exception with the same payload.
+weighted classes over the line.  ts_check looked each point of the sorted
+union of both supports up on each side with ``A1Class.fiber``, a linear scan;
+it now walks the two sorted supports once.  Each pair must agree on every
+input, and on invalid input raise the same exception with the same payload.
 """
 
 from __future__ import annotations
@@ -23,13 +25,14 @@ import itertools
 import math
 import time
 
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from fractions import Fraction
 
 from motivic import (A1Class, BiClass, Constant, MuClass, Resolved, SmoothProper, SNCDatum,
-                     Stratum, a1_star, chi_of_a1, phi_measure, psi_pair, star, tensor,
-                     validate_datum, vanishing_cycles)
+                     Stratum, a1_star, chi_of_a1, phi_generator, phi_measure, psi_pair, star,
+                     tensor, ts_check, validate_datum, vanishing_cycles)
+from motivic.a1 import point_str
 from motivic.classes import (_TOWER_START, FER, _tower, atom_mul, factor_key, factor_str, fer,
                              opq, orb)
 from motivic.errors import ValidationError
@@ -154,6 +157,15 @@ def reference_phi_measure(p):
             raise ValidationError(f"presentation coefficient {coeff!r} is not an integer")
         terms += (reference_phi_generator(g) * coeff).support()
     return A1Class._make(terms)
+
+
+def reference_ts_check(g_v, g_w, direct):
+    lhs = a1_star(phi_generator(g_v), phi_generator(g_w))
+    rhs = phi_generator(direct)
+    points = sorted({p for p, _ in lhs.support()} | {p for p, _ in rhs.support()})
+    by_point = [{"point": point_str(p), "equal": lhs.fiber(p) == rhs.fiber(p)}
+                for p in points]
+    return {"equal": lhs == rhs, "by_point": by_point}
 
 
 def outcome(fn, *args):
@@ -393,3 +405,48 @@ def test_phi_measure_raises_at_the_same_generator(p, make_invalid, at):
     assert outcome(phi_measure, p) == outcome(reference_phi_measure, p)
     q = p[:at] + [(None, SmoothProper())] + p[at:]
     assert outcome(phi_measure, q) == outcome(reference_phi_measure, q)
+
+
+# Thom-Sebastiani checks: points from a small set, so the two sides share some
+# points and hold others alone; direct may be g_v itself and g_w the unit, so
+# whole reports come out equal too.
+
+_ts_generators = st.one_of(
+    st.lists(st.tuples(st.sampled_from(_POINTS + _NEAR), st.sampled_from(_SHARED[:3]) | datums()),
+             min_size=1, max_size=3, unique_by=lambda t: t[0]).map(Resolved),
+    st.tuples(st.sampled_from(_POINTS + _NEAR), trivial_classes()).map(lambda t: Constant(*t)),
+    st.just(SmoothProper()),
+)
+
+
+@st.composite
+def _ts_triples(draw):
+    g_v = draw(_ts_generators)
+    g_w = draw(_ts_generators | st.just(Constant(0, MuClass.one())))
+    return g_v, g_w, draw(_ts_generators | st.just(g_v))
+
+
+@given(_ts_triples())
+@example((Resolved([(0, power_datum(2))]), Constant(0, MuClass.one()),
+          Resolved([(1, power_datum(2))])))
+@example((Resolved([(0, power_datum(2)), (1, cross_datum())]), Constant(-1, MuClass.one()),
+          Resolved([(-1, power_datum(2)), (Fraction(1, 2), cross_datum())])))
+@example((Resolved([(0, _invalid_datum())]), SmoothProper(), SmoothProper()))
+def test_ts_check_equals_the_reference_route(triple):
+    assert outcome(ts_check, *triple) == outcome(reference_ts_check, *triple)
+
+
+def test_ts_check_is_linear_in_the_support():
+    # 60 critical values a side give 3600 points on the left; looking each one
+    # up by a linear scan took over a second
+    g_v = Resolved([(Fraction(i, 61), power_datum(2)) for i in range(60)])
+    g_w = Resolved([(Fraction(j, 67), power_datum(3)) for j in range(60)])
+    direct = Resolved([(Fraction(i, 61) + Fraction(i, 67), cross_datum()) for i in range(30)] +
+                      [(Fraction(-1 - i, 7), power_datum(2)) for i in range(30)])
+    start = time.perf_counter()
+    report = ts_check(g_v, g_w, direct)
+    assert time.perf_counter() - start < 0.5
+    points = {Fraction(i, 61) + Fraction(j, 67) for i in range(60) for j in range(60)}
+    points |= {Fraction(-1 - i, 7) for i in range(30)}
+    assert [entry["point"] for entry in report["by_point"]] == [point_str(p) for p in sorted(points)]
+    assert report["equal"] is False and not any(entry["equal"] for entry in report["by_point"])

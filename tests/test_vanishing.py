@@ -1,5 +1,9 @@
 from __future__ import annotations
 
+import copy
+import pickle
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -73,6 +77,81 @@ def test_components_are_not_coerced():
     # a bool multiplicity is the integer it stands for, as in LaurentInt
     components = SNCDatum([("E1", True)], [], MuClass.zero(), ONE).components
     assert components == (("E1", 1),) and type(components[0][1]) is int
+
+
+# --- the records are immutable values ------------------------------------------------
+
+def _record_pairs():
+    """Two equal, separately built copies of each record kind."""
+    def build():
+        return [Stratum({"E1", "E2"}, ONE, ONE, "singular"), cross_datum(),
+                Resolved([(0, power_datum(2)), ("1/2", cross_datum())]),
+                Constant("-3/4", L), SmoothProper()]
+    return list(zip(build(), build()))
+
+
+def test_equal_records_are_equal_and_hash_equal():
+    for a, b in _record_pairs():
+        assert a is not b and a == b and not a != b
+        assert hash(a) == hash(b)
+    assert SmoothProper() == SmoothProper()
+    assert len({SmoothProper(), SmoothProper(), Constant(0, ONE), Constant("0/5", ONE)}) == 2
+
+
+def test_records_of_different_types_are_unequal():
+    criticals = [(0, power_datum(2))]
+    other = type("OtherResolved", (Resolved,), {})
+    assert Resolved(criticals) != other(criticals)
+    assert Constant(1, L) != (Fraction(1), L)
+    assert SmoothProper() != () and SmoothProper() != Resolved([])
+    assert Stratum({"E1"}, ONE, ONE, "singular") != Stratum({"E1"}, ONE, ONE, "regular")
+
+
+def test_records_refuse_assignment():
+    for record, _ in _record_pairs():
+        with pytest.raises(AttributeError):
+            record.locus = "regular"
+        with pytest.raises(AttributeError):
+            record.anything = 1
+    s = Stratum({"E1"}, ONE, ONE, "singular")
+    with pytest.raises(AttributeError):
+        del s.locus
+    assert s.locus == "singular"
+
+
+def test_records_build_by_keyword():
+    s = Stratum(index_set=["E"], base_class=ONE, cover_class=orb(3), locus="singular")
+    d = SNCDatum(components=[("E", 3)], strata=[s], fiber_regular=MuClass.zero(),
+                 fiber_singular=ONE)
+    assert s.index_set == frozenset({"E"}) and d.strata == (s,) and d.components == (("E", 3),)
+    assert d == SNCDatum([("E", 3)], (s,), MuClass.zero(), ONE)
+    r = Resolved(criticals=[("1", d), (0, power_datum(2))])
+    assert r.criticals == ((Fraction(0), power_datum(2)), (Fraction(1), d))
+    c = Constant(value="2/4", fiber_class=L)
+    assert (c.value, c.fiber_class) == (Fraction(1, 2), L)
+
+
+def test_record_repr_shows_the_fields():
+    assert repr(SmoothProper()) == "SmoothProper()"
+    assert repr(Constant(0, ONE)) == "Constant(value=Fraction(0, 1), fiber_class=MuClass([([], '1')]))"
+    assert repr(Stratum(["E1"], ONE, ONE, "singular")) == (
+        "Stratum(index_set=frozenset({'E1'}), base_class=MuClass([([], '1')]), "
+        "cover_class=MuClass([([], '1')]), locus='singular')")
+
+
+def test_records_copy_and_pickle_to_equal_values():
+    for record, _ in _record_pairs():
+        assert copy.copy(record) == record
+        assert copy.deepcopy(record) == record
+        assert pickle.loads(pickle.dumps(record)) == record
+
+
+def test_an_unhashable_field_makes_the_hash_raise():
+    s = Stratum({"E1"}, ONE, ONE, ["singular"])  # a list locus, as JSON can give
+    with pytest.raises(TypeError):
+        hash(s)
+    with pytest.raises(TypeError):
+        hash(SNCDatum([("E1", 1)], [s], MuClass.zero(), ONE))
 
 
 def test_operations_refuse_invalid_data():

@@ -60,7 +60,7 @@ _KIND_RANK = {"orb": 0, "FER": 1, "fer": 2, "opq": 3}
 def orb(d: int) -> Factor:
     if not isinstance(d, int) or d < 1:
         raise ValidationError(f"orbit size must be an integer >= 1, got {d!r}")
-    return ("orb", d)
+    return ("orb", int(d))  # int() stores a bool as the integer it stands for
 
 
 def FER(n: int, r: int) -> Factor:
@@ -72,14 +72,14 @@ def FER(n: int, r: int) -> Factor:
 def fer(n: int, r: int) -> Factor:
     if not isinstance(n, int) or n < 2 or not isinstance(r, int) or r < 1:
         raise ValidationError(f"fer wants n >= 2 and r >= 1, got ({n!r}, {r!r})")
-    return ("fer", n, r)
+    return ("fer", n, int(r))
 
 
 def gm(d: int) -> Factor:
     """Raw-only factor: a one-dimensional torus with multiplication action."""
     if not isinstance(d, int) or d < 1:
         raise ValidationError(f"gm action level must be an integer >= 1, got {d!r}")
-    return ("gm", d)
+    return ("gm", int(d))
 
 
 def opq(tag: str, chi: int, epoly=None) -> Factor:
@@ -90,7 +90,7 @@ def opq(tag: str, chi: int, epoly=None) -> Factor:
             epoly = EPoly(dict(epoly)).items()
         except (TypeError, ValueError) as exc:
             raise ValidationError(f"bad opaque epoly data: {exc}") from exc
-    return ("opq", tag, chi, epoly)
+    return ("opq", tag, int(chi), epoly)
 
 
 def factor_key(f: Factor):
@@ -101,7 +101,7 @@ def factor_key(f: Factor):
 
 
 def atom_key(a: Atom):
-    return (len(a), tuple(factor_key(f) for f in a))
+    return (len(a), tuple(map(factor_key, a)))
 
 
 def factor_str(f: Factor) -> str:
@@ -308,7 +308,7 @@ def _expand_term(coeff: LaurentInt, factors: tuple,
         else:
             residual.append(f)
     base_atom, mult = atom_mul(tuple(sorted(residual, key=factor_key)), ())  # N2
-    terms = ((base_atom, coeff * mult),)
+    terms = ((base_atom, coeff if mult == 1 else coeff * mult),)
     for expansion in expansions:
         terms = (MuClass._make(terms) * expansion).terms()
     return terms

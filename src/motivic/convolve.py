@@ -19,13 +19,14 @@ which keeps star exactly commutative.  The convolution is chi_c
 multiplicative on all inputs by construction of P6.
 
 The pair rules run on atoms that are already normal and emit normal terms:
-P2 is one atom product, P6 one atom of the opaque factor sorted in with the
-trivial factors, and only the closed forms of P4/P5 go through the rewrite
-rules (their FER(2,2), fer(n,1) and fer(2,r) terms need N4/N5).  The trivial
-factors split off by P3 are multiplied back with atom_mul, with no second
-normalization.  star, psi_pair and a1.a1_star share one kernel, _psi_into,
-which sums every term into integer coefficients by atom and exponent (and
-by point over the line); sparse.nest builds the class once.
+P2 is one atom product, P6 one atom of the trivial factors and the opaque
+factor, and only the closed forms of P4/P5, once per pair of cores, go
+through the rewrite rules (FER(2,2), fer(n,1) and fer(2,r) need N4/N5).  The
+trivial factors split off by P3 are multiplied back with atom_mul.  star,
+psi_pair and a1.a1_star share one kernel, _psi_into, which sums every term
+into integer coefficients by atom and exponent (and by point over the line),
+P2 and P6 pairs with no multiplication by their unit coefficient; sparse.nest
+builds the class once.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from __future__ import annotations
 import math
 from typing import Iterable
 
-from .classes import FER, Atom, MuClass, atom_key, atom_mul, factor_key, factor_str, fer, orb
+from .classes import FER, Atom, Factor, MuClass, atom_key, atom_mul, factor_str, fer, orb
 from .errors import ValidationError
 from .laurent import L_MINUS_1, ONE, Coeffable, LaurentInt
 from .realize import chi_c, factor_chi
@@ -74,19 +75,18 @@ def tensor(a: MuClass, b: MuClass) -> BiClass:
                                for a1, c1 in a.terms() for a2, c2 in b.terms()))
 
 
-_UNIT = ONE.items()
-
-
 def _psi_into(products: Iterable[tuple[dict, Iterable, Iterable]]) -> None:
     """For each (acc, xs, ys) of products, add Psi(xs x ys) into acc.
 
     xs and ys are (normal atom, LaurentInt) terms and acc maps atoms to dicts
-    from exponents to integers.  Each atom is split, and each distinct atom
-    pair goes through the rules, once per call.
+    from exponents to integers.  Once per call, each atom is split, each core
+    labelled, each pair of cores given its closed form or opaque factor, and
+    each pair of atoms its terms.
     """
     splits: dict = {}
     labels: dict = {}
-    rules: dict = {}
+    cores: dict = {}
+    rows: dict = {}  # a -> {b: the one atom of Psi(a x b), coefficient 1, or a list of its terms}
 
     def split(atom: Atom) -> tuple[Atom, Atom]:
         if atom not in splits:
@@ -101,15 +101,41 @@ def _psi_into(products: Iterable[tuple[dict, Iterable, Iterable]]) -> None:
                             math.prod(factor_chi(f) for f in core))
         return labels[core]
 
+    def pair(a: Atom, b: Atom):
+        (triv_a, core_a), (triv_b, core_b) = split(a), split(b)
+        if not core_a or not core_b:
+            # P2: one side acts trivially, convolution degenerates to the product;
+            # that side holds no orbit, so atom_mul fuses nothing
+            return atom_mul(a, b)[0]
+        form = cores.get((core_a, core_b))
+        if form is None:
+            form = cores[core_a, core_b] = _core_form(core_a, core_b, label)
+        if type(form) is list:
+            # P3: the trivial factors hold no orbit, so atom_mul fuses nothing
+            return [(atom_mul(atom, triv_a + triv_b)[0], k) for atom, k in form]
+        # P6: the cores' orbits went into the tag, so nothing fuses; fer factors
+        # sort as plain tuples in factor_key order, and opaque ones rank last
+        return tuple(sorted(triv_a + triv_b)) + (form,)
+
     for acc, xs, ys in products:
         for a, ca in xs:
             ca = ca.items()
+            row = rows.setdefault(a, {})
             for b, cb in ys:
-                terms = rules.get((a, b))
-                if terms is None:
-                    terms = rules[a, b] = _pair_terms(a, b, split, label)
-                c = [(e1 + e2, x1 * x2) for e1, x1 in ca for e2, x2 in cb.items()]  # P1
-                for atom, k in terms:
+                cb = cb.items()
+                rule = row.get(b)
+                if rule is None:
+                    rule = row[b] = pair(a, b)
+                if type(rule) is tuple:  # P2 and P6: add the P1 product in as it is
+                    coeffs = acc.get(rule)
+                    if coeffs is None:
+                        coeffs = acc[rule] = {}
+                    for e1, x1 in ca:
+                        for e2, x2 in cb:
+                            coeffs[e1 + e2] = coeffs.get(e1 + e2, 0) + x1 * x2
+                    continue
+                c = [(e1 + e2, x1 * x2) for e1, x1 in ca for e2, x2 in cb]  # P1
+                for atom, k in rule:
                     coeffs = acc.get(atom)
                     if coeffs is None:
                         coeffs = acc[atom] = {}
@@ -118,14 +144,8 @@ def _psi_into(products: Iterable[tuple[dict, Iterable, Iterable]]) -> None:
                             coeffs[e1 + e2] = coeffs.get(e1 + e2, 0) + x1 * x2
 
 
-def _pair_terms(a: Atom, b: Atom, split, label) -> list[tuple[Atom, tuple]]:
-    """Normal terms of Psi(a x b) for two normal atoms, as (atom, LaurentInt items)."""
-    triv_a, core_a = split(a)
-    triv_b, core_b = split(b)
-    if not core_a or not core_b:
-        # P2: one side acts trivially, convolution degenerates to the product;
-        # that side holds no orbit, so atom_mul fuses nothing
-        return [(atom_mul(a, b)[0], _UNIT)]
+def _core_form(core_a: Atom, core_b: Atom, label) -> list[tuple[Atom, tuple]] | Factor:
+    """Psi of two cores: P4/P5 as (atom, LaurentInt items) terms, else the P6 opaque factor."""
     inner = None
     if len(core_a) == 1 and len(core_b) == 1:
         kinds = (core_a[0][0], core_b[0][0])
@@ -142,14 +162,10 @@ def _pair_terms(a: Atom, b: Atom, split, label) -> list[tuple[Atom, tuple]]:
                     (-L_MINUS_1, (fer(n, r),)),
                 ])
     if inner is not None:
-        # P3: the trivial factors hold no orbit, so atom_mul fuses nothing
-        return [(atom_mul(atom, triv_a + triv_b)[0], k.items()) for atom, k in inner.terms()]
-    # P6: the cores' orbits went into the tag, so the opaque factor and the
-    # trivial factors make one normal atom with nothing to fuse
+        return [(atom, k.items()) for atom, k in inner.terms()]
     (str_a, chi_a), (str_b, chi_b) = label(core_a), label(core_b)
     sa, sb = sorted((str_a, str_b))
-    opaque = ("opq", f"psi({sa}|{sb})", chi_a * chi_b, None)
-    return [(tuple(sorted(triv_a + triv_b + (opaque,), key=factor_key)), _UNIT)]
+    return ("opq", f"psi({sa}|{sb})", chi_a * chi_b, None)
 
 
 def psi_pair(p: BiClass) -> MuClass:

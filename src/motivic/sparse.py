@@ -119,10 +119,12 @@ def nest(acc: dict, *levels: type) -> Sparse:
     acc maps each key of levels[0] to such a dict for levels[1], and so on down
     to dicts from exponents to integers.  Zeros are dropped at every level, so
     a key whose coefficient cancels goes too.  The values are built one level
-    at a time, all the leaves in one pass.  A level of one dict is sorted by
-    the sort key of each term; in a level of many dicts (a1_star's atoms at
-    each point), each distinct key's sort key is computed once per call and
-    every dict is sorted by a C-level lookup of its keys' ranks.
+    at a time, all the leaves in one pass.  A leaf's exponents are distinct
+    integers, so its (exponent, integer) pairs sort with no key function, and
+    a one-entry leaf is not sorted.  A level of one dict is sorted by the sort
+    key of each term; in a level of many dicts (a1_star's atoms at each
+    point), each distinct key's sort key is computed once per call and every
+    dict is sorted by a C-level lookup of its keys' ranks.
     """
     return _nest_all([acc], levels)[0]
 
@@ -131,7 +133,8 @@ def _nest_all(dicts: list, levels: tuple) -> list:
     """nest of each of dicts, in order."""
     cls = levels[0]
     if len(levels) == 1:
-        return [cls._wrap(tuple(sorted([t for t in d.items() if t[1]], key=cls._sort_key)))
+        return [cls._wrap(tuple(sorted([t for t in d.items() if t[1]]) if len(d) > 1
+                                else [t for t in d.items() if t[1]]))
                 for d in dicts]
     values = iter(_nest_all([sub for d in dicts for sub in d.values()], levels[1:]))
     if len(dicts) == 1:

@@ -10,10 +10,11 @@ from motivic import (A1Class, Constant, MuClass, ParseError, Resolved, SmoothPro
                      class_to_json, datum_from_json, datum_to_json,
                      generator_from_json, generator_to_json, presentation_from_json,
                      presentation_to_json, pretty)
+from motivic.classes import fer as fer_factor, gm as gm_factor, opq as opq_factor, orb as orb_factor
 from motivic.jsonio import dumps
 from motivic.laurent import L_MINUS_1, LaurentInt
 
-from conftest import cross_datum, mu_classes, power_datum
+from conftest import _factors, cross_datum, mu_classes, power_datum, raw_terms
 
 ONE = MuClass.one()
 L = MuClass.lefschetz()
@@ -23,12 +24,27 @@ def orb(d):
     return MuClass.orbit(d)
 
 
-@given(mu_classes())
+# Opaque factors whose tags hold the separators of P6 tags ([]|*) and ;:, with
+# and without E-data (an empty E-data dict is E-data that sums to zero, not
+# missing E-data).
+_opaque_factors = st.tuples(
+    st.text(alphabet="ab[]|*;:", max_size=6),
+    st.integers(-3, 3),
+    st.none() | st.dictionaries(st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
+                                st.integers(-3, 3), max_size=3),
+).map(lambda t: ("opq", *t))
+_classes = st.one_of(
+    mu_classes(),
+    raw_terms(factors=st.one_of(_factors, _opaque_factors, _opaque_factors)).map(MuClass))
+_line_classes = st.lists(st.tuples(st.integers(-3, 3), _classes), max_size=3).map(A1Class)
+
+
+@given(_classes)
 def test_class_roundtrip(c):
     assert class_from_json(class_to_json(c)) == c
 
 
-@given(mu_classes())
+@given(_classes)
 def test_serialization_is_canonical(c):
     blob = dumps(class_to_json(c))
     assert dumps(class_to_json(class_from_json(json.loads(blob)))) == blob
@@ -168,10 +184,28 @@ def test_validation_errors_stay_validation_errors():
         class_from_json({"terms": [{"coeff": {"0": 1}, "factors": [{"orb": 0}]}]})
 
 
-@given(st.lists(st.tuples(st.integers(-3, 3), mu_classes(max_terms=2)), max_size=3))
-def test_a1_roundtrip_randomized(pairs):
-    f = A1Class(pairs)
+@given(_line_classes)
+def test_a1_roundtrip_randomized(f):
     assert a1_from_json(a1_to_json(f)) == f
+
+
+@given(_line_classes)
+def test_a1_serialization_is_canonical(f):
+    blob = dumps(a1_to_json(f))
+    assert dumps(a1_to_json(a1_from_json(json.loads(blob)))) == blob
+
+
+def test_bool_factor_entries_are_stored_as_integers():
+    c = MuClass.opaque("t", True)
+    blob = dumps(class_to_json(c))
+    assert blob == '{"terms":[{"coeff":{"0":1},"factors":[{"opq":{"chi":1,"tag":"t"}}]}]}'
+    assert class_from_json(json.loads(blob)) == c == MuClass.opaque("t", 1)
+    assert MuClass.opaque("t", False) == MuClass.opaque("t", 0)
+    for made, plain in [(opq_factor("t", True), ("opq", "t", 1, None)), (orb_factor(True), ("orb", 1)),
+                        (fer_factor(3, True), ("fer", 3, 1)), (gm_factor(True), ("gm", 1))]:
+        assert made == plain and [type(x) for x in made] == [type(x) for x in plain]
+    assert MuClass([(1, [fer_factor(3, True), gm_factor(True), orb_factor(True)])]) == \
+        MuClass([(1, [("fer", 3, 1), ("gm", 1), ("orb", 1)])])
 
 
 def test_a1_roundtrip_and_format():

@@ -83,11 +83,13 @@ def reference_star(a, b):
 # opaque atom with or without E-data, or two of them) times up to two trivial
 # Fermat factors, so P2, P4, P5 and P6 each fire with trivial factors attached;
 # orbits are drawn twice as often so that equal-orbit (P4) pairs are common.
+# The trivial factors differ in r as well as in n, so that sorting them as
+# plain tuples is checked against factor_key order.
 _orbits = st.integers(2, 6).map(orb)
 _fermats = st.tuples(st.integers(2, 4), st.integers(2, 3)).map(lambda t: FER(*t))
 _opaques = st.sampled_from([BLOB, HUSK])
 _core_factors = st.one_of(_orbits, _orbits, _fermats, _opaques)
-_trivial = st.tuples(st.integers(3, 5), st.just(2)).map(lambda t: fer(*t))
+_trivial = st.tuples(st.integers(3, 5), st.integers(2, 4)).map(lambda t: fer(*t))
 _atoms = st.tuples(st.lists(_core_factors, max_size=2), st.lists(_trivial, max_size=2)).map(
     lambda parts: parts[0] + parts[1])
 _classes = st.lists(st.tuples(laurents(min_terms=1, max_terms=2), _atoms), max_size=4).map(MuClass)
@@ -113,6 +115,9 @@ def test_star_equals_the_reference_route_on_every_pool_pair():
 
 # Canonical JSON of star on fixed inputs that take P4, P5 and P6 with trivial
 # factors attached, recorded before the pair rules emitted normal terms directly.
+# The cases from "p5-one-core-pair-two-trivial-sets" on meet one pair of cores
+# under several sets of trivial factors in one call; they were recorded before
+# the closed forms and opaque factors were made once per pair of cores.
 PINS = {
     "p4-orb3-trivial-both-sides": (
         [(1, [orb(3), fer(4, 2)])], [(2, [orb(3), fer(5, 2)])],
@@ -153,6 +158,44 @@ PINS = {
         '{"coeff":{"0":-1},"factors":[{"orb":3},{"fer":[3,2]},{"fer":[5,2]}]},'
         '{"coeff":{"0":2},"factors":[{"FER":[3,3]},{"fer":[3,2]},{"fer":[4,2]}]},'
         '{"coeff":{"0":2,"1":-2},"factors":[{"fer":[3,2]},{"fer":[3,2]},{"fer":[4,2]}]}]}'),
+    "p5-one-core-pair-two-trivial-sets": (
+        [(1, [orb(3), fer(4, 2)]), (L_MINUS_1, [orb(3), fer(5, 3)])], [(1, [FER(3, 2), fer(3, 3)])],
+        '{"terms":[{"coeff":{"0":-3,"1":3},"factors":[{"orb":3},{"fer":[3,3]},{"fer":[4,2]}]},'
+        '{"coeff":{"0":3,"1":-6,"2":3},"factors":[{"orb":3},{"fer":[3,3]},{"fer":[5,3]}]},'
+        '{"coeff":{"0":1},"factors":[{"FER":[3,3]},{"fer":[3,3]},{"fer":[4,2]}]},'
+        '{"coeff":{"0":-1,"1":1},"factors":[{"FER":[3,3]},{"fer":[3,3]},{"fer":[5,3]}]},'
+        '{"coeff":{"0":1,"1":-1},"factors":[{"fer":[3,2]},{"fer":[3,3]},{"fer":[4,2]}]},'
+        '{"coeff":{"0":-1,"1":2,"2":-1},"factors":[{"fer":[3,2]},{"fer":[3,3]},{"fer":[5,3]}]}]}'),
+    "p5-both-orders-in-one-call": (
+        [(1, [FER(3, 2), fer(4, 2)]), (1, [orb(3), fer(5, 2)])],
+        [(-1, [orb(3), fer(3, 3)]), (2, [FER(3, 2)])],
+        '{"terms":[{"coeff":{"0":-6,"1":6},"factors":[{"orb":3},{"fer":[5,2]}]},'
+        '{"coeff":{"0":2},"factors":[{"FER":[3,3]},{"fer":[5,2]}]},'
+        '{"coeff":{"0":2,"1":-2},"factors":[{"fer":[3,2]},{"fer":[5,2]}]},'
+        '{"coeff":{"0":3,"1":-3},"factors":[{"fer":[3,3]},{"fer":[5,2]}]},'
+        '{"coeff":{"0":2},"factors":[{"fer":[4,2]},{"opq":{"chi":81,"tag":"psi(FER(3,2)|FER(3,2))"}}]},'
+        '{"coeff":{"0":3,"1":-3},"factors":[{"orb":3},{"fer":[3,3]},{"fer":[4,2]}]},'
+        '{"coeff":{"0":1},"factors":[{"FER":[3,2]},{"fer":[3,3]},{"fer":[5,2]}]},'
+        '{"coeff":{"0":-1},"factors":[{"FER":[3,3]},{"fer":[3,3]},{"fer":[4,2]}]},'
+        '{"coeff":{"0":-1,"1":1},"factors":[{"fer":[3,2]},{"fer":[3,3]},{"fer":[4,2]}]}]}'),
+    "p4-orb2-one-core-pair-three-trivial-sets": (
+        [(1, [orb(2), fer(3, 2)]), (2, [orb(2), fer(4, 3)])],
+        [(1, [orb(2)]), (L_MINUS_1, [orb(2), fer(5, 4)])],
+        '{"terms":[{"coeff":{"0":-1,"1":1},"factors":[{"fer":[3,2]}]},'
+        '{"coeff":{"0":-2,"1":2},"factors":[{"fer":[4,3]}]},'
+        '{"coeff":{"0":2},"factors":[{"orb":2},{"fer":[3,2]}]},'
+        '{"coeff":{"0":4},"factors":[{"orb":2},{"fer":[4,3]}]},'
+        '{"coeff":{"0":1,"1":-2,"2":1},"factors":[{"fer":[3,2]},{"fer":[5,4]}]},'
+        '{"coeff":{"0":2,"1":-4,"2":2},"factors":[{"fer":[4,3]},{"fer":[5,4]}]},'
+        '{"coeff":{"0":-2,"1":2},"factors":[{"orb":2},{"fer":[3,2]},{"fer":[5,4]}]},'
+        '{"coeff":{"0":-4,"1":4},"factors":[{"orb":2},{"fer":[4,3]},{"fer":[5,4]}]}]}'),
+    "p6-one-core-pair-trivial-r-differs": (
+        [(1, [orb(2), fer(5, 2)]), (1, [orb(2), fer(4, 4)])],
+        [(1, [orb(3), fer(4, 3)]), (1, [BLOB, fer(3, 4), fer(5, 3)])],
+        '{"terms":[{"coeff":{"0":1},"factors":[{"fer":[4,3]},{"fer":[4,4]},{"opq":{"chi":6,"tag":"psi(ORB(2)|ORB(3))"}}]},'
+        '{"coeff":{"0":1},"factors":[{"fer":[4,3]},{"fer":[5,2]},{"opq":{"chi":6,"tag":"psi(ORB(2)|ORB(3))"}}]},'
+        '{"coeff":{"0":1},"factors":[{"fer":[3,4]},{"fer":[4,4]},{"fer":[5,3]},{"opq":{"chi":4,"tag":"psi(OPQ[blob]|ORB(2))"}}]},'
+        '{"coeff":{"0":1},"factors":[{"fer":[3,4]},{"fer":[5,2]},{"fer":[5,3]},{"opq":{"chi":4,"tag":"psi(OPQ[blob]|ORB(2))"}}]}]}'),
 }
 
 

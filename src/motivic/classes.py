@@ -4,9 +4,10 @@ The engine computes in a free model: classes are integer-Laurent ("L")
 combinations of atoms, an atom being a canonically sorted product of factors
 
     ORB(d)     a free transitive orbit of size d (d >= 2 after rewriting),
-    FER(n,r)   the degree-n Fermat locus in an r-torus, carrying the diagonal
-               multiplication action (n >= 2, r >= 2),
-    fer(n,r)   the same locus with trivial action,
+    FER(n,r)   the degree-n Fermat curve in a 2-torus with the diagonal action
+               (n >= 2); for r >= 3 the class (L-1) fer(n,r-1) - ORB(n)^{*r}
+               that convolution defines, not the Fermat locus in an r-torus,
+    fer(n,r)   the same with trivial action,
     OPQ(...)   an opaque class carrying only realization data,
 
 plus, in raw input only, GM(d): a one-torus with multiplication action.

@@ -31,13 +31,12 @@ builds the class once.
 
 from __future__ import annotations
 
-import math
 from typing import Iterable
 
 from .classes import FER, Atom, Factor, MuClass, atom_key, atom_mul, factor_str, fer, orb
 from .errors import ValidationError
 from .laurent import L_MINUS_1, ONE, Coeffable, LaurentInt
-from .realize import chi_c, factor_chi
+from .realize import atom_chi, chi_c
 from .sparse import Sparse, nest
 
 
@@ -97,8 +96,7 @@ def _psi_into(products: Iterable[tuple[dict, Iterable, Iterable]]) -> None:
     def label(core: Atom) -> tuple[str, int]:
         # made only for P6: the chi of a Fermat factor past TOWER_LIMIT raises
         if core not in labels:
-            labels[core] = ("*".join(factor_str(f) for f in core),
-                            math.prod(factor_chi(f) for f in core))
+            labels[core] = ("*".join(factor_str(f) for f in core), atom_chi(core))
         return labels[core]
 
     def pair(a: Atom, b: Atom):

@@ -11,12 +11,13 @@ carry E-data.  It sends L to uv and fer(n,2) to uv - g u - g v + 1 - 3n with
 g = (n-1)(n-2)/2, the Hodge numbers of the smooth projective degree-n curve
 minus its 3n boundary points.  Its value type EPoly lives in laurent.py.
 
-The oracle counts points of the Fermat locus over a finite field by brute
-enumeration; it exists to validate atom data independently of the rules.
-GF(p^k) is F_p[x]/(f) for the first primitive polynomial f in a fixed order,
-kept as the table of the powers of x, so x^n is one lookup whatever n.  The
-budget counts the r entries of each of the (q-1)^r tuples, and is checked
-before q is factored or any table is built.
+The oracle counts points of the literal Fermat locus over a finite field by
+brute enumeration, independently of the rules.  The locus is the atom fer(n,r)
+only for r <= 2; for r >= 3 the atom is the class convolution defines
+(classes).  GF(p^k) is F_p[x]/(f) for the first primitive polynomial f in a
+fixed order, kept as the table of the powers of x, so x^n is one lookup
+whatever n.  The budget counts the r entries of each of the (q-1)^r tuples, and
+is checked before q is factored or any table is built.
 """
 
 from __future__ import annotations
@@ -24,9 +25,10 @@ from __future__ import annotations
 import itertools
 import math
 import os
+from collections import Counter
 from functools import reduce
 
-from .classes import TOWER_LIMIT, Factor, MuClass, factor_str
+from .classes import TOWER_LIMIT, Atom, Factor, MuClass, factor_str
 from .errors import OracleBudgetError, RealizationUndefinedError, ValidationError
 from .laurent import EPoly, LaurentInt
 
@@ -47,14 +49,17 @@ def factor_chi(f: Factor) -> int:
     raise ValidationError(f"no Euler characteristic for raw factor {f!r}")
 
 
+def atom_chi(atom: Atom) -> int:
+    """chi_c of one atom: one factor_chi call and one power per distinct factor,
+    so the cost is linear in the atom however often a factor repeats."""
+    if len(set(atom)) == len(atom):
+        return math.prod(map(factor_chi, atom))
+    return math.prod(factor_chi(f) ** k for f, k in Counter(atom).items())
+
+
 def chi_c(c: MuClass) -> int:
     """Compactly supported Euler characteristic of a class."""
-    total = 0
-    for atom, coeff in c.terms():
-        # an atom is sorted, so equal factors are neighbours: one power per run
-        total += coeff.sum_of_coefficients() * math.prod(
-            factor_chi(f) ** sum(1 for _ in run) for f, run in itertools.groupby(atom))
-    return total
+    return sum(coeff.sum_of_coefficients() * atom_chi(atom) for atom, coeff in c.terms())
 
 
 def chi_of_a1(f) -> int:
@@ -178,7 +183,7 @@ def count_fermat_points(n: int, r: int, q: int, budget: int | None = None) -> in
     for digits in itertools.product(range(1, w, p), *[range(0, w, p)] * (k - 1)):
         is_one[sum(d * w ** i for i, d in enumerate(digits))] = 1
     values = [wide[n * i % (q - 1)] for i in range(q - 1)]  # x^n for x = x^i
-    add = lambda a, b: a + b  # a Python-level add, not sum(): see ROADMAP, "Next change to the benchmark"
+    add = lambda a, b: a + b  # not sum(): the benchmark's kernel has no C-level part (ROADMAP item 1)
     return sum(is_one[reduce(add, combo)] for combo in itertools.product(values, repeat=r))
 
 

@@ -46,9 +46,9 @@ LOCUS_TAGS = ("regular", "singular")
 
 class _Record:
     """An immutable value named by its __slots__: equal to a record of its own
-    type with equal fields, hashed and shown by those fields."""
+    type with equal fields, hashed (once, then kept) and shown by those fields."""
 
-    __slots__ = ()
+    __slots__ = ("_hash",)
 
     def _set(self, *values) -> None:
         for name, value in zip(self.__slots__, values):
@@ -69,7 +69,11 @@ class _Record:
         return self._fields() == other._fields()
 
     def __hash__(self):
-        return hash(self._fields())
+        try:
+            return self._hash
+        except AttributeError:  # not hashed yet; an unhashable field raises TypeError here
+            object.__setattr__(self, "_hash", hash(self._fields()))
+            return self._hash
 
     def __reduce__(self):
         return self.__class__, self._fields()
@@ -246,20 +250,15 @@ def phi_measure(p: Presentation) -> A1Class:
     key is the one in the output.
     """
     phis: dict = {}  # datum -> phi: equal copies of a datum share one computation
-    seen: dict = {}  # id -> (datum, phi): a datum met before is not hashed again;
-                     # holding the datum keeps its id from being reused
 
     def phi(d: SNCDatum) -> MuClass:
-        hit = seen.get(id(d))
-        if hit is None:
-            try:
-                value = phis.get(d)
-            except TypeError:  # an unhashable field is invalid: vanishing_cycles reports it
-                value = vanishing_cycles(d)[0]
-            if value is None:
-                value = phis[d] = vanishing_cycles(d)[0]
-            hit = seen[id(d)] = (d, value)
-        return hit[1]
+        try:
+            value = phis.get(d)
+        except TypeError:  # an unhashable field is invalid: vanishing_cycles reports it
+            return vanishing_cycles(d)[0]
+        if value is None:
+            value = phis[d] = vanishing_cycles(d)[0]
+        return value
 
     acc: dict = {}  # (numerator, denominator) -> (point, its dict for nest)
     for coeff, g in p:

@@ -71,6 +71,26 @@ def cross_datum() -> SNCDatum:
         fiber_singular=MuClass.one())
 
 
+def blowup_datum(n: int) -> SNCDatum:
+    """x^n + y^n blown up once at 0, a resolution the engine does not derive.
+
+    The exceptional curve E = P^1 has multiplicity n; away from the n strict
+    transforms D_j of the lines of {x^n + y^n = 0} it is L + 1 - n, and its
+    n-fold cover is the curve {x^n + y^n = 1} in A^2: FER(n,2) on the torus
+    and two orbits of n points on the axes.  Each D_j meets E in one point.
+    """
+    one, line = MuClass.one(), MuClass.torus()  # D_j minus its point on E is L - 1
+    lines = [f"D{j}" for j in range(1, n + 1)]
+    return SNCDatum(
+        components=[("E", n)] + [(d, 1) for d in lines],
+        strata=[Stratum({"E"}, MuClass.lefschetz() + (1 - n) * one,
+                        MuClass.fermat(n, 2) + 2 * MuClass.orbit(n), "singular")]
+               + [Stratum({d}, line, line, "regular") for d in lines]
+               + [Stratum({"E", d}, one, one, "singular") for d in lines],
+        fiber_regular=n * line,
+        fiber_singular=one)
+
+
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(20250808)

@@ -5,6 +5,7 @@ from hypothesis import given
 
 from motivic import (BiClass, MuClass, ValidationError, assoc_check, chi_c, forget_action,
                      mul, normalize, psi_pair, star, star_power, tensor)
+from motivic import realize
 from motivic.laurent import L_MINUS_1
 
 from conftest import mu_classes
@@ -119,6 +120,21 @@ def test_fermat_times_fermat_is_opaque_with_multiplicative_chi():
 def test_nested_opaque_chi_stays_multiplicative():
     s = star(star(orb(2), orb(3)), orb(5))
     assert chi_c(s) == 30
+
+
+def test_p6_chi_is_linear_in_a_run_of_equal_factors(monkeypatch):
+    # the opaque atom's chi takes one factor_chi call and one power per distinct
+    # factor, not a product of 6000 integers of 634 bits each
+    big = MuClass([(1, [("FER", 3, 400)] * 6000)])
+    calls = []
+    factor_chi = realize.factor_chi
+    monkeypatch.setattr(realize, "factor_chi", lambda f: calls.append(f) or factor_chi(f))
+    s = star(big, orb(2))
+    monkeypatch.undo()
+    assert sorted(calls) == [("FER", 3, 400), ("orb", 2)]
+    (atom, coeff), = s.terms()
+    assert coeff == 1 and len(atom) == 1 and atom[0][0] == "opq"
+    assert chi_c(s) == chi_c(big) * chi_c(orb(2)) == 2 * 3 ** 2400000
 
 
 # --- associativity -----------------------------------------------------------------------

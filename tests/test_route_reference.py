@@ -437,15 +437,26 @@ def test_ts_check_equals_the_reference_route(triple):
 
 
 def test_ts_check_is_linear_in_the_support():
-    # 60 critical values a side give 3600 points on the left; looking each one
-    # up by a linear scan took over a second
-    g_v = Resolved([(Fraction(i, 61), power_datum(2)) for i in range(60)])
-    g_w = Resolved([(Fraction(j, 67), power_datum(3)) for j in range(60)])
-    direct = Resolved([(Fraction(i, 61) + Fraction(i, 67), cross_datum()) for i in range(30)] +
-                      [(Fraction(-1 - i, 7), power_datum(2)) for i in range(30)])
-    start = time.perf_counter()
-    report = ts_check(g_v, g_w, direct)
-    assert time.perf_counter() - start < 0.5
+    # k critical values a side give k^2 points on the left; looking each one up
+    # by a linear scan made doubling k cost about 16 times as much, not 4
+    def case(k):
+        g_v = Resolved([(Fraction(i, 61), power_datum(2)) for i in range(k)])
+        g_w = Resolved([(Fraction(j, 67), power_datum(3)) for j in range(k)])
+        direct = Resolved([(Fraction(i, 61) + Fraction(i, 67), cross_datum()) for i in range(k // 2)] +
+                          [(Fraction(-1 - i, 7), power_datum(2)) for i in range(k // 2)])
+        return g_v, g_w, direct
+
+    def best_time(triple):
+        times = []
+        for _ in range(3):
+            start = time.perf_counter()
+            report = ts_check(*triple)
+            times.append(time.perf_counter() - start)
+        return min(times), report
+
+    small, _ = best_time(case(30))
+    large, report = best_time(case(60))
+    assert large / small < 8
     points = {Fraction(i, 61) + Fraction(j, 67) for i in range(60) for j in range(60)}
     points |= {Fraction(-1 - i, 7) for i in range(30)}
     assert [entry["point"] for entry in report["by_point"]] == [point_str(p) for p in sorted(points)]

@@ -14,7 +14,7 @@ from motivic import (A1Class, Constant, DatumValidationError, MuClass, Resolved,
 from motivic import vanishing
 from motivic.laurent import L_MINUS_1, LaurentInt
 
-from conftest import cross_datum, power_datum
+from conftest import blowup_datum, cross_datum, power_datum
 
 ONE = MuClass.one()
 L = MuClass.lefschetz()
@@ -144,6 +144,16 @@ def test_records_copy_and_pickle_to_equal_values():
         assert copy.copy(record) == record
         assert copy.deepcopy(record) == record
         assert pickle.loads(pickle.dumps(record)) == record
+
+
+def test_a_record_hashes_its_fields_once(monkeypatch):
+    calls = []
+    fields = vanishing._Record._fields
+    monkeypatch.setattr(vanishing._Record, "_fields", lambda self: calls.append(self) or fields(self))
+    d = cross_datum()
+    h = hash(d)
+    assert calls[0] is d and len(calls) == 4  # the datum and its three strata
+    assert hash(d) == h and len(calls) == 4
 
 
 def test_an_unhashable_field_makes_the_hash_raise():
@@ -294,6 +304,17 @@ def test_ts_check_square_times_square_is_the_cross():
     report = ts_check(g, g, direct)
     assert report["equal"] is True
     assert report["by_point"] == [{"point": "0", "equal": True}]
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_ts_check_of_two_powers_against_the_blowup_of_their_sum(n):
+    # checks P4 on every n through data written down from geometry
+    d = blowup_datum(n)
+    assert validate_datum(d) == []
+    assert vanishing_cycles(d)[1].is_zero()
+    g = Resolved([(0, power_datum(n))])
+    report = ts_check(g, g, Resolved([(0, d)]))
+    assert report == {"equal": True, "by_point": [{"point": "0", "equal": True}]}
 
 
 def test_ts_check_against_constant_unit():

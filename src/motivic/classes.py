@@ -67,13 +67,13 @@ def orb(d: int) -> Factor:
 def FER(n: int, r: int) -> Factor:
     if not isinstance(n, int) or n < 2 or not isinstance(r, int) or r < 2:
         raise ValidationError(f"FER wants n >= 2 and r >= 2, got ({n!r}, {r!r})")
-    return ("FER", n, r)
+    return ("FER", int(n), int(r))  # int() stores an int subclass as a plain int
 
 
 def fer(n: int, r: int) -> Factor:
     if not isinstance(n, int) or n < 2 or not isinstance(r, int) or r < 1:
         raise ValidationError(f"fer wants n >= 2 and r >= 1, got ({n!r}, {r!r})")
-    return ("fer", n, int(r))
+    return ("fer", int(n), int(r))
 
 
 def gm(d: int) -> Factor:

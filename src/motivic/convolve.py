@@ -27,10 +27,16 @@ psi_pair and a1.a1_star share one kernel, _psi_into, which sums every term
 into integer coefficients by atom and exponent (and by point over the line),
 P2 and P6 pairs with no multiplication by their unit coefficient; sparse.nest
 builds the class once.
+
+The kernel's tables live for the process, so every caller derives a rule once.
+They hold at most _MEMO_LIMIT factors in their keys: a miss that would pass it
+clears all four first, and neither a miss whose own key passes it nor an
+exception is kept.  Writes take a lock; stored values are shared, never mutated.
 """
 
 from __future__ import annotations
 
+import threading
 from typing import Iterable
 
 from .classes import FER, Atom, Factor, MuClass, atom_key, atom_mul, factor_str, fer, orb
@@ -74,56 +80,84 @@ def tensor(a: MuClass, b: MuClass) -> BiClass:
                                for a1, c1 in a.terms() for a2, c2 in b.terms()))
 
 
+_MEMO_LIMIT = 1 << 16  # star-fold's inputs fill ~25 000
+_splits: dict = {}  # atom -> (its fer factors, its core)
+_labels: dict = {}  # core -> (its text in P6 tags, its chi)
+_forms: dict = {}  # (core, core) -> P4/P5 terms or the P6 opaque factor
+_rules: dict = {}  # a -> {b: the one atom of Psi(a x b), coefficient 1, or a list of its terms}
+_held = 0  # factors in the keys of the four tables
+_lock = threading.RLock()
+
+
+def _clear() -> None:
+    global _held
+    with _lock:
+        for table in (_splits, _labels, _forms, _rules):
+            table.clear()
+        _held = 0
+
+
+def _keep(value, size: int, table: dict, *keys):
+    """Store value at table[keys[0]]...[keys[-1]], a key of size factors; return value."""
+    global _held
+    if size <= _MEMO_LIMIT:
+        with _lock:
+            if _held + size > _MEMO_LIMIT:
+                _clear()
+            for key in keys[:-1]:
+                table = table.setdefault(key, {})
+            if keys[-1] not in table:  # another thread may have kept it since the miss
+                table[keys[-1]] = value
+                _held += size
+    return value
+
+
+# splits, labels and forms are nonempty, so "or" derives one only on a miss
+
+def _split(atom: Atom) -> tuple[Atom, Atom]:
+    return _splits.get(atom) or _keep((tuple(f for f in atom if f[0] == "fer"),
+                                       tuple(f for f in atom if f[0] != "fer")),
+                                      len(atom), _splits, atom)
+
+
+def _label(core: Atom) -> tuple[str, int]:
+    # made only for P6: the chi of a Fermat factor past TOWER_LIMIT raises
+    return _labels.get(core) or _keep(("*".join(map(factor_str, core)), atom_chi(core)),
+                                      len(core), _labels, core)
+
+
+def _pair(a: Atom, b: Atom):
+    (triv_a, core_a), (triv_b, core_b) = _split(a), _split(b)
+    if not core_a or not core_b:
+        # P2: one side acts trivially, convolution degenerates to the product;
+        # that side holds no orbit, so atom_mul fuses nothing
+        return atom_mul(a, b)[0]
+    form = _forms.get((core_a, core_b)) or _keep(
+        _core_form(core_a, core_b), len(core_a) + len(core_b), _forms, (core_a, core_b))
+    if type(form) is list:
+        # P3: the trivial factors hold no orbit, so atom_mul fuses nothing
+        return [(atom_mul(atom, triv_a + triv_b)[0], k) for atom, k in form]
+    # P6: the cores' orbits went into the tag, so nothing fuses; fer factors
+    # sort as plain tuples in factor_key order, and opaque ones rank last
+    return tuple(sorted(triv_a + triv_b)) + (form,)
+
+
 def _psi_into(products: Iterable[tuple[dict, Iterable, Iterable]]) -> None:
     """For each (acc, xs, ys) of products, add Psi(xs x ys) into acc.
 
     xs and ys are (normal atom, LaurentInt) terms and acc maps atoms to dicts
-    from exponents to integers.  Once per call, each atom is split, each core
-    labelled, each pair of cores given its closed form or opaque factor, and
-    each pair of atoms its terms.
+    from exponents to integers.  Each pair of atoms takes its rule from the
+    tables above, so a rule is derived once per process while it stays there.
     """
-    splits: dict = {}
-    labels: dict = {}
-    cores: dict = {}
-    rows: dict = {}  # a -> {b: the one atom of Psi(a x b), coefficient 1, or a list of its terms}
-
-    def split(atom: Atom) -> tuple[Atom, Atom]:
-        if atom not in splits:
-            splits[atom] = (tuple(f for f in atom if f[0] == "fer"),
-                            tuple(f for f in atom if f[0] != "fer"))
-        return splits[atom]
-
-    def label(core: Atom) -> tuple[str, int]:
-        # made only for P6: the chi of a Fermat factor past TOWER_LIMIT raises
-        if core not in labels:
-            labels[core] = ("*".join(factor_str(f) for f in core), atom_chi(core))
-        return labels[core]
-
-    def pair(a: Atom, b: Atom):
-        (triv_a, core_a), (triv_b, core_b) = split(a), split(b)
-        if not core_a or not core_b:
-            # P2: one side acts trivially, convolution degenerates to the product;
-            # that side holds no orbit, so atom_mul fuses nothing
-            return atom_mul(a, b)[0]
-        form = cores.get((core_a, core_b))
-        if form is None:
-            form = cores[core_a, core_b] = _core_form(core_a, core_b, label)
-        if type(form) is list:
-            # P3: the trivial factors hold no orbit, so atom_mul fuses nothing
-            return [(atom_mul(atom, triv_a + triv_b)[0], k) for atom, k in form]
-        # P6: the cores' orbits went into the tag, so nothing fuses; fer factors
-        # sort as plain tuples in factor_key order, and opaque ones rank last
-        return tuple(sorted(triv_a + triv_b)) + (form,)
-
     for acc, xs, ys in products:
         for a, ca in xs:
             ca = ca.items()
-            row = rows.setdefault(a, {})
+            row = _rules.get(a, {})  # the b of one ys are distinct, so row need not grow here
             for b, cb in ys:
                 cb = cb.items()
                 rule = row.get(b)
                 if rule is None:
-                    rule = row[b] = pair(a, b)
+                    rule = _keep(_pair(a, b), len(a) + len(b), _rules, a, b)
                 if type(rule) is tuple:  # P2 and P6: add the P1 product in as it is
                     coeffs = acc.get(rule)
                     if coeffs is None:
@@ -142,7 +176,7 @@ def _psi_into(products: Iterable[tuple[dict, Iterable, Iterable]]) -> None:
                             coeffs[e1 + e2] = coeffs.get(e1 + e2, 0) + x1 * x2
 
 
-def _core_form(core_a: Atom, core_b: Atom, label) -> list[tuple[Atom, tuple]] | Factor:
+def _core_form(core_a: Atom, core_b: Atom) -> list[tuple[Atom, tuple]] | Factor:
     """Psi of two cores: P4/P5 as (atom, LaurentInt items) terms, else the P6 opaque factor."""
     inner = None
     if len(core_a) == 1 and len(core_b) == 1:
@@ -161,7 +195,7 @@ def _core_form(core_a: Atom, core_b: Atom, label) -> list[tuple[Atom, tuple]] | 
                 ])
     if inner is not None:
         return [(atom, k.items()) for atom, k in inner.terms()]
-    (str_a, chi_a), (str_b, chi_b) = label(core_a), label(core_b)
+    (str_a, chi_a), (str_b, chi_b) = _label(core_a), _label(core_b)
     sa, sb = sorted((str_a, str_b))
     return ("opq", f"psi({sa}|{sb})", chi_a * chi_b, None)
 

@@ -114,10 +114,11 @@ class SNCDatum(_Record):
 
 
 def validate_datum(d: SNCDatum) -> list[str]:
-    """All violated invariants of a datum; empty iff valid."""
+    """All violated invariants of a datum; empty iff valid.  The cost is linear
+    in the size of the datum: each index is looked up once in one dict."""
     report: list[str] = []
-    ids = [i for i, _ in d.components]
-    if len(set(ids)) != len(ids):
+    first = dict(reversed(d.components))  # id -> the first multiplicity, as multiplicity() reads
+    if len(first) != len(d.components):
         report.append("component ids are not distinct")
     for i, m in d.components:
         if m < 1:
@@ -128,7 +129,7 @@ def validate_datum(d: SNCDatum) -> list[str]:
         if not s.index_set:
             report.append(f"stratum #{k} has empty index set")
             continue
-        unknown = s.index_set.difference(ids)
+        unknown = s.index_set.difference(first)  # one lookup per index in the dict
         if unknown:
             report.append(f"{name} references unknown components {sorted(unknown)}")
             continue
@@ -141,7 +142,7 @@ def validate_datum(d: SNCDatum) -> list[str]:
             report.append(f"{name} has |I| >= 2 but is not tagged singular")
         if not s.base_class.is_trivial_action():
             report.append(f"{name} base class carries a nontrivial action")
-        m_i = d.stratum_gcd(s)
+        m_i = math.gcd(*(first[i] for i in s.index_set))  # d.stratum_gcd(s) scans per index
         if chi_c(s.cover_class) != m_i * chi_c(s.base_class):
             report.append(
                 f"{name}: chi(cover) = {chi_c(s.cover_class)} differs from "

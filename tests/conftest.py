@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import sys
 
 import pytest
 from hypothesis import HealthCheck, settings, strategies as st
@@ -89,6 +90,23 @@ def blowup_datum(n: int) -> SNCDatum:
                + [Stratum({"E", d}, one, one, "singular") for d in lines],
         fiber_regular=n * line,
         fiber_singular=one)
+
+
+def python_calls(f) -> tuple:
+    """f() and the number of Python function calls it made: a measure of work
+    that, unlike wall time, does not depend on the load of the host."""
+    count = 0
+
+    def profile(frame, event, arg):
+        nonlocal count
+        count += event == "call"
+
+    sys.setprofile(profile)
+    try:
+        result = f()
+    finally:
+        sys.setprofile(None)
+    return result, count
 
 
 @pytest.fixture

@@ -7,7 +7,6 @@ lines (add -s to also see the printed summaries).
 from __future__ import annotations
 
 import random
-import time
 
 from motivic import (A1Class, Constant, EPoly, MuClass, Resolved, SmoothProper,
                      a1_star, a1_unit, chi_c, chi_of_a1, count_fermat_points,
@@ -15,7 +14,7 @@ from motivic import (A1Class, Constant, EPoly, MuClass, Resolved, SmoothProper,
                      phi_measure, star, star_power, ts_check, vanishing_cycles)
 from motivic.laurent import L_MINUS_1, LaurentInt
 
-from conftest import cross_datum, power_datum
+from conftest import cross_datum, power_datum, python_calls
 from oracles import circle_minus_axes_count
 
 ONE = MuClass.one()
@@ -32,19 +31,20 @@ def report(criterion: int, text: str) -> None:
 
 
 def test_criterion_1_power_family():
-    phi_generator(Resolved([(0, power_datum(2))]))  # warm caches before timing
+    counts = set()
     for n in range(1, 13):
         datum = power_datum(n)
-        start = time.perf_counter()
-        phi, phi_regular = vanishing_cycles(datum)
-        elapsed = time.perf_counter() - start
+        (phi, phi_regular), calls = python_calls(lambda: vanishing_cycles(datum))
         assert phi == ONE - orb(n)  # n = 1 collapses to zero
         if n == 1:
             assert phi.is_zero()
         assert phi_regular == MuClass.zero()
         assert chi_of_a1(phi_generator(Resolved([(0, datum)]))) == 1 - n
-        assert elapsed < 0.001, f"n={n} took {elapsed * 1e3:.3f} ms"
-    report(1, "power-family data give phi = 1 - [mu_n], chi = 1 - n, under 1 ms each")
+        assert calls <= 100, f"n={n} took {calls} Python calls"
+        if n >= 2:
+            counts.add(calls)
+    assert len(counts) == 1, f"the work grows with n: {sorted(counts)} Python calls"
+    report(1, "power-family data give phi = 1 - [mu_n], chi = 1 - n, in the same <= 100 calls each")
 
 
 def test_criterion_2_cross_example():

@@ -4,7 +4,8 @@ Every request runs in-process from tests/cli_outputs/inputs, so file names in
 error details are the relative names below.  A recording is "exit <code>"
 on its first line, then the request's stdout byte for byte.  The requests
 cover every subcommand with and without --pretty, realize on each payload it
-accepts, the oracle, and each argument error argparse reports; the detail
+accepts, the oracle, the blow-up datum of x^3 + y^3 (vanishing and ts-check),
+and each argument error argparse reports; the detail
 texts of JSON shape errors are tested in test_jsonio.py instead.  A change
 that means to alter an output records the files anew with
 
@@ -39,6 +40,8 @@ REQUESTS = {
     "measure-pretty": "measure presentation.json --pretty",
     "ts-check": "ts-check gen_v.json gen_v.json gen_direct.json",
     "ts-check-unequal": "ts-check gen_v.json gen_w.json gen_direct.json",
+    "vanishing-blowup": "vanishing datum_blowup3.json",
+    "ts-check-blowup": "ts-check gen_x3.json gen_x3.json gen_blowup3.json",
     "realize-chi-class": "realize --chi-c mixed.json",
     "realize-epoly-class": "realize --e-poly trivial.json",
     "realize-epoly-undefined": "realize --e-poly mixed.json",

@@ -1,14 +1,20 @@
 from __future__ import annotations
 
-import pytest
-from hypothesis import given
+import sys
+import threading
+import time
 
-from motivic import (BiClass, MuClass, ValidationError, assoc_check, chi_c, forget_action,
-                     mul, normalize, psi_pair, star, star_power, tensor)
-from motivic import realize
+import pytest
+from hypothesis import given, strategies as st
+
+from motivic import (A1Class, BiClass, Constant, MuClass, Resolved, ValidationError, a1_star,
+                     assoc_check, chi_c, forget_action, mul, normalize, phi_measure, psi_pair,
+                     star, star_power, tensor)
+from motivic import convolve, realize
+from motivic.jsonio import a1_to_json, class_to_json, dumps
 from motivic.laurent import L_MINUS_1
 
-from conftest import mu_classes
+from conftest import _factors, cross_datum, mu_classes, power_datum, raw_terms
 from oracles import count_fermat_affine, nth_roots_of_minus_one
 
 ONE = MuClass.one()
@@ -126,6 +132,7 @@ def test_p6_chi_is_linear_in_a_run_of_equal_factors(monkeypatch):
     # the opaque atom's chi takes one factor_chi call and one power per distinct
     # factor, not a product of 6000 integers of 634 bits each
     big = MuClass([(1, [("FER", 3, 400)] * 6000)])
+    convolve._clear()  # the count is of a first call: a label kept by another test is not made
     calls = []
     factor_chi = realize.factor_chi
     monkeypatch.setattr(realize, "factor_chi", lambda f: calls.append(f) or factor_chi(f))
@@ -214,3 +221,160 @@ def test_forget_is_not_a_star_homomorphism():
 def test_psi_pair_matches_star_through_tensor():
     a, b = GM + orb(2), orb(2) + MuClass.fermat(3, 2)
     assert psi_pair(tensor(a, b)) == star(a, b)
+
+
+# --- the kernel's tables ------------------------------------------------------------------
+
+def _held_factors() -> int:
+    """Factors in the keys of the kernel's four tables, counted from the tables."""
+    return (sum(map(len, convolve._splits)) + sum(map(len, convolve._labels))
+            + sum(len(x) + len(y) for x, y in convolve._forms)
+            + sum(len(a) + len(b) for a, row in convolve._rules.items() for b in row))
+
+
+# P6 (orbits 2 and 3, FER(3,2) with ORB(2)), P4 (ORB(2) twice) and P5 (FER(3,2) with ORB(3))
+_MIXED = (orb(2) + orb(3) + MuClass.fermat(3, 2), orb(3) + orb(2) + GM)
+
+
+def test_a_second_star_of_a_pair_derives_no_rule(monkeypatch):
+    convolve._clear()
+    first = star(*_MIXED)
+    chis, forms = [], []
+    factor_chi, core_form = realize.factor_chi, convolve._core_form
+    monkeypatch.setattr(realize, "factor_chi", lambda f: chis.append(f) or factor_chi(f))
+    monkeypatch.setattr(convolve, "_core_form",
+                        lambda *cores: forms.append(cores) or core_form(*cores))
+    assert star(*_MIXED) == first
+    assert chis == [] and forms == []
+
+
+def test_a_rule_that_raises_raises_on_every_call():
+    # the P6 label of FER(3,401) needs the chi past TOWER_LIMIT; nothing is kept for it
+    convolve._clear()
+    for _ in range(2):
+        with pytest.raises(ValidationError, match="exceeds the limit"):
+            star(MuClass.fermat(3, 401), orb(2))
+    assert convolve._labels == convolve._forms == convolve._rules == {}
+
+
+def test_the_tables_stay_within_their_limit(monkeypatch):
+    a = sum((orb(d) for d in range(2, 12)), MuClass.zero())
+    b = a + sum((MuClass.fermat(n, 2) for n in range(3, 7)), MuClass.zero())
+    convolve._clear()
+    expected = star(a, b)
+    monkeypatch.setattr(convolve, "_MEMO_LIMIT", 40)
+    convolve._clear()
+    assert len(a.terms()) * len(b.terms()) > 40  # distinct pairs, of two factors each
+    assert star(a, b) == expected
+    assert 0 < _held_factors() == convolve._held <= 40
+
+
+def test_a_miss_past_the_limit_alone_is_not_kept(monkeypatch):
+    a = MuClass([(1, [("orb", 2), ("FER", 3, 2)])])
+    b = MuClass([(1, [("orb", 3), ("FER", 4, 2)])])
+    convolve._clear()
+    expected = star(a, b)
+    monkeypatch.setattr(convolve, "_MEMO_LIMIT", 3)  # each atom has 2 factors, the pair 4
+    convolve._clear()
+    assert star(a, b) == expected
+    assert convolve._rules == {} and convolve._forms == {}
+    assert _held_factors() == convolve._held <= 3
+
+
+class _YieldingTable(dict):
+    """A table whose clear lets other threads run, as a thread switch there may."""
+
+    def clear(self):
+        super().clear()
+        time.sleep(1e-4)
+
+
+def test_threads_sharing_the_tables_get_serial_results(monkeypatch):
+    classes = [orb(2), orb(3), orb(2) + MuClass.fermat(3, 2), GM + orb(3), star(orb(2), orb(3))]
+    pairs = [(x, y) for x in classes for y in classes]
+    serial = [star(x, y) for x, y in pairs]
+    monkeypatch.setattr(convolve, "_MEMO_LIMIT", 24)  # a few pairs fill it: clears race the reads
+    monkeypatch.setattr(convolve, "_splits", _YieldingTable())
+    convolve._clear()
+    results: list = [None] * 4
+    miscounts: list = []
+
+    def work(k):
+        order = list(range(len(pairs)))
+        order = order[k:] + order[:k]
+        out = [None] * len(pairs)
+        for _ in range(10):
+            for i in order:
+                out[i] = star(*pairs[i])
+                with convolve._lock:  # writers hold it, so the tables and the count agree here
+                    if not _held_factors() == convolve._held <= 24:
+                        miscounts.append((_held_factors(), convolve._held))
+        results[k] = out
+
+    threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, inside the kernel's table updates too
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == [serial] * 4
+    # a lost update of the count, or a key counted twice, breaks the equality
+    assert miscounts == []
+
+
+def test_an_int_subclass_in_a_factor_is_kept_as_the_int():
+    # an entry that renders otherwise must not put its text in a P6 label kept for 3
+    class Shown(int):
+        def __format__(self, spec):
+            return "three"
+
+    convolve._clear()
+    (factor,) = MuClass.fermat(Shown(3), 2).terms()[0][0]
+    assert factor == ("FER", 3, 2) and type(factor[1]) is int
+    odd = dumps(class_to_json(star(MuClass.fermat(Shown(3), 2), orb(2))))
+    assert odd == dumps(class_to_json(star(MuClass.fermat(3, 2), orb(2))))
+    assert "three" not in odd
+
+
+# Opaque factors with E-data and tags holding the separators of P6 tags, and
+# factors given a bool entry: the constructors store True as 1, so no atom kept
+# for one may come back for the other with different bytes.
+_opaque_factors = st.tuples(
+    st.text(alphabet="ab[]|*;:", max_size=4),
+    st.integers(-3, 3),
+    st.none() | st.dictionaries(st.tuples(st.integers(0, 1), st.integers(0, 1)),
+                                st.integers(-2, 2), max_size=2),
+).map(lambda t: ("opq", *t))
+_bool_factors = st.sampled_from([("opq", "b", True, {(0, 0): True}), ("opq", "b", 1, {(0, 0): 1}),
+                                 ("fer", 3, True), ("orb", True)])
+_memo_classes = raw_terms(factors=st.one_of(_factors, _opaque_factors, _bool_factors)).map(MuClass)
+
+
+def _calls(a, b, k):
+    f, g = A1Class({0: a, 1: b}), A1Class({-1: b, "1/2": a})
+    presentation = ((k, Resolved([(0, power_datum(3)), (1, cross_datum())])),
+                    (1, Constant("1/2", a.forget_action())), (-k, Constant(0, b.forget_action())))
+    return [lambda: class_to_json(star(a, b)),
+            lambda: class_to_json(psi_pair(tensor(a, b))),
+            lambda: a1_to_json(a1_star(f, g)),
+            lambda: a1_to_json(phi_measure(presentation))]
+
+
+@given(st.lists(st.tuples(_memo_classes, _memo_classes, st.integers(-2, 2)),
+                min_size=1, max_size=3),
+       st.randoms(use_true_random=False))
+def test_warm_tables_give_the_bytes_of_cleared_ones(triples, rnd):
+    calls = [call for a, b, k in triples for call in _calls(a, b, k)]
+    cold = []
+    for call in calls:
+        convolve._clear()
+        cold.append(dumps(call()))
+    order = list(range(len(calls)))
+    rnd.shuffle(order)
+    warm = {i: dumps(calls[i]()) for i in order}
+    assert [warm[i] for i in range(len(calls))] == cold

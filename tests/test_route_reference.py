@@ -40,7 +40,7 @@ from motivic.laurent import EPoly, L_MINUS_1, ONE_MINUS_L, LaurentInt
 from motivic.realize import factor_chi
 from motivic.vanishing import LOCUS_TAGS
 
-from conftest import cross_datum, laurents, power_datum, trivial_classes
+from conftest import cross_datum, laurents, power_datum, python_calls, trivial_classes
 
 
 # --- the reference routes -----------------------------------------------------------
@@ -446,16 +446,10 @@ def test_ts_check_is_linear_in_the_support():
                           [(Fraction(-1 - i, 7), power_datum(2)) for i in range(k // 2)])
         return g_v, g_w, direct
 
-    def best_time(triple):
-        times = []
-        for _ in range(3):
-            start = time.perf_counter()
-            report = ts_check(*triple)
-            times.append(time.perf_counter() - start)
-        return min(times), report
-
-    small, _ = best_time(case(30))
-    large, report = best_time(case(60))
+    # the cost is counted in Python calls, which the load of the host does not change
+    small_case, large_case = case(30), case(60)
+    _, small = python_calls(lambda: ts_check(*small_case))
+    report, large = python_calls(lambda: ts_check(*large_case))
     assert large / small < 8
     points = {Fraction(i, 61) + Fraction(j, 67) for i in range(60) for j in range(60)}
     points |= {Fraction(-1 - i, 7) for i in range(30)}

@@ -79,6 +79,45 @@ def test_components_are_not_coerced():
     assert components == (("E1", 1),) and type(components[0][1]) is int
 
 
+def test_a_duplicate_id_reads_the_first_multiplicity():
+    # m_I of {"E1"} is 2, from the first ("E1", 2): the cover of chi 2 then matches
+    d = SNCDatum([("E1", 2), ("E1", 3)], [Stratum({"E1"}, ONE, orb(2), "singular")],
+                 MuClass.zero(), ONE)
+    assert validate_datum(d) == ["component ids are not distinct"]
+    assert d.stratum_gcd(d.strata[0]) == d.multiplicity("E1") == 2
+
+
+class _CountingId(str):
+    """A component id that counts how often it is hashed or compared."""
+
+    uses = 0
+
+    def __hash__(self):
+        _CountingId.uses += 1
+        return str.__hash__(self)
+
+    def __eq__(self, other):
+        _CountingId.uses += 1
+        return str.__eq__(self, other)
+
+
+def _id_uses_of_validation(n: int) -> int:
+    d = blowup_datum(n)  # n + 1 components, 2n + 1 strata of one or two indices
+    d = SNCDatum([(_CountingId(i), m) for i, m in d.components],
+                 [Stratum({_CountingId(i) for i in s.index_set}, s.base_class, s.cover_class,
+                          s.locus) for s in d.strata],
+                 d.fiber_regular, d.fiber_singular)
+    _CountingId.uses = 0
+    assert validate_datum(d) == []
+    return _CountingId.uses
+
+
+def test_validation_is_linear_in_the_components():
+    # a scan of the components per index would make these uses quadratic in n
+    small, large = _id_uses_of_validation(100), _id_uses_of_validation(200)
+    assert large <= 2.2 * small, (small, large)
+
+
 # --- the records are immutable values ------------------------------------------------
 
 def _record_pairs():

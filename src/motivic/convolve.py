@@ -29,9 +29,12 @@ P2 and P6 pairs with no multiplication by their unit coefficient; sparse.nest
 builds the class once.
 
 The kernel's tables live for the process, so every caller derives a rule once.
-They hold at most _MEMO_LIMIT factors in their keys: a miss that would pass it
-clears all four first, and neither a miss whose own key passes it nor an
-exception is kept.  Writes take a lock; stored values are shared, never mutated.
+They hold at most _MEMO_LIMIT units: a factor in a key, or a whole 64-bit word
+of a stored chi (a P6 label's, or a P6 opaque factor's in the core-pair table;
+the pair table's P6 atoms share that factor and add nothing), since a P6 chi
+grows with r log n.  A miss that would pass the limit clears all four tables
+first, and neither a miss whose own size passes it nor an exception is kept.
+Writes take a lock; stored values are shared, never mutated.
 """
 
 from __future__ import annotations
@@ -85,7 +88,7 @@ _splits: dict = {}  # atom -> (its fer factors, its core)
 _labels: dict = {}  # core -> (its text in P6 tags, its chi)
 _forms: dict = {}  # (core, core) -> P4/P5 terms or the P6 opaque factor
 _rules: dict = {}  # a -> {b: the one atom of Psi(a x b), coefficient 1, or a list of its terms}
-_held = 0  # factors in the keys of the four tables
+_held = 0  # factors in the keys of the four tables plus the words of their chis
 _lock = threading.RLock()
 
 
@@ -98,7 +101,7 @@ def _clear() -> None:
 
 
 def _keep(value, size: int, table: dict, *keys):
-    """Store value at table[keys[0]]...[keys[-1]], a key of size factors; return value."""
+    """Store value, of size units, at table[keys[0]]...[keys[-1]]; return value."""
     global _held
     if size <= _MEMO_LIMIT:
         with _lock:
@@ -112,9 +115,13 @@ def _keep(value, size: int, table: dict, *keys):
     return value
 
 
-# splits, labels and forms are nonempty, so "or" derives one only on a miss
+def _words(chi: int) -> int:
+    """Whole 64-bit words of a stored chi: 0 below 2^64, as on star-fold's inputs."""
+    return abs(chi).bit_length() >> 6
+
 
 def _split(atom: Atom) -> tuple[Atom, Atom]:
+    # a split is a nonempty tuple, so "or" derives one only on a miss
     return _splits.get(atom) or _keep((tuple(f for f in atom if f[0] == "fer"),
                                        tuple(f for f in atom if f[0] != "fer")),
                                       len(atom), _splits, atom)
@@ -122,8 +129,12 @@ def _split(atom: Atom) -> tuple[Atom, Atom]:
 
 def _label(core: Atom) -> tuple[str, int]:
     # made only for P6: the chi of a Fermat factor past TOWER_LIMIT raises
-    return _labels.get(core) or _keep(("*".join(map(factor_str, core)), atom_chi(core)),
-                                      len(core), _labels, core)
+    label = _labels.get(core)
+    if label is None:
+        chi = atom_chi(core)
+        label = _keep(("*".join(map(factor_str, core)), chi), len(core) + _words(chi),
+                      _labels, core)
+    return label
 
 
 def _pair(a: Atom, b: Atom):
@@ -132,8 +143,11 @@ def _pair(a: Atom, b: Atom):
         # P2: one side acts trivially, convolution degenerates to the product;
         # that side holds no orbit, so atom_mul fuses nothing
         return atom_mul(a, b)[0]
-    form = _forms.get((core_a, core_b)) or _keep(
-        _core_form(core_a, core_b), len(core_a) + len(core_b), _forms, (core_a, core_b))
+    form = _forms.get((core_a, core_b))
+    if form is None:
+        form = _core_form(core_a, core_b)
+        size = len(core_a) + len(core_b) + (0 if type(form) is list else _words(form[2]))
+        _keep(form, size, _forms, (core_a, core_b))
     if type(form) is list:
         # P3: the trivial factors hold no orbit, so atom_mul fuses nothing
         return [(atom_mul(atom, triv_a + triv_b)[0], k) for atom, k in form]

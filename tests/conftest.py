@@ -1,12 +1,15 @@
 from __future__ import annotations
 
+import gc
+import math
 import random
 import sys
 
 import pytest
 from hypothesis import HealthCheck, settings, strategies as st
 
-from motivic import LaurentInt, MuClass, SNCDatum, Stratum
+from motivic import LaurentInt, MuClass, SNCDatum, Stratum, convolve
+from motivic.laurent import L_MINUS_1
 
 settings.register_profile(
     "engine", max_examples=60, derandomize=True,
@@ -50,6 +53,16 @@ def trivial_classes(max_terms: int = 2) -> st.SearchStrategy[MuClass]:
 
 # --- shared example data --------------------------------------------------------
 
+ONE = MuClass.one()
+L = MuClass.lefschetz()
+GM = MuClass.from_coeff(L_MINUS_1)
+
+
+def orb(d: int) -> MuClass:
+    """The class of an orbit of d points; not the factor constructor classes.orb."""
+    return MuClass.orbit(d)
+
+
 def power_datum(n: int) -> SNCDatum:
     """One exceptional component of multiplicity n over a point fiber."""
     cover = MuClass.one() if n == 1 else MuClass.orbit(n)
@@ -92,21 +105,41 @@ def blowup_datum(n: int) -> SNCDatum:
         fiber_singular=one)
 
 
-def python_calls(f) -> tuple:
+class CallLimitExceeded(BaseException):
+    """Raised into f by python_calls at its first call past the limit.  Not an
+    Exception, so no handler in the engine or the CLI turns it into a result."""
+
+
+def python_calls(f, limit: float = math.inf) -> tuple:
     """f() and the number of Python function calls it made: a measure of work
-    that, unlike wall time, does not depend on the load of the host."""
+    that, unlike wall time, does not depend on the load of the host.  f is
+    stopped once it passes limit calls, so a loop that runs away fails at once."""
     count = 0
 
     def profile(frame, event, arg):
         nonlocal count
-        count += event == "call"
+        if event == "call":
+            count += 1
+            if count > limit:
+                raise CallLimitExceeded(f"more than {limit} Python calls")
 
+    collecting = gc.isenabled()
+    gc.disable()  # a collection runs the Python functions in gc.callbacks, counted too
     sys.setprofile(profile)
     try:
         result = f()
     finally:
         sys.setprofile(None)
+        if collecting:
+            gc.enable()
     return result, count
+
+
+@pytest.fixture(autouse=True)
+def cold_kernel_tables() -> None:
+    """Each test starts on empty convolution tables, so a test that passes only
+    on tables warmed by the tests run before it fails in every run."""
+    convolve._clear()
 
 
 @pytest.fixture

@@ -5,18 +5,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from motivic import (A1Class, MuClass, ValidationError, a1_star, a1_unit, chi_c,
-                     chi_of_a1, epsilon_push, star)
+from motivic import (A1Class, ValidationError, a1_star, a1_unit, chi_c, chi_of_a1,
+                     epsilon_push, star)
 from motivic.a1 import as_point
 
-from conftest import mu_classes
-
-ONE = MuClass.one()
-L = MuClass.lefschetz()
-
-
-def orb(d):
-    return MuClass.orbit(d)
+from conftest import L, ONE, mu_classes, orb
 
 
 def a1_classes():
@@ -48,6 +41,8 @@ def test_other_points_are_refused(value):
 def test_zero_fibers_are_dropped():
     f = A1Class({0: ONE - ONE, 1: L})
     assert f.support() == ((Fraction(1), L),)
+    with pytest.raises(ValidationError, match="fiber at 0 is not a class"):
+        A1Class({0: 5})
 
 
 def test_star_of_orbit_fibers_at_zero():

@@ -12,18 +12,10 @@ from motivic import (A1Class, Constant, EPoly, MuClass, Resolved, SmoothProper,
                      a1_star, a1_unit, chi_c, chi_of_a1, count_fermat_points,
                      e_polynomial, forget_action, mul, normalize, phi_generator,
                      phi_measure, star, star_power, ts_check, vanishing_cycles)
-from motivic.laurent import L_MINUS_1, LaurentInt
+from motivic.laurent import LaurentInt
 
-from conftest import cross_datum, power_datum, python_calls
+from conftest import GM, L, ONE, cross_datum, orb, power_datum, python_calls
 from oracles import circle_minus_axes_count
-
-ONE = MuClass.one()
-L = MuClass.lefschetz()
-GM = MuClass.from_coeff(L_MINUS_1)
-
-
-def orb(d):
-    return MuClass.orbit(d)
 
 
 def report(criterion: int, text: str) -> None:

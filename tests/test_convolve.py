@@ -3,6 +3,7 @@ from __future__ import annotations
 import sys
 import threading
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
@@ -14,16 +15,8 @@ from motivic import convolve, realize
 from motivic.jsonio import a1_to_json, class_to_json, dumps
 from motivic.laurent import L_MINUS_1
 
-from conftest import _factors, cross_datum, mu_classes, power_datum, raw_terms
+from conftest import GM, L, ONE, _factors, cross_datum, mu_classes, orb, power_datum, raw_terms
 from oracles import count_fermat_affine, nth_roots_of_minus_one
-
-ONE = MuClass.one()
-L = MuClass.lefschetz()
-GM = MuClass.from_coeff(L_MINUS_1)
-
-
-def orb(d):
-    return MuClass.orbit(d)
 
 
 def fold(n, r):
@@ -132,7 +125,6 @@ def test_p6_chi_is_linear_in_a_run_of_equal_factors(monkeypatch):
     # the opaque atom's chi takes one factor_chi call and one power per distinct
     # factor, not a product of 6000 integers of 634 bits each
     big = MuClass([(1, [("FER", 3, 400)] * 6000)])
-    convolve._clear()  # the count is of a first call: a label kept by another test is not made
     calls = []
     factor_chi = realize.factor_chi
     monkeypatch.setattr(realize, "factor_chi", lambda f: calls.append(f) or factor_chi(f))
@@ -225,10 +217,14 @@ def test_psi_pair_matches_star_through_tensor():
 
 # --- the kernel's tables ------------------------------------------------------------------
 
-def _held_factors() -> int:
-    """Factors in the keys of the kernel's four tables, counted from the tables."""
-    return (sum(map(len, convolve._splits)) + sum(map(len, convolve._labels))
-            + sum(len(x) + len(y) for x, y in convolve._forms)
+def _held_size() -> int:
+    """The size of the kernel's four tables, counted from the tables: the factors
+    in their keys plus the whole 64-bit words of each chi a label or a P6 form holds."""
+    return (sum(map(len, convolve._splits))
+            + sum(len(core) + abs(chi).bit_length() // 64
+                  for core, (_, chi) in convolve._labels.items())
+            + sum(len(x) + len(y) + (0 if type(form) is list else abs(form[2]).bit_length() // 64)
+                  for (x, y), form in convolve._forms.items())
             + sum(len(a) + len(b) for a, row in convolve._rules.items() for b in row))
 
 
@@ -237,7 +233,6 @@ _MIXED = (orb(2) + orb(3) + MuClass.fermat(3, 2), orb(3) + orb(2) + GM)
 
 
 def test_a_second_star_of_a_pair_derives_no_rule(monkeypatch):
-    convolve._clear()
     first = star(*_MIXED)
     chis, forms = [], []
     factor_chi, core_form = realize.factor_chi, convolve._core_form
@@ -250,7 +245,6 @@ def test_a_second_star_of_a_pair_derives_no_rule(monkeypatch):
 
 def test_a_rule_that_raises_raises_on_every_call():
     # the P6 label of FER(3,401) needs the chi past TOWER_LIMIT; nothing is kept for it
-    convolve._clear()
     for _ in range(2):
         with pytest.raises(ValidationError, match="exceeds the limit"):
             star(MuClass.fermat(3, 401), orb(2))
@@ -260,25 +254,35 @@ def test_a_rule_that_raises_raises_on_every_call():
 def test_the_tables_stay_within_their_limit(monkeypatch):
     a = sum((orb(d) for d in range(2, 12)), MuClass.zero())
     b = a + sum((MuClass.fermat(n, 2) for n in range(3, 7)), MuClass.zero())
-    convolve._clear()
     expected = star(a, b)
     monkeypatch.setattr(convolve, "_MEMO_LIMIT", 40)
     convolve._clear()
     assert len(a.terms()) * len(b.terms()) > 40  # distinct pairs, of two factors each
     assert star(a, b) == expected
-    assert 0 < _held_factors() == convolve._held <= 40
+    assert 0 < _held_size() == convolve._held <= 40
 
 
 def test_a_miss_past_the_limit_alone_is_not_kept(monkeypatch):
     a = MuClass([(1, [("orb", 2), ("FER", 3, 2)])])
     b = MuClass([(1, [("orb", 3), ("FER", 4, 2)])])
-    convolve._clear()
     expected = star(a, b)
     monkeypatch.setattr(convolve, "_MEMO_LIMIT", 3)  # each atom has 2 factors, the pair 4
     convolve._clear()
     assert star(a, b) == expected
     assert convolve._rules == {} and convolve._forms == {}
-    assert _held_factors() == convolve._held <= 3
+    assert _held_size() == convolve._held <= 3
+
+
+def test_the_limit_counts_the_words_of_each_kept_chi():
+    # a P6 chi grows with r log n: the label of each FER(10^20 + i, 400) and its
+    # form with ORB(2) hold chis of ~26 600 bits, for keys of one and two factors
+    big = MuClass([(1, [("FER", 10 ** 20 + i, 400)]) for i in range(500)])
+    tracemalloc.start()
+    star(big, orb(2))
+    kept = tracemalloc.get_traced_memory()[0]
+    tracemalloc.stop()
+    assert kept <= 100 * convolve._held  # 1 356 B a unit when only key factors counted
+    assert _held_size() == convolve._held
 
 
 class _YieldingTable(dict):
@@ -307,8 +311,8 @@ def test_threads_sharing_the_tables_get_serial_results(monkeypatch):
             for i in order:
                 out[i] = star(*pairs[i])
                 with convolve._lock:  # writers hold it, so the tables and the count agree here
-                    if not _held_factors() == convolve._held <= 24:
-                        miscounts.append((_held_factors(), convolve._held))
+                    if not _held_size() == convolve._held <= 24:
+                        miscounts.append((_held_size(), convolve._held))
         results[k] = out
 
     threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
@@ -333,7 +337,6 @@ def test_an_int_subclass_in_a_factor_is_kept_as_the_int():
         def __format__(self, spec):
             return "three"
 
-    convolve._clear()
     (factor,) = MuClass.fermat(Shown(3), 2).terms()[0][0]
     assert factor == ("FER", 3, 2) and type(factor[1]) is int
     odd = dumps(class_to_json(star(MuClass.fermat(Shown(3), 2), orb(2))))

@@ -14,14 +14,7 @@ from motivic.classes import fer as fer_factor, gm as gm_factor, opq as opq_facto
 from motivic.jsonio import dumps
 from motivic.laurent import L_MINUS_1, LaurentInt
 
-from conftest import _factors, cross_datum, mu_classes, power_datum, raw_terms
-
-ONE = MuClass.one()
-L = MuClass.lefschetz()
-
-
-def orb(d):
-    return MuClass.orbit(d)
+from conftest import GM, L, ONE, _factors, cross_datum, mu_classes, orb, power_datum, raw_terms
 
 
 # Opaque factors whose tags hold the separators of P6 tags ([]|*) and ;:, with
@@ -51,7 +44,7 @@ def test_serialization_is_canonical(c):
 
 
 def test_class_wire_format():
-    c = MuClass.from_coeff(L_MINUS_1) + 2 * orb(2)
+    c = GM + 2 * orb(2)
     assert class_to_json(c) == {
         "terms": [{"coeff": {"0": -1, "1": 1}, "factors": []},
                   {"coeff": {"0": 2}, "factors": [{"orb": 2}]}]}
@@ -235,7 +228,7 @@ def test_generator_and_presentation_roundtrip():
 
 
 def test_pretty_contract_examples():
-    assert pretty(MuClass.from_coeff(L_MINUS_1) + 2 * orb(2)) == "(L - 1) + 2*[mu_2]"
+    assert pretty(GM + 2 * orb(2)) == "(L - 1) + 2*[mu_2]"
     assert pretty(A1Class({0: L})) == "{0 -> L}"
     assert pretty(ONE - orb(4)) == "1 - [mu_4]"
 
@@ -248,5 +241,7 @@ def test_pretty_more_forms():
     assert pretty(A1Class.zero()) == "{}"
     assert pretty(A1Class({"1/2": ONE, -1: L})) == "{-1 -> L, 1/2 -> 1}"
     assert pretty(-orb(2)) == "-[mu_2]"
+    with pytest.raises(TypeError, match="cannot pretty-print int"):
+        pretty(5)
     assert pretty(orb(2) * LaurentInt({1: -3})) == "-3*L*[mu_2]"
     assert pretty(orb(2) * L_MINUS_1 - MuClass.fermat(3, 2)) == "(L - 1)*[mu_2] - [F(3,2)]"

@@ -13,6 +13,8 @@ from conftest import laurents
 def test_zero_coefficients_are_dropped():
     assert LaurentInt({3: 0, 1: 2, -1: 0}).items() == ((1, 2),)
     assert LaurentInt([(2, 1), (2, -1)]).is_zero()
+    with pytest.raises(TypeError, match="integer exponents and coefficients"):
+        LaurentInt({0: 1.5})
 
 
 def test_arithmetic_examples():

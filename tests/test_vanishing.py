@@ -12,17 +12,9 @@ from motivic import (A1Class, Constant, DatumValidationError, MuClass, Resolved,
                      chi_of_a1, nearby_fiber, phi_generator, phi_measure, ts_check,
                      validate_datum, vanishing_cycles)
 from motivic import vanishing
-from motivic.laurent import L_MINUS_1, LaurentInt
+from motivic.laurent import LaurentInt
 
-from conftest import blowup_datum, cross_datum, power_datum
-
-ONE = MuClass.one()
-L = MuClass.lefschetz()
-GM = MuClass.from_coeff(L_MINUS_1)
-
-
-def orb(d):
-    return MuClass.orbit(d)
+from conftest import GM, L, ONE, blowup_datum, cross_datum, orb, power_datum
 
 
 # --- datum validation -------------------------------------------------------------
@@ -60,11 +52,13 @@ def test_more_defects_are_reported():
     bad = SNCDatum([("E1", 0), ("E1", 2)],
                    [Stratum(set(), ONE, ONE, "odd"),
                     Stratum({"E9"}, ONE, ONE, "regular"),
-                    Stratum({"E1"}, orb(2), orb(2), "singular")],
+                    Stratum({"E1"}, orb(2), orb(2), "singular"),
+                    Stratum({"E1"}, ONE, ONE, "singular")],
                    orb(2), ONE)
     report = validate_datum(bad)
     assert any("multiplicity" in line for line in report)
     assert any("not distinct" in line for line in report)
+    assert "stratum ['E1'] appears twice" in report
     assert any("empty index set" in line for line in report)
     assert any("unknown components" in line for line in report)
     assert any("nontrivial action" in line for line in report)
@@ -85,6 +79,8 @@ def test_a_duplicate_id_reads_the_first_multiplicity():
                  MuClass.zero(), ONE)
     assert validate_datum(d) == ["component ids are not distinct"]
     assert d.stratum_gcd(d.strata[0]) == d.multiplicity("E1") == 2
+    with pytest.raises(ValidationError, match="unknown component 'E2'"):
+        d.multiplicity("E2")
 
 
 class _CountingId(str):

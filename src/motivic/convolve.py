@@ -20,21 +20,21 @@ multiplicative on all inputs by construction of P6.
 
 The pair rules run on atoms that are already normal and emit normal terms:
 P2 is one atom product, P6 one atom of the trivial factors and the opaque
-factor, and only the closed forms of P4/P5, once per pair of cores, go
-through the rewrite rules (FER(2,2), fer(n,1) and fer(2,r) need N4/N5).  The
-trivial factors split off by P3 are multiplied back with atom_mul.  star,
-psi_pair and a1.a1_star share one kernel, _psi_into, which sums every term
-into integer coefficients by atom and exponent (and by point over the line),
-P2 and P6 pairs with no multiplication by their unit coefficient; sparse.nest
-builds the class once.
+factor, and only the closed forms of P4/P5 go through the rewrite rules
+(FER(2,2), fer(n,1) and fer(2,r) need N4/N5).  The trivial factors split off
+by P3 are multiplied back with atom_mul.  star, psi_pair and a1.a1_star share
+one kernel, _psi_into, which sums every term into integer coefficients by atom
+and exponent (and by point over the line), P2 and P6 pairs with no
+multiplication by their unit coefficient; sparse.nest builds the class once.
 
-The kernel's tables live for the process, so every caller derives a rule once.
-They hold at most _MEMO_LIMIT units: a factor in a key, or a whole 64-bit word
-of a stored chi (a P6 label's, or a P6 opaque factor's in the core-pair table;
-the pair table's P6 atoms share that factor and add nothing), since a P6 chi
-grows with r log n.  A miss that would pass the limit clears all four tables
-first, and neither a miss whose own size passes it nor an exception is kept.
-Writes take a lock; stored values are shared, never mutated.
+The kernel keeps one table, _rules, for the process, so every caller derives
+a rule once per pair of atoms.  It holds at most _MEMO_LIMIT units: one per
+factor in a key or in a P6 rule's opaque factor, plus for an opaque factor its
+tag in 8-byte words, its chi's whole 64-bit words and its E-data entries, since
+a P6 tag and chi grow with their inputs.  A miss that would pass the limit
+clears the table first, and neither a miss whose own size passes it nor an
+exception is kept.  Writes take a lock; stored values are shared, never
+mutated.
 """
 
 from __future__ import annotations
@@ -83,36 +83,31 @@ def tensor(a: MuClass, b: MuClass) -> BiClass:
                                for a1, c1 in a.terms() for a2, c2 in b.terms()))
 
 
-_MEMO_LIMIT = 1 << 16  # star-fold's inputs fill ~25 000
-_splits: dict = {}  # atom -> (its fer factors, its core)
-_labels: dict = {}  # core -> (its text in P6 tags, its chi)
-_forms: dict = {}  # (core, core) -> P4/P5 terms or the P6 opaque factor
+_MEMO_LIMIT = 1 << 16  # star-fold's inputs fill ~35 000
 _rules: dict = {}  # a -> {b: the one atom of Psi(a x b), coefficient 1, or a list of its terms}
-_held = 0  # factors in the keys of the four tables plus the words of their chis
+_held = 0  # the units of the kept rules
 _lock = threading.RLock()
 
 
 def _clear() -> None:
     global _held
     with _lock:
-        for table in (_splits, _labels, _forms, _rules):
-            table.clear()
+        _rules.clear()
         _held = 0
 
 
-def _keep(value, size: int, table: dict, *keys):
-    """Store value, of size units, at table[keys[0]]...[keys[-1]]; return value."""
+def _keep(rule, size: int, a: Atom, b: Atom):
+    """Store rule, of size units, at _rules[a][b]; return rule."""
     global _held
     if size <= _MEMO_LIMIT:
         with _lock:
             if _held + size > _MEMO_LIMIT:
                 _clear()
-            for key in keys[:-1]:
-                table = table.setdefault(key, {})
-            if keys[-1] not in table:  # another thread may have kept it since the miss
-                table[keys[-1]] = value
+            row = _rules.setdefault(a, {})
+            if b not in row:  # another thread may have kept it since the miss
+                row[b] = rule
                 _held += size
-    return value
+    return rule
 
 
 def _words(chi: int) -> int:
@@ -120,48 +115,42 @@ def _words(chi: int) -> int:
     return abs(chi).bit_length() >> 6
 
 
+def _units(factors: Atom) -> int:
+    """1 per factor, plus for an opaque one its tag in 8-byte words, its chi's
+    64-bit words and its E-data entries."""
+    return len(factors) + sum((len(f[1]) >> 3) + _words(f[2]) + len(f[3] or ())
+                              for f in factors if f[0] == "opq")
+
+
 def _split(atom: Atom) -> tuple[Atom, Atom]:
-    # a split is a nonempty tuple, so "or" derives one only on a miss
-    return _splits.get(atom) or _keep((tuple(f for f in atom if f[0] == "fer"),
-                                       tuple(f for f in atom if f[0] != "fer")),
-                                      len(atom), _splits, atom)
-
-
-def _label(core: Atom) -> tuple[str, int]:
-    # made only for P6: the chi of a Fermat factor past TOWER_LIMIT raises
-    label = _labels.get(core)
-    if label is None:
-        chi = atom_chi(core)
-        label = _keep(("*".join(map(factor_str, core)), chi), len(core) + _words(chi),
-                      _labels, core)
-    return label
+    """An atom's fer factors, which act trivially, and its core, the rest."""
+    return tuple(f for f in atom if f[0] == "fer"), tuple(f for f in atom if f[0] != "fer")
 
 
 def _pair(a: Atom, b: Atom):
+    """Derive Psi(a x b), keep it in _rules and return it."""
     (triv_a, core_a), (triv_b, core_b) = _split(a), _split(b)
+    size = _units(a) + _units(b)
     if not core_a or not core_b:
         # P2: one side acts trivially, convolution degenerates to the product;
         # that side holds no orbit, so atom_mul fuses nothing
-        return atom_mul(a, b)[0]
-    form = _forms.get((core_a, core_b))
-    if form is None:
-        form = _core_form(core_a, core_b)
-        size = len(core_a) + len(core_b) + (0 if type(form) is list else _words(form[2]))
-        _keep(form, size, _forms, (core_a, core_b))
+        return _keep(atom_mul(a, b)[0], size, a, b)
+    form = _core_form(core_a, core_b)
     if type(form) is list:
         # P3: the trivial factors hold no orbit, so atom_mul fuses nothing
-        return [(atom_mul(atom, triv_a + triv_b)[0], k) for atom, k in form]
+        return _keep([(atom_mul(atom, triv_a + triv_b)[0], k) for atom, k in form], size, a, b)
     # P6: the cores' orbits went into the tag, so nothing fuses; fer factors
     # sort as plain tuples in factor_key order, and opaque ones rank last
-    return tuple(sorted(triv_a + triv_b)) + (form,)
+    return _keep(tuple(sorted(triv_a + triv_b)) + (form,), size + _units((form,)), a, b)
 
 
 def _psi_into(products: Iterable[tuple[dict, Iterable, Iterable]]) -> None:
     """For each (acc, xs, ys) of products, add Psi(xs x ys) into acc.
 
     xs and ys are (normal atom, LaurentInt) terms and acc maps atoms to dicts
-    from exponents to integers.  Each pair of atoms takes its rule from the
-    tables above, so a rule is derived once per process while it stays there.
+    from exponents to integers.  Each pair of atoms takes its rule from _rules,
+    the kernel's one table, so a rule is derived once per pair of atoms while
+    it stays there; the table's bound counts units, as the module docstring says.
     """
     for acc, xs, ys in products:
         for a, ca in xs:
@@ -171,7 +160,7 @@ def _psi_into(products: Iterable[tuple[dict, Iterable, Iterable]]) -> None:
                 cb = cb.items()
                 rule = row.get(b)
                 if rule is None:
-                    rule = _keep(_pair(a, b), len(a) + len(b), _rules, a, b)
+                    rule = _pair(a, b)
                 if type(rule) is tuple:  # P2 and P6: add the P1 product in as it is
                     coeffs = acc.get(rule)
                     if coeffs is None:
@@ -209,9 +198,9 @@ def _core_form(core_a: Atom, core_b: Atom) -> list[tuple[Atom, tuple]] | Factor:
                 ])
     if inner is not None:
         return [(atom, k.items()) for atom, k in inner.terms()]
-    (str_a, chi_a), (str_b, chi_b) = _label(core_a), _label(core_b)
-    sa, sb = sorted((str_a, str_b))
-    return ("opq", f"psi({sa}|{sb})", chi_a * chi_b, None)
+    # made only for P6: the chi of a Fermat factor past TOWER_LIMIT raises
+    sa, sb = sorted("*".join(map(factor_str, core)) for core in (core_a, core_b))
+    return ("opq", f"psi({sa}|{sb})", atom_chi(core_a) * atom_chi(core_b), None)
 
 
 def psi_pair(p: BiClass) -> MuClass:

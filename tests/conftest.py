@@ -137,8 +137,8 @@ def python_calls(f, limit: float = math.inf) -> tuple:
 
 @pytest.fixture(autouse=True)
 def cold_kernel_tables() -> None:
-    """Each test starts on empty convolution tables, so a test that passes only
-    on tables warmed by the tests run before it fails in every run."""
+    """Each test starts on an empty convolution table, so a test that passes only
+    on a table warmed by the tests run before it fails in every run."""
     convolve._clear()
 
 

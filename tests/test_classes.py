@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given
 
-from motivic import MuClass, ValidationError, chi_c, forget_action, mul, normalize
+from motivic import MuClass, ValidationError, add, chi_c, forget_action, mul, normalize
 from motivic.classes import TOWER_LIMIT
 from motivic.laurent import LaurentInt
 
@@ -102,7 +102,7 @@ def test_geometric_chi_of_fermat_atoms_matches_definition_for_r2():
 @pytest.mark.parametrize("factor", [
     ("orb", 0), ("orb", -3), ("FER", 1, 2), ("FER", 2, 1),
     ("fer", 1, 2), ("fer", 2, 0), ("gm", 0), ("bogus", 1),
-    ("orb",), ("orb", 2, 3), ("FER", 2), ("opq", "tag"), (),
+    ("orb",), ("orb", 2, 3), ("FER", 2), ("opq", "tag"), (), ("opq", 5, 1), ("opq", "t", 1.5),
 ])
 def test_malformed_descriptors_raise(factor):
     with pytest.raises(ValidationError):
@@ -115,6 +115,8 @@ def test_add_examples():
     assert ONE + (-1) * ONE == MuClass.zero()
     assert orb(2) + orb(2) == 2 * orb(2)
     assert GM + ONE == L
+    assert add(orb(2), orb(3)) == orb(2) + orb(3)
+    assert (orb(2) + orb(3)).coefficient((("orb", 4),)) == LaurentInt()
 
 
 def test_mul_keeps_irreducible_products():

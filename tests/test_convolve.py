@@ -215,17 +215,22 @@ def test_psi_pair_matches_star_through_tensor():
     assert psi_pair(tensor(a, b)) == star(a, b)
 
 
-# --- the kernel's tables ------------------------------------------------------------------
+# --- the kernel's table -------------------------------------------------------------------
+
+def _units(f) -> int:
+    """The units one factor counts for in the kernel's bound."""
+    if f[0] != "opq":
+        return 1
+    return 1 + len(f[1]) // 8 + abs(f[2]).bit_length() // 64 + len(f[3] or ())
+
 
 def _held_size() -> int:
-    """The size of the kernel's four tables, counted from the tables: the factors
-    in their keys plus the whole 64-bit words of each chi a label or a P6 form holds."""
-    return (sum(map(len, convolve._splits))
-            + sum(len(core) + abs(chi).bit_length() // 64
-                  for core, (_, chi) in convolve._labels.items())
-            + sum(len(x) + len(y) + (0 if type(form) is list else abs(form[2]).bit_length() // 64)
-                  for (x, y), form in convolve._forms.items())
-            + sum(len(a) + len(b) for a, row in convolve._rules.items() for b in row))
+    """The size of the kernel's table, counted from it: the units of each key's
+    factors and of a P6 rule's opaque factor, the last factor of a tuple rule
+    that is in neither key (a P6 tag is longer than every tag in its keys)."""
+    return sum(sum(map(_units, a + b))
+               + (_units(rule[-1]) if type(rule) is tuple and rule and rule[-1] not in a + b else 0)
+               for a, row in convolve._rules.items() for b, rule in row.items())
 
 
 # P6 (orbits 2 and 3, FER(3,2) with ORB(2)), P4 (ORB(2) twice) and P5 (FER(3,2) with ORB(3))
@@ -244,11 +249,11 @@ def test_a_second_star_of_a_pair_derives_no_rule(monkeypatch):
 
 
 def test_a_rule_that_raises_raises_on_every_call():
-    # the P6 label of FER(3,401) needs the chi past TOWER_LIMIT; nothing is kept for it
+    # the P6 factor of FER(3,401) with ORB(2) needs the chi past TOWER_LIMIT; nothing is kept for it
     for _ in range(2):
         with pytest.raises(ValidationError, match="exceeds the limit"):
             star(MuClass.fermat(3, 401), orb(2))
-    assert convolve._labels == convolve._forms == convolve._rules == {}
+    assert convolve._rules == {}
 
 
 def test_the_tables_stay_within_their_limit(monkeypatch):
@@ -269,20 +274,32 @@ def test_a_miss_past_the_limit_alone_is_not_kept(monkeypatch):
     monkeypatch.setattr(convolve, "_MEMO_LIMIT", 3)  # each atom has 2 factors, the pair 4
     convolve._clear()
     assert star(a, b) == expected
-    assert convolve._rules == {} and convolve._forms == {}
+    assert convolve._rules == {}
     assert _held_size() == convolve._held <= 3
 
 
+def _released_p2_rules():
+    # each opaque input goes once its star returns, so only the kept rule holds its tag
+    for i in range(50):
+        star(MuClass([(1, [("opq", f"{i}" + "t" * 100_000, 1)])]), MuClass([(1, [("fer", 3, 2)])]))
+
+
 def test_the_limit_counts_the_words_of_each_kept_chi():
-    # a P6 chi grows with r log n: the label of each FER(10^20 + i, 400) and its
-    # form with ORB(2) hold chis of ~26 600 bits, for keys of one and two factors
+    # a P6 chi grows with r log n: each FER(10^20 + i, 400) with ORB(2) keeps a chi
+    # of ~26 600 bits; a P6 tag holds the tags of its cores; a P2 rule's key may
+    # hold the only copy of a long tag
     big = MuClass([(1, [("FER", 10 ** 20 + i, 400)]) for i in range(500)])
-    tracemalloc.start()
-    star(big, orb(2))
-    kept = tracemalloc.get_traced_memory()[0]
-    tracemalloc.stop()
-    assert kept <= 100 * convolve._held  # 1 356 B a unit when only key factors counted
-    assert _held_size() == convolve._held
+    tagged = MuClass([(1, [("opq", f"{i}" + "t" * 10_000, 1)]) for i in range(100)])
+    orbits = sum((orb(d) for d in range(2, 22)), MuClass.zero())
+    # kept bytes a unit with key factors alone counted: 1 356; with tags not counted: 2 668, 33 311
+    for case in (lambda: star(big, orb(2)), lambda: star(tagged, orbits), _released_p2_rules):
+        convolve._clear()
+        tracemalloc.start()
+        case()
+        kept = tracemalloc.get_traced_memory()[0]
+        tracemalloc.stop()
+        assert kept <= 100 * convolve._held
+        assert _held_size() == convolve._held
 
 
 class _YieldingTable(dict):
@@ -298,7 +315,7 @@ def test_threads_sharing_the_tables_get_serial_results(monkeypatch):
     pairs = [(x, y) for x in classes for y in classes]
     serial = [star(x, y) for x, y in pairs]
     monkeypatch.setattr(convolve, "_MEMO_LIMIT", 24)  # a few pairs fill it: clears race the reads
-    monkeypatch.setattr(convolve, "_splits", _YieldingTable())
+    monkeypatch.setattr(convolve, "_rules", _YieldingTable())
     convolve._clear()
     results: list = [None] * 4
     miscounts: list = []
@@ -310,7 +327,7 @@ def test_threads_sharing_the_tables_get_serial_results(monkeypatch):
         for _ in range(10):
             for i in order:
                 out[i] = star(*pairs[i])
-                with convolve._lock:  # writers hold it, so the tables and the count agree here
+                with convolve._lock:  # writers hold it, so the table and the count agree here
                     if not _held_size() == convolve._held <= 24:
                         miscounts.append((_held_size(), convolve._held))
         results[k] = out

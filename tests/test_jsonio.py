@@ -231,6 +231,9 @@ def test_pretty_contract_examples():
     assert pretty(GM + 2 * orb(2)) == "(L - 1) + 2*[mu_2]"
     assert pretty(A1Class({0: L})) == "{0 -> L}"
     assert pretty(ONE - orb(4)) == "1 - [mu_4]"
+    assert str(GM + 2 * orb(2)) == "(L - 1) + 2*[mu_2]"
+    assert str(A1Class({0: L})) == "{0 -> L}"
+    assert repr(A1Class({0: L, "1/2": orb(2)})) == "A1Class([('0', 'L'), ('1/2', '[mu_2]')])"
 
 
 def test_pretty_more_forms():

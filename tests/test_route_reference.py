@@ -340,8 +340,9 @@ def test_star_equals_the_reference_route_on_every_pool_pair():
 # Canonical JSON of star on fixed inputs that take P4, P5 and P6 with trivial
 # factors attached, recorded before the pair rules emitted normal terms directly.
 # The cases from "p5-one-core-pair-two-trivial-sets" on meet one pair of cores
-# under several sets of trivial factors in one call; they were recorded before
-# the closed forms and opaque factors were made once per pair of cores.
+# under several sets of trivial factors in one call, so the closed form or
+# opaque factor of those cores is derived anew for each pair of atoms; they
+# were recorded when a core pair's form was derived only once.
 PINS = {
     "p4-orb3-trivial-both-sides": (
         [(1, [orb(3), fer(4, 2)])], [(2, [orb(3), fer(5, 2)])],

@@ -28,12 +28,13 @@ and exponent (and by point over the line), P2 and P6 pairs with no
 multiplication by their unit coefficient; sparse.nest builds the class once.
 
 The kernel keeps one table, _rules, for the process, so every caller derives
-a rule once per pair of atoms.  It holds at most _MEMO_LIMIT units: one per
-factor in a key or in a P6 rule's opaque factor, plus for an opaque factor its
-tag in 8-byte words, its chi's whole 64-bit words and its E-data entries, since
-a P6 tag and chi grow with their inputs.  A miss that would pass the limit
-clears the table first, and neither a miss whose own size passes it nor an
-exception is kept.  Writes take a lock; stored values are shared, never
+a rule once per pair of atoms; _pair alone derives, sizes and keeps a rule.
+The table holds at most _MEMO_LIMIT units, and a rule counts 1 per factor and
+per E-data entry plus the whole 64-bit words of every integer and the 8-byte
+words of every tag, over its two key atoms and, for a P2 or P6 atom, its own
+factors (a P4/P5 list is built from its keys).  A miss that would pass the
+limit clears the table first, and neither a miss whose own size passes it nor
+an exception is kept.  Writes take a lock; stored values are shared, never
 mutated.
 """
 
@@ -83,7 +84,7 @@ def tensor(a: MuClass, b: MuClass) -> BiClass:
                                for a1, c1 in a.terms() for a2, c2 in b.terms()))
 
 
-_MEMO_LIMIT = 1 << 16  # star-fold's inputs fill ~35 000
+_MEMO_LIMIT = 1 << 16  # star-fold's inputs fill ~41 000
 _rules: dict = {}  # a -> {b: the one atom of Psi(a x b), coefficient 1, or a list of its terms}
 _held = 0  # the units of the kept rules
 _lock = threading.RLock()
@@ -96,9 +97,40 @@ def _clear() -> None:
         _held = 0
 
 
-def _keep(rule, size: int, a: Atom, b: Atom):
-    """Store rule, of size units, at _rules[a][b]; return rule."""
+def _units(factors: Atom) -> int:
+    """The size of factors in the kernel's bound, as the module docstring gives it."""
+    units = len(factors)
+    for f in factors:
+        ints = f[1:]
+        if f[0] == "opq":
+            data = f[3] or ()
+            units += (len(f[1]) >> 3) + len(data)
+            ints = (f[2], *(x for (i, j), c in data for x in (i, j, c)))
+        for x in ints:
+            units += abs(x).bit_length() >> 6
+    return units
+
+
+def _pair(a: Atom, b: Atom):
+    """Derive Psi(a x b), keep it in _rules and return it."""
     global _held
+    # the fer factors act trivially; the core of an atom is the rest
+    triv = tuple(f for f in a + b if f[0] == "fer")
+    core_a, core_b = (tuple(f for f in x if f[0] != "fer") for x in (a, b))
+    if not core_a or not core_b:
+        # P2: one side acts trivially, convolution degenerates to the product;
+        # that side holds no orbit, so atom_mul fuses nothing
+        rule = atom_mul(a, b)[0]
+    else:
+        form = _core_form(core_a, core_b)
+        if type(form) is list:
+            # P3: the trivial factors hold no orbit, so atom_mul fuses nothing
+            rule = [(atom_mul(atom, triv)[0], k) for atom, k in form]
+        else:
+            # P6: the cores' orbits went into the tag, so nothing fuses; fer factors
+            # sort as plain tuples in factor_key order, and opaque ones rank last
+            rule = tuple(sorted(triv)) + (form,)
+    size = _units(a) + _units(b) + (_units(rule) if type(rule) is tuple else 0)
     if size <= _MEMO_LIMIT:
         with _lock:
             if _held + size > _MEMO_LIMIT:
@@ -108,40 +140,6 @@ def _keep(rule, size: int, a: Atom, b: Atom):
                 row[b] = rule
                 _held += size
     return rule
-
-
-def _words(chi: int) -> int:
-    """Whole 64-bit words of a stored chi: 0 below 2^64, as on star-fold's inputs."""
-    return abs(chi).bit_length() >> 6
-
-
-def _units(factors: Atom) -> int:
-    """1 per factor, plus for an opaque one its tag in 8-byte words, its chi's
-    64-bit words and its E-data entries."""
-    return len(factors) + sum((len(f[1]) >> 3) + _words(f[2]) + len(f[3] or ())
-                              for f in factors if f[0] == "opq")
-
-
-def _split(atom: Atom) -> tuple[Atom, Atom]:
-    """An atom's fer factors, which act trivially, and its core, the rest."""
-    return tuple(f for f in atom if f[0] == "fer"), tuple(f for f in atom if f[0] != "fer")
-
-
-def _pair(a: Atom, b: Atom):
-    """Derive Psi(a x b), keep it in _rules and return it."""
-    (triv_a, core_a), (triv_b, core_b) = _split(a), _split(b)
-    size = _units(a) + _units(b)
-    if not core_a or not core_b:
-        # P2: one side acts trivially, convolution degenerates to the product;
-        # that side holds no orbit, so atom_mul fuses nothing
-        return _keep(atom_mul(a, b)[0], size, a, b)
-    form = _core_form(core_a, core_b)
-    if type(form) is list:
-        # P3: the trivial factors hold no orbit, so atom_mul fuses nothing
-        return _keep([(atom_mul(atom, triv_a + triv_b)[0], k) for atom, k in form], size, a, b)
-    # P6: the cores' orbits went into the tag, so nothing fuses; fer factors
-    # sort as plain tuples in factor_key order, and opaque ones rank last
-    return _keep(tuple(sorted(triv_a + triv_b)) + (form,), size + _units((form,)), a, b)
 
 
 def _psi_into(products: Iterable[tuple[dict, Iterable, Iterable]]) -> None:

@@ -88,7 +88,10 @@ class Stratum(_Record):
 
     def __init__(self, index_set: frozenset[str], base_class: MuClass, cover_class: MuClass,
                  locus: str):
-        self._set(frozenset(index_set), base_class, cover_class, locus)
+        ids = frozenset(index_set)
+        if isinstance(index_set, str) or not all(isinstance(i, str) for i in ids):
+            raise ValidationError(f"index set {index_set!r} wants a collection of string ids")
+        self._set(ids, base_class, cover_class, locus)
 
 
 class SNCDatum(_Record):

@@ -45,6 +45,22 @@ def count_fermat_affine(n: int, r: int, q: int, target: int) -> int:
     return rec(0, 0)
 
 
+def sum_of_powers_counts(n: int, r: int, q: int) -> list[int]:
+    """#{x in F_q^r : sum x_i^n = t} for t = 0, ..., q - 1 (q prime).
+
+    r steps of additive convolution of the value distribution of x^n over F_q,
+    zero included; no tuple is enumerated.
+    """
+    values = [0] * q
+    for x in range(q):
+        values[pow(x, n, q)] += 1
+    counts = [1] + [0] * (q - 1)  # r = 0: the empty sum is 0
+    for _ in range(r):
+        counts = [sum(k * counts[(t - v) % q] for v, k in enumerate(values) if k)
+                  for t in range(q)]
+    return counts
+
+
 def count_fermat_gf_p2(n: int, r: int, p: int) -> int:
     """#{x in (GF(p^2)^*)^r : sum x_i^n = 1} by plain enumeration (p odd prime).
 

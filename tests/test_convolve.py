@@ -9,14 +9,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 from motivic import (A1Class, BiClass, Constant, MuClass, Resolved, ValidationError, a1_star,
-                     assoc_check, chi_c, forget_action, mul, normalize, phi_measure, psi_pair,
-                     star, star_power, tensor)
+                     assoc_check, chi_c, count_fermat_points, forget_action, mul, normalize,
+                     phi_measure, psi_pair, star, star_power, tensor)
 from motivic import convolve, realize
 from motivic.jsonio import a1_to_json, class_to_json, dumps
 from motivic.laurent import L_MINUS_1
 
 from conftest import GM, L, ONE, _factors, cross_datum, mu_classes, orb, power_datum, raw_terms
-from oracles import count_fermat_affine, nth_roots_of_minus_one
+from oracles import count_fermat_affine, nth_roots_of_minus_one, sum_of_powers_counts
 
 
 def fold(n, r):
@@ -52,6 +52,30 @@ def test_orbit_orbit_rule_for_n3_against_component_oracle():
     assert roots == 3
     assert count_fermat_affine(3, 2, q, target=0) == roots * (q - 1)
     assert star(orb(3), orb(3)) == normalize([(3 * L_MINUS_1, []), (-1, [("FER", 3, 2)])])
+
+
+_SUMS_OF_POWERS = ([(2, r, q) for r in range(2, 6) for q in (17, 41, 73, 89)]
+                   + [(n, 2, q) for n, primes in ((3, (7, 13, 19, 31)), (4, (17, 41, 73, 89)),
+                                                  (5, (11, 31, 41, 61))) for q in primes])
+
+
+@pytest.mark.parametrize("n, r, q", _SUMS_OF_POWERS)
+def test_sums_of_powers_count_as_a_convolution_power(n, r, q):
+    # phi of f = x_1^n + ... + x_r^n is (1 - ORB(n))^{*r} by Thom-Sebastiani; over
+    # F_q with q = 1 mod 2n it counts #{f = 0} - #{f = 1} on A^r, with L = q and
+    # each fer(n,2) its points
+    phi = ONE
+    for _ in range(r):
+        phi = star(phi, ONE - orb(n))
+    counted = 0
+    for atom, coeff in forget_action(phi).terms():
+        value = sum(k * q ** e for e, k in coeff.items())
+        for f in atom:
+            assert f == ("fer", n, 2)
+            value *= count_fermat_points(n, 2, q)
+        counted += value
+    counts = sum_of_powers_counts(n, r, q)
+    assert counted == counts[0] - counts[1]
 
 
 def test_trivial_coefficient_pulls_out():
@@ -218,18 +242,19 @@ def test_psi_pair_matches_star_through_tensor():
 # --- the kernel's table -------------------------------------------------------------------
 
 def _units(f) -> int:
-    """The units one factor counts for in the kernel's bound."""
-    if f[0] != "opq":
-        return 1
-    return 1 + len(f[1]) // 8 + abs(f[2]).bit_length() // 64 + len(f[3] or ())
+    """The units one factor counts for in the kernel's bound: 1, 1 per E-data entry,
+    the whole 64-bit words of each integer and the 8-byte words of its tag."""
+    data = f[3] or () if f[0] == "opq" else ()
+    ints = [x for x in f[1:] if isinstance(x, int)] + [x for (i, j), c in data for x in (i, j, c)]
+    tags = [x for x in f[1:] if isinstance(x, str)]
+    return (1 + len(data) + sum(abs(x).bit_length() // 64 for x in ints)
+            + sum(len(t) // 8 for t in tags))
 
 
 def _held_size() -> int:
     """The size of the kernel's table, counted from it: the units of each key's
-    factors and of a P6 rule's opaque factor, the last factor of a tuple rule
-    that is in neither key (a P6 tag is longer than every tag in its keys)."""
-    return sum(sum(map(_units, a + b))
-               + (_units(rule[-1]) if type(rule) is tuple and rule and rule[-1] not in a + b else 0)
+    factors, and of an atom rule's own factors."""
+    return sum(sum(map(_units, a + b)) + (sum(map(_units, rule)) if type(rule) is tuple else 0)
                for a, row in convolve._rules.items() for b, rule in row.items())
 
 
@@ -278,21 +303,31 @@ def test_a_miss_past_the_limit_alone_is_not_kept(monkeypatch):
     assert _held_size() == convolve._held <= 3
 
 
-def _released_p2_rules():
-    # each opaque input goes once its star returns, so only the kept rule holds its tag
-    for i in range(50):
-        star(MuClass([(1, [("opq", f"{i}" + "t" * 100_000, 1)])]), MuClass([(1, [("fer", 3, 2)])]))
+def _released(pairs):
+    # each input goes once its star returns, so only the kept rule holds its tags and integers
+    def case():
+        for i in range(50):
+            star(*pairs(i))
+    return case
 
 
 def test_the_limit_counts_the_words_of_each_kept_chi():
     # a P6 chi grows with r log n: each FER(10^20 + i, 400) with ORB(2) keeps a chi
     # of ~26 600 bits; a P6 tag holds the tags of its cores; a P2 rule's key may
-    # hold the only copy of a long tag
+    # hold the only copy of a long tag, of a long Fermat n or of a long E-data
+    # coefficient; a P4 rule's coefficients grow with its orbit size
     big = MuClass([(1, [("FER", 10 ** 20 + i, 400)]) for i in range(500)])
     tagged = MuClass([(1, [("opq", f"{i}" + "t" * 10_000, 1)]) for i in range(100)])
     orbits = sum((orb(d) for d in range(2, 22)), MuClass.zero())
-    # kept bytes a unit with key factors alone counted: 1 356; with tags not counted: 2 668, 33 311
-    for case in (lambda: star(big, orb(2)), lambda: star(tagged, orbits), _released_p2_rules):
+    fer32 = MuClass.fermat_trivial(3, 2)
+    cases = (lambda: star(big, orb(2)), lambda: star(tagged, orbits),
+             _released(lambda i: (MuClass.opaque(f"{i}" + "t" * 100_000, 1), fer32)),
+             _released(lambda i: (MuClass.fermat_trivial(10 ** 4000 + i, 2), orb(2))),
+             _released(lambda i: (orb(10 ** 4000 + i),) * 2),
+             _released(lambda i: (MuClass.opaque("t", 1, {(0, 0): 10 ** 4000 + i}), fer32)))
+    # kept bytes a unit with key factors alone counted: 1 356; with tags not counted:
+    # 2 668, 33 311; with only an opaque factor's chi counted: 1 117, 2 950, 739
+    for case in cases:
         convolve._clear()
         tracemalloc.start()
         case()

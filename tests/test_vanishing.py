@@ -73,6 +73,14 @@ def test_components_are_not_coerced():
     assert components == (("E1", 1),) and type(components[0][1]) is int
 
 
+def test_index_sets_are_not_coerced():
+    # a string is not split into one-letter ids, and an id is not its text
+    for index_set in ["E1", {5}, [None], ("E1", 1)]:
+        with pytest.raises(ValidationError):
+            Stratum(index_set, ONE, ONE, "singular")
+    assert Stratum(["E1", "E2"], ONE, ONE, "singular").index_set == frozenset({"E1", "E2"})
+
+
 def test_a_duplicate_id_reads_the_first_multiplicity():
     # m_I of {"E1"} is 2, from the first ("E1", 2): the cover of chi 2 then matches
     d = SNCDatum([("E1", 2), ("E1", 3)], [Stratum({"E1"}, ONE, orb(2), "singular")],

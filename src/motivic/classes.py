@@ -91,7 +91,7 @@ def opq(tag: str, chi: int, epoly=None) -> Factor:
             epoly = EPoly(dict(epoly)).items()
         except (TypeError, ValueError) as exc:
             raise ValidationError(f"bad opaque epoly data: {exc}") from exc
-    return ("opq", tag, int(chi), epoly)
+    return ("opq", str.__str__(tag), int(chi), epoly)  # a str subclass is stored as the plain str
 
 
 def factor_key(f: Factor):

@@ -29,17 +29,17 @@ multiplication by their unit coefficient; sparse.nest builds the class once.
 
 The kernel keeps one table, _rules, for the process, so every caller derives
 a rule once per pair of atoms; _pair alone derives, sizes and keeps a rule.
-The table holds at most _MEMO_LIMIT units, and a rule counts 1 per factor and
-per E-data entry plus the whole 64-bit words of every integer and the 8-byte
-words of every tag, over its two key atoms and, for a P2 or P6 atom, its own
-factors (a P4/P5 list is built from its keys).  A miss that would pass the
-limit clears the table first, and neither a miss whose own size passes it nor
-an exception is kept.  Writes take a lock; stored values are shared, never
-mutated.
+A rule counts the bytes of its two key atoms and itself marshalled together,
+and the table holds at most _MEMO_LIMIT (2 MiB) of them.  When full it keeps
+about 3.6 MB, by tracemalloc on the benchmark's star-fold inputs.  A miss that
+would pass the limit clears the table first, and neither a miss whose own size
+passes it nor an exception is kept.  Writes take a lock; stored values are
+shared, never mutated.
 """
 
 from __future__ import annotations
 
+import marshal
 import threading
 from typing import Iterable
 
@@ -84,9 +84,9 @@ def tensor(a: MuClass, b: MuClass) -> BiClass:
                                for a1, c1 in a.terms() for a2, c2 in b.terms()))
 
 
-_MEMO_LIMIT = 1 << 16  # star-fold's inputs fill ~41 000
+_MEMO_LIMIT = 1 << 21  # bytes; one seed of star-fold's inputs fills 0.86-0.88 MB
 _rules: dict = {}  # a -> {b: the one atom of Psi(a x b), coefficient 1, or a list of its terms}
-_held = 0  # the units of the kept rules
+_held = 0  # the marshalled bytes of the kept rules
 _lock = threading.RLock()
 
 
@@ -95,20 +95,6 @@ def _clear() -> None:
     with _lock:
         _rules.clear()
         _held = 0
-
-
-def _units(factors: Atom) -> int:
-    """The size of factors in the kernel's bound, as the module docstring gives it."""
-    units = len(factors)
-    for f in factors:
-        ints = f[1:]
-        if f[0] == "opq":
-            data = f[3] or ()
-            units += (len(f[1]) >> 3) + len(data)
-            ints = (f[2], *(x for (i, j), c in data for x in (i, j, c)))
-        for x in ints:
-            units += abs(x).bit_length() >> 6
-    return units
 
 
 def _pair(a: Atom, b: Atom):
@@ -130,7 +116,7 @@ def _pair(a: Atom, b: Atom):
             # P6: the cores' orbits went into the tag, so nothing fuses; fer factors
             # sort as plain tuples in factor_key order, and opaque ones rank last
             rule = tuple(sorted(triv)) + (form,)
-    size = _units(a) + _units(b) + (_units(rule) if type(rule) is tuple else 0)
+    size = len(marshal.dumps((a, b, rule), 2))  # version 2 writes no back-references
     if size <= _MEMO_LIMIT:
         with _lock:
             if _held + size > _MEMO_LIMIT:
@@ -148,7 +134,7 @@ def _psi_into(products: Iterable[tuple[dict, Iterable, Iterable]]) -> None:
     xs and ys are (normal atom, LaurentInt) terms and acc maps atoms to dicts
     from exponents to integers.  Each pair of atoms takes its rule from _rules,
     the kernel's one table, so a rule is derived once per pair of atoms while
-    it stays there; the table's bound counts units, as the module docstring says.
+    it stays there; the table's bound is in bytes, as the module docstring says.
     """
     for acc, xs, ys in products:
         for a, ca in xs:

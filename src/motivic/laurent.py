@@ -26,7 +26,7 @@ class LaurentInt(Sparse):
         for exp, c in items:
             if not isinstance(exp, int) or not isinstance(c, int):
                 raise TypeError("LaurentInt wants integer exponents and coefficients")
-            checked.append((exp, int(c)))  # int() stores a bool as the integer it stands for
+            checked.append((int(exp), int(c)))  # int() stores a bool as the integer it stands for
         self._terms = self._canonical(checked)
 
     @classmethod

@@ -61,6 +61,30 @@ def sum_of_powers_counts(n: int, r: int, q: int) -> list[int]:
     return counts
 
 
+def N_t(cls, q: int, t: int) -> int:
+    """The count of a class twisted by the torsor {s^n = t}, over F_q (q prime).
+
+    It counts the points x with Frob(x) = zeta_t x, so it is multiplicative over
+    each atom's factors: L -> q (each coefficient is evaluated at q), ORB(d) -> d
+    if t is a d-th power in F_q^* and 0 otherwise, FER(n,2) -> #{x^n + y^n = t,
+    xy != 0} and fer(n,k) with k <= 2 -> its plain count.  Other factors raise.
+    """
+    total = 0
+    for atom, coeff in cls.terms():
+        value = sum(k * q ** e for e, k in coeff.items())
+        for f in atom:
+            if f[0] == "orb":
+                value *= f[1] if any(pow(x, f[1], q) == t % q for x in range(1, q)) else 0
+            elif f[0] == "FER" and f[2] == 2:
+                value *= count_fermat_affine(f[1], 2, q, t)
+            elif f[0] == "fer" and f[2] <= 2:
+                value *= count_fermat_affine(f[1], f[2], q, 1)
+            else:
+                raise ValueError(f"no twisted count for the factor {f!r}")
+        total += value
+    return total
+
+
 def count_fermat_gf_p2(n: int, r: int, p: int) -> int:
     """#{x in (GF(p^2)^*)^r : sum x_i^n = 1} by plain enumeration (p odd prime).
 

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import marshal
+import math
 import sys
 import threading
 import time
@@ -16,7 +18,7 @@ from motivic.jsonio import a1_to_json, class_to_json, dumps
 from motivic.laurent import L_MINUS_1
 
 from conftest import GM, L, ONE, _factors, cross_datum, mu_classes, orb, power_datum, raw_terms
-from oracles import count_fermat_affine, nth_roots_of_minus_one, sum_of_powers_counts
+from oracles import N_t, count_fermat_affine, nth_roots_of_minus_one, sum_of_powers_counts
 
 
 def fold(n, r):
@@ -76,6 +78,26 @@ def test_sums_of_powers_count_as_a_convolution_power(n, r, q):
         counted += value
     counts = sum_of_powers_counts(n, r, q)
     assert counted == counts[0] - counts[1]
+
+
+def _primes_1_mod(m: int, k: int) -> list[int]:
+    """The first k primes q = 1 mod m, by trial division."""
+    found, q = [], 1
+    while len(found) < k:
+        q += m
+        if all(q % p for p in range(2, math.isqrt(q) + 1)):
+            found.append(q)
+    return found
+
+
+@pytest.mark.parametrize("n, q", [(n, q) for n in range(2, 7) for q in _primes_1_mod(2 * n, 3)])
+def test_sums_of_two_powers_count_with_the_action_twisted(n, q):
+    # #{x^n + y^n = 0} - #{x^n + y^n = t} on A^2 counts phi twisted by the torsor
+    # {s^n = t}, which sees the mu_n-action that forget_action drops; r = 2 only,
+    # since FER/fer at r >= 3 are the classes the convolution defines
+    phi = star(ONE - orb(n), ONE - orb(n))
+    counts = sum_of_powers_counts(n, 2, q)
+    assert [counts[0] - counts[t] for t in range(1, q)] == [N_t(phi, q, t) for t in range(1, q)]
 
 
 def test_trivial_coefficient_pulls_out():
@@ -241,20 +263,10 @@ def test_psi_pair_matches_star_through_tensor():
 
 # --- the kernel's table -------------------------------------------------------------------
 
-def _units(f) -> int:
-    """The units one factor counts for in the kernel's bound: 1, 1 per E-data entry,
-    the whole 64-bit words of each integer and the 8-byte words of its tag."""
-    data = f[3] or () if f[0] == "opq" else ()
-    ints = [x for x in f[1:] if isinstance(x, int)] + [x for (i, j), c in data for x in (i, j, c)]
-    tags = [x for x in f[1:] if isinstance(x, str)]
-    return (1 + len(data) + sum(abs(x).bit_length() // 64 for x in ints)
-            + sum(len(t) // 8 for t in tags))
-
-
 def _held_size() -> int:
-    """The size of the kernel's table, counted from it: the units of each key's
-    factors, and of an atom rule's own factors."""
-    return sum(sum(map(_units, a + b)) + (sum(map(_units, rule)) if type(rule) is tuple else 0)
+    """The size of the kernel's table, counted from it: the marshalled bytes of
+    each rule with its two key atoms."""
+    return sum(len(marshal.dumps((a, b, rule), 2))
                for a, row in convolve._rules.items() for b, rule in row.items())
 
 
@@ -285,22 +297,24 @@ def test_the_tables_stay_within_their_limit(monkeypatch):
     a = sum((orb(d) for d in range(2, 12)), MuClass.zero())
     b = a + sum((MuClass.fermat(n, 2) for n in range(3, 7)), MuClass.zero())
     expected = star(a, b)
-    monkeypatch.setattr(convolve, "_MEMO_LIMIT", 40)
+    monkeypatch.setattr(convolve, "_MEMO_LIMIT", 2048)
     convolve._clear()
-    assert len(a.terms()) * len(b.terms()) > 40  # distinct pairs, of two factors each
+    # the 140 distinct pairs' keys alone pass it, and each rule with its keys fits
+    assert sum(len(marshal.dumps((x, y), 2)) for x, _ in a.terms() for y, _ in b.terms()) > 2048
     assert star(a, b) == expected
-    assert 0 < _held_size() == convolve._held <= 40
+    assert 0 < _held_size() == convolve._held <= 2048
 
 
 def test_a_miss_past_the_limit_alone_is_not_kept(monkeypatch):
     a = MuClass([(1, [("orb", 2), ("FER", 3, 2)])])
     b = MuClass([(1, [("orb", 3), ("FER", 4, 2)])])
     expected = star(a, b)
-    monkeypatch.setattr(convolve, "_MEMO_LIMIT", 3)  # each atom has 2 factors, the pair 4
+    # the two keys marshal to 97 bytes, and with their P6 rule to 162
+    monkeypatch.setattr(convolve, "_MEMO_LIMIT", 128)
     convolve._clear()
     assert star(a, b) == expected
     assert convolve._rules == {}
-    assert _held_size() == convolve._held <= 3
+    assert _held_size() == convolve._held <= 128
 
 
 def _released(pairs):
@@ -315,25 +329,28 @@ def test_the_limit_counts_the_words_of_each_kept_chi():
     # a P6 chi grows with r log n: each FER(10^20 + i, 400) with ORB(2) keeps a chi
     # of ~26 600 bits; a P6 tag holds the tags of its cores; a P2 rule's key may
     # hold the only copy of a long tag, of a long Fermat n or of a long E-data
-    # coefficient; a P4 rule's coefficients grow with its orbit size
+    # coefficient; a P4 rule's coefficients grow with its orbit size; small atoms
+    # keep the most per byte
     big = MuClass([(1, [("FER", 10 ** 20 + i, 400)]) for i in range(500)])
     tagged = MuClass([(1, [("opq", f"{i}" + "t" * 10_000, 1)]) for i in range(100)])
     orbits = sum((orb(d) for d in range(2, 22)), MuClass.zero())
     fer32 = MuClass.fermat_trivial(3, 2)
+    small = sum((orb(d) for d in range(2, 12)), MuClass.zero())
     cases = (lambda: star(big, orb(2)), lambda: star(tagged, orbits),
              _released(lambda i: (MuClass.opaque(f"{i}" + "t" * 100_000, 1), fer32)),
              _released(lambda i: (MuClass.fermat_trivial(10 ** 4000 + i, 2), orb(2))),
              _released(lambda i: (orb(10 ** 4000 + i),) * 2),
-             _released(lambda i: (MuClass.opaque("t", 1, {(0, 0): 10 ** 4000 + i}), fer32)))
-    # kept bytes a unit with key factors alone counted: 1 356; with tags not counted:
-    # 2 668, 33 311; with only an opaque factor's chi counted: 1 117, 2 950, 739
+             _released(lambda i: (MuClass.opaque("t", 1, {(0, 0): 10 ** 4000 + i}), fer32)),
+             lambda: star(small, small + MuClass.fermat(3, 2)))
+    # kept bytes per counted byte: 0.50-1.24, and 2.0 on the small atoms; with
+    # the rules' own bytes not counted, 61 on the first case and 4.1 on the last
     for case in cases:
         convolve._clear()
         tracemalloc.start()
         case()
         kept = tracemalloc.get_traced_memory()[0]
         tracemalloc.stop()
-        assert kept <= 100 * convolve._held
+        assert kept <= 4 * convolve._held
         assert _held_size() == convolve._held
 
 
@@ -349,7 +366,7 @@ def test_threads_sharing_the_tables_get_serial_results(monkeypatch):
     classes = [orb(2), orb(3), orb(2) + MuClass.fermat(3, 2), GM + orb(3), star(orb(2), orb(3))]
     pairs = [(x, y) for x in classes for y in classes]
     serial = [star(x, y) for x, y in pairs]
-    monkeypatch.setattr(convolve, "_MEMO_LIMIT", 24)  # a few pairs fill it: clears race the reads
+    monkeypatch.setattr(convolve, "_MEMO_LIMIT", 512)  # a few pairs fill it: clears race the reads
     monkeypatch.setattr(convolve, "_rules", _YieldingTable())
     convolve._clear()
     results: list = [None] * 4
@@ -363,7 +380,7 @@ def test_threads_sharing_the_tables_get_serial_results(monkeypatch):
             for i in order:
                 out[i] = star(*pairs[i])
                 with convolve._lock:  # writers hold it, so the table and the count agree here
-                    if not _held_size() == convolve._held <= 24:
+                    if not _held_size() == convolve._held <= 512:
                         miscounts.append((_held_size(), convolve._held))
         results[k] = out
 
@@ -384,16 +401,26 @@ def test_threads_sharing_the_tables_get_serial_results(monkeypatch):
 
 
 def test_an_int_subclass_in_a_factor_is_kept_as_the_int():
-    # an entry that renders otherwise must not put its text in a P6 label kept for 3
+    # an entry that renders otherwise must not put its text in a P6 label kept
+    # for 3, or for the tag "t"
     class Shown(int):
         def __format__(self, spec):
             return "three"
+
+    class Tag(str):
+        def __format__(self, spec):
+            return "other"
 
     (factor,) = MuClass.fermat(Shown(3), 2).terms()[0][0]
     assert factor == ("FER", 3, 2) and type(factor[1]) is int
     odd = dumps(class_to_json(star(MuClass.fermat(Shown(3), 2), orb(2))))
     assert odd == dumps(class_to_json(star(MuClass.fermat(3, 2), orb(2))))
     assert "three" not in odd
+    (factor,) = MuClass.opaque(Tag("t"), 2).terms()[0][0]
+    assert factor == ("opq", "t", 2, None) and type(factor[1]) is str
+    odd = dumps(class_to_json(star(MuClass.opaque(Tag("t"), 2), orb(2))))
+    assert odd == dumps(class_to_json(star(MuClass.opaque("t", 2), orb(2))))
+    assert "other" not in odd
 
 
 # Opaque factors with E-data and tags holding the separators of P6 tags, and

@@ -199,6 +199,12 @@ def test_bool_factor_entries_are_stored_as_integers():
         assert made == plain and [type(x) for x in made] == [type(x) for x in plain]
     assert MuClass([(1, [fer_factor(3, True), gm_factor(True), orb_factor(True)])]) == \
         MuClass([(1, [("fer", 3, 1), ("gm", 1), ("orb", 1)])])
+    # a bool exponent too: it must round-trip as the integer it stands for
+    k = LaurentInt({True: 3})
+    assert k == LaurentInt({1: 3}) and [type(e) for e, _ in k.items()] == [int]
+    blob = dumps(class_to_json(MuClass([(k, [])])))
+    assert blob == '{"terms":[{"coeff":{"1":3},"factors":[]}]}'
+    assert class_from_json(json.loads(blob)) == MuClass([(k, [])]) == L * 3
 
 
 def test_a1_roundtrip_and_format():

@@ -29,15 +29,13 @@ inequality of normal forms only means "not derivable from the rules".
 
 The quadratic tower: N4 forces every FER(2,r) to leave the atom basis, since
 convolution folds (see convolve.star_power) must telescope onto the closed
-form (L-1) fer(2,r-1) - FER(2,r).  Expansions live in the span of 1 and
-ORB(2) and are produced by the recursion
+form (L-1) fer(2,r-1) - FER(2,r).  On the span of 1 and ORB(2), where
+Psi(ORB(2) x ORB(2)) = (L-1) + 2 ORB(2), convolving with ORB(2) has
+eigenvalues 1 +- sqrt(L), and three identities give the expansions:
 
-    E_2     = (L-1) - 2 ORB(2)
-    E_{r+1} = Psi(E_r x ORB(2)) - (L-1) f_{r-1} ORB(2) + (L-1) f_r
-
-with f_r the action-forgetting image of E_r (f_1 = 2).  On the span the
-needed convolutions are Psi(1 x ORB(2)) = ORB(2) and Psi(ORB(2) x ORB(2)) =
-(L-1) + 2 ORB(2), so the recursion stays closed.
+    ORB(2)^{*m} = (L-1) b_{m-1} + b_m ORB(2),   b_m = sum_k C(m, 2k+1) L^k
+    fer(2,r)    = (L-1) fer(2,r-1) - b_{r+1},   fer(2,1) = 2
+    FER(2,r)    = (L-1) fer(2,r-1) - ORB(2)^{*r} = fer(2,r) + 2 b_r - b_r ORB(2)
 """
 
 from __future__ import annotations
@@ -137,26 +135,27 @@ def atom_mul(a: Atom, b: Atom) -> tuple[Atom, int]:
 # --- the quadratic tower ---------------------------------------------------
 
 TOWER_LIMIT = 400  # largest r of a tower (Theta(r^2) bits) or of a Fermat factor's chi
-_TOWER_START = ((1, (ZERO, ZERO, LaurentInt.from_int(2))),  # depth 1 carries only f_1 = 2
-                (2, (L_MINUS_1, LaurentInt.from_int(-2), LaurentInt({1: 1, 0: -5}))))
+_FER2_START = (LaurentInt.from_int(2), LaurentInt({1: 1, 0: -5}))  # fer(2,1), fer(2,2)
 
 
-def _tower(r: int, towers: dict) -> tuple[LaurentInt, LaurentInt, LaurentInt]:
-    """Expansion data for FER(2,r), 2 <= r <= TOWER_LIMIT.
+def _orb2_power(m: int) -> LaurentInt:
+    """b_m, the ORB(2) coefficient of ORB(2)^{*m}; exponents ascend and no binomial is 0."""
+    return LaurentInt._wrap(tuple((k, math.comb(m, 2 * k + 1)) for k in range((m + 1) // 2)))
 
-    Returns (c0, c1, f) with FER(2,r) = c0 * 1 + c1 * ORB(2) and fer(2,r) = f * 1.
-    towers, the depths built so far (from dict(_TOWER_START)), is extended in place.
-    """
+
+def _fer2(r: int, fers: list) -> LaurentInt:
+    """fer(2,r) for r <= TOWER_LIMIT; fers, the list fer(2,1), fer(2,2), ... so far, grows in place."""
     if r > TOWER_LIMIT:
         raise ValidationError(f"quadratic tower of depth r = {r} exceeds the limit r <= {TOWER_LIMIT}")
-    for k in range(max(towers) + 1, r + 1):
-        c0, c1, f = towers[k - 1]
-        f_prev = towers[k - 2][2]
-        # Psi(E x ORB(2)) = c0 ORB(2) + c1 ((L-1) + 2 ORB(2)) on the span
-        d0 = c1 * L_MINUS_1 + L_MINUS_1 * f
-        d1 = c0 + 2 * c1 - L_MINUS_1 * f_prev
-        towers[k] = (d0, d1, d0 + 2 * d1)
-    return towers[r]
+    for k in range(len(fers) + 1, r + 1):
+        fers.append(L_MINUS_1 * fers[-1] - _orb2_power(k + 1))
+    return fers[r - 1]
+
+
+def _tower(r: int, fers: list) -> tuple[LaurentInt, LaurentInt, LaurentInt]:
+    """(c0, c1, f) with FER(2,r) = c0 + c1 ORB(2) and fer(2,r) = f, for 2 <= r <= TOWER_LIMIT."""
+    f, b = _fer2(r, fers), _orb2_power(r)
+    return f + b + b, -b, f  # forgetting the action sends ORB(2) to 2
 
 
 # --- MuClass ----------------------------------------------------------------
@@ -177,10 +176,10 @@ class MuClass(Sparse):
 
     def __init__(self, raw_terms: Iterable[RawTerm] = ()):
         items: list[tuple[Atom, LaurentInt]] = []
-        towers = dict(_TOWER_START)  # the quadratic tower, built once per construction
+        fers = list(_FER2_START)  # the quadratic tower, built once per construction
         for coeff, factors in raw_terms:
             c = coeff if isinstance(coeff, LaurentInt) else LaurentInt.from_int(coeff)
-            items += _expand_term(c, tuple(factors), towers)
+            items += _expand_term(c, tuple(factors), fers)
         self._terms = self._canonical(items)
 
     # constructors
@@ -283,8 +282,8 @@ _CONSTRUCTORS = {"orb": orb, "FER": FER, "fer": fer, "opq": opq, "gm": gm}
 
 
 def _expand_term(coeff: LaurentInt, factors: tuple,
-                 towers: dict) -> tuple[tuple[Atom, LaurentInt], ...]:
-    """Rewrite one raw term to a combination of normal atoms; towers is passed to _tower."""
+                 fers: list) -> tuple[tuple[Atom, LaurentInt], ...]:
+    """Rewrite one raw term to a combination of normal atoms; fers is the list _fer2 extends."""
     residual: list[Factor] = []
     expansions: list[MuClass] = []
     for f in factors:
@@ -302,13 +301,13 @@ def _expand_term(coeff: LaurentInt, factors: tuple,
         elif kind == "fer" and f[2] == 1:  # N5a
             coeff = coeff * f[1]
         elif kind == "fer" and f[1] == 2:  # N5b
-            coeff = coeff * _tower(f[2], towers)[2]
+            coeff = coeff * _fer2(f[2], fers)
         elif kind == "FER" and f[1] == 2:  # N4, N4'
-            c0, c1, _ = _tower(f[2], towers)
+            c0, c1, _ = _tower(f[2], fers)
             expansions.append(MuClass._make([((), c0), ((("orb", 2),), c1)]))
         else:
             residual.append(f)
-    base_atom, mult = atom_mul(tuple(sorted(residual, key=factor_key)), ())  # N2
+    base_atom, mult = atom_mul(tuple(residual), ())  # N2
     terms = ((base_atom, coeff if mult == 1 else coeff * mult),)
     for expansion in expansions:
         terms = (MuClass._make(terms) * expansion).terms()

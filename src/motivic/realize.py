@@ -166,8 +166,8 @@ def _check_budget(q: int, r: int, budget: int) -> None:
 
 def count_fermat_points(n: int, r: int, q: int, budget: int | None = None) -> int:
     """Number of solutions of x_1^n + ... + x_r^n = 1 with all x_i nonzero in GF(q)."""
-    if n < 2 or r < 1:
-        raise ValidationError(f"fermat oracle wants n >= 2, r >= 1, got ({n}, {r})")
+    if not isinstance(n, int) or not isinstance(r, int) or n < 2 or r < 1:
+        raise ValidationError(f"fermat oracle wants integers n >= 2, r >= 1, got ({n!r}, {r!r})")
     if not isinstance(q, int) or q < 2:
         raise ValidationError(f"field size must be an integer >= 2, got {q!r}")
     _check_budget(q, r, oracle_budget() if budget is None else budget)

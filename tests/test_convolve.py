@@ -141,8 +141,9 @@ def test_star_power_examples():
 
 
 def test_star_power_equals_folds_up_to_four():
+    # n = 2 goes further: its folds tie the tower's closed form to the kernel
     for n in range(2, 5):
-        for r in range(1, 5):
+        for r in range(1, 9 if n == 2 else 5):
             assert star_power(n, r) == fold(n, r)
             assert chi_c(fold(n, r)) == n ** r
 

@@ -192,8 +192,15 @@ def test_oracle_rejects_bad_inputs():
         count_fermat_points(3, 2, 9)  # gcd(q, n) != 1
     with pytest.raises(ValidationError, match="field size must be an integer"):
         count_fermat_points(2, 2, 13.0)
+    for n, r in [(2.0, 1), (2, 1.0), (2, 1e300), ("2", 1), (2, None)]:
+        with pytest.raises(ValidationError, match="fermat oracle wants integers"):
+            count_fermat_points(n, r, 7)
+    with pytest.raises(ValidationError, match="fermat oracle wants integers"):
+        point_count_oracle(("fer", 2.0, 2), 7)
     with pytest.raises(OracleBudgetError):
         count_fermat_points(2, 3, 11, budget=10)
+    # a bool counts as the integer it stands for, as in the factor constructors
+    assert count_fermat_points(2, True, 7) == count_fermat_points(2, 1, 7)
 
 
 def test_budget_is_checked_before_factoring_q():

@@ -5,7 +5,8 @@
 references below are copies of the earlier routes: forget_action rebuilt raw
 terms and sent them back through the validating ``MuClass`` constructor, and
 vanishing_cycles subtracted one stratum at a time.  The quadratic tower was a
-module-level cache filled one step at a time.
+module-level cache filled one step at a time by a recursion on the whole
+expansion (c0, c1, fer(2,r)); it now follows the closed form of ORB(2)^{*m}.
 
 ``star``, ``psi_pair``, ``a1_star`` and ``phi_measure`` sum integer
 coefficients into one dict per call and build their result once, and the pair
@@ -37,7 +38,7 @@ from motivic import (A1Class, BiClass, Constant, MuClass, Resolved, SmoothProper
                      Stratum, a1_star, chi_of_a1, phi_generator, phi_measure, psi_pair, star,
                      tensor, ts_check, validate_datum, vanishing_cycles)
 from motivic.a1 import point_str
-from motivic.classes import _TOWER_START, FER, _tower, atom_mul, factor_str, fer, opq, orb
+from motivic.classes import _FER2_START, FER, TOWER_LIMIT, _tower, atom_mul, factor_str, fer, opq, orb
 from motivic.errors import ValidationError
 from motivic.jsonio import class_to_json, dumps
 from motivic.laurent import EPoly, L_MINUS_1, ONE_MINUS_L, LaurentInt
@@ -254,11 +255,11 @@ def test_vanishing_cycles_equals_the_reference_route_on_shipped_data():
 
 
 def test_tower_equals_the_cached_recursion():
-    expected = reference_tower(60)
-    for r in range(2, 61):
-        assert _tower(r, dict(_TOWER_START)) == expected[r]
-    shared = dict(_TOWER_START)
-    for r in [7, 3, 60, 2, 31]:
+    expected = reference_tower(TOWER_LIMIT)
+    for r in [2, 3, 4, 5, 7, 31, 60, 150, TOWER_LIMIT]:
+        assert _tower(r, [LaurentInt.from_int(2)]) == expected[r]
+    shared = list(_FER2_START)
+    for r in [7, 3, 60, 2, 31] + list(range(2, TOWER_LIMIT + 1)):
         assert _tower(r, shared) == expected[r]
 
 

@@ -17,7 +17,8 @@ only for r <= 2; for r >= 3 the atom is the class convolution defines
 (classes).  GF(p^k) is F_p[x]/(f) for the first primitive polynomial f in a
 fixed order, kept as the table of the powers of x, so x^n is one lookup
 whatever n.  The budget counts the r entries of each of the (q-1)^r tuples, and
-is checked before q is factored or any table is built.
+is checked before q is factored or any table is built.  At r = 1 the count is
+gcd(n, q-1), the roots of x^n = 1 in the cyclic group GF(q)^*, with no table.
 """
 
 from __future__ import annotations
@@ -174,6 +175,8 @@ def count_fermat_points(n: int, r: int, q: int, budget: int | None = None) -> in
     p, k = _prime_power(q)
     if math.gcd(q, n) != 1:
         raise ValidationError(f"field size {q} is not coprime to exponent {n}")
+    if r == 1:
+        return math.gcd(n, q - 1)
     powers = _field_powers(p, k)
     # recode in base w: a sum of r codes then has every digit below w, so no
     # digit carries, and the sum is 1 iff digit 0 is 1 and the others 0 mod p

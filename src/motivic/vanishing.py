@@ -25,11 +25,26 @@ a calculator, not a verifier of geometry.
 The records (Stratum, SNCDatum and the three generator kinds) are immutable
 values, compared and hashed by their fields; each constructor converts and
 checks its arguments.
+
+vanishing_cycles keeps one table, _phis, for the process: datum -> (phi,
+phi_regular), keyed by the record, whose hash it keeps.  So vanishing_cycles,
+phi_generator, phi_measure and ts_check validate each distinct datum and
+compute its phi once per process while it stays in the table.  _cycles alone
+validates and computes; _derive alone sizes and keeps an entry.  An entry
+counts the bytes of the datum's fields and both results marshalled together,
+and the table holds at most _PHI_LIMIT (512 KiB) of them.  When full it keeps
+about 4.6 MB by tracemalloc for ~2 100 one-component data (x^n), the most per
+marshalled byte, and 1.8 MB for the 63 blow-ups of x^n + y^n with n = 2..64.
+A miss that would pass the limit clears the table first; neither an entry
+whose own size passes it, nor an invalid datum, nor an unhashable one is
+kept.  Writes take a lock; stored values are shared, never mutated.
 """
 
 from __future__ import annotations
 
+import marshal
 import math
+import threading
 from fractions import Fraction
 from itertools import chain
 from typing import Union
@@ -178,17 +193,64 @@ def nearby_fiber(d: SNCDatum) -> MuClass:
     return MuClass._make(_nearby_terms(d))
 
 
+_PHI_LIMIT = 1 << 19  # bytes; one seed of line-measure's six distinct data hold 1.7 kB
+_phis: dict = {}  # datum -> (phi, phi_regular)
+_held = 0  # the marshalled bytes of the kept entries
+_lock = threading.RLock()
+
+
+def _clear() -> None:
+    global _held
+    with _lock:
+        _phis.clear()
+        _held = 0
+
+
+def _cycles(d: SNCDatum) -> tuple[MuClass, MuClass]:
+    """Validate d and compute its (phi, phi_regular); nothing is kept."""
+    _require_valid(d)
+    phi = MuClass._make(chain(d.fiber_singular.terms(), _nearby_terms(d, ("singular",), -1)))
+    phi_regular = MuClass._make(chain(d.fiber_regular.terms(), _nearby_terms(d, ("regular",), -1)))
+    return phi, phi_regular
+
+
+def _derive(d: SNCDatum) -> tuple[MuClass, MuClass]:
+    """Compute vanishing_cycles(d), keep it in _phis and return it."""
+    global _held
+    found = _cycles(d)
+    image = [d.components]  # the datum's fields and both results as plain data
+    classes = [d.fiber_regular, d.fiber_singular, *found]
+    for s in d.strata:
+        image.append((s.index_set, s.locus))
+        classes += s.base_class, s.cover_class
+    image += [(atom, k._terms) for c in classes for atom, k in c._terms]
+    try:
+        size = len(marshal.dumps(image, 2))  # version 2 writes no back-references
+    except ValueError:  # a str subclass among the ids or locus tags: not kept
+        return found
+    if size <= _PHI_LIMIT:
+        with _lock:
+            if _held + size > _PHI_LIMIT:
+                _clear()
+            if d not in _phis:  # another thread may have kept it since the miss
+                _phis[d] = found
+                _held += size
+    return found
+
+
 def vanishing_cycles(d: SNCDatum) -> tuple[MuClass, MuClass]:
     """(phi, phi_regular): fiber minus nearby fiber, split by locus.
 
     phi lives on the singular locus; phi_regular vanishes for data coming
     from genuine resolutions and is returned so that defective inputs are
-    visible rather than silently absorbed.
+    visible rather than silently absorbed.  Each distinct datum is validated
+    and computed once per process while it stays in the table, _phis.
     """
-    _require_valid(d)
-    phi = MuClass._make(chain(d.fiber_singular.terms(), _nearby_terms(d, ("singular",), -1)))
-    phi_regular = MuClass._make(chain(d.fiber_regular.terms(), _nearby_terms(d, ("regular",), -1)))
-    return phi, phi_regular
+    try:
+        found = _phis.get(d)
+    except TypeError:  # an unhashable field is invalid: _cycles reports it
+        return _cycles(d)
+    return _derive(d) if found is None else found
 
 
 # --- generators and the measure ----------------------------------------------
@@ -223,7 +285,8 @@ class SmoothProper(_Record):
     __slots__ = ()
 
 
-Generator = Union[Resolved, Constant, SmoothProper]
+# named by strings, so typing's cache of Union values keeps no class of this module alive
+Generator = Union["Resolved", "Constant", "SmoothProper"]
 
 Presentation = tuple  # tuple of (int coefficient, Generator) pairs
 
@@ -247,13 +310,17 @@ def phi_generator(g: Generator) -> A1Class:
 def phi_measure(p: Presentation) -> A1Class:
     """The measure on a presentation: coefficient-weighted sum over generators.
 
-    Each distinct datum is validated and its phi computed once per call; all
-    fibers are summed into one dict per point, atom and exponent (sparse.nest).
-    A point is keyed by its reduced (numerator, denominator) pair, so equal
-    points share a dict with no Fraction hash; the first Fraction met for a
-    key is the one in the output.
+    Each distinct datum is validated and its phi computed once per process
+    while it stays in vanishing_cycles' table.  A per-call dict keeps the phi
+    each datum met in the call: a datum object shared by many generators then
+    finds it by identity, where the table, keyed by the first equal datum it
+    met, would compare the two records field by field at every lookup.  All
+    fibers are summed into one dict per point, atom and exponent
+    (sparse.nest).  A point is keyed by its reduced (numerator, denominator)
+    pair, so equal points share a dict with no Fraction hash; the first
+    Fraction met for a key is the one in the output.
     """
-    phis: dict = {}  # datum -> phi: equal copies of a datum share one computation
+    phis: dict = {}  # datum -> phi, for this call
 
     def phi(d: SNCDatum) -> MuClass:
         try:

@@ -4,11 +4,13 @@ import gc
 import math
 import random
 import sys
+import threading
+import time
 
 import pytest
 from hypothesis import HealthCheck, settings, strategies as st
 
-from motivic import LaurentInt, MuClass, SNCDatum, Stratum, convolve
+from motivic import LaurentInt, MuClass, SNCDatum, Stratum, convolve, vanishing
 from motivic.laurent import L_MINUS_1
 
 settings.register_profile(
@@ -135,11 +137,37 @@ def python_calls(f, limit: float = math.inf) -> tuple:
     return result, count
 
 
+class YieldingTable(dict):
+    """A table whose clear lets other threads run, as a thread switch there may."""
+
+    def clear(self):
+        super().clear()
+        time.sleep(1e-4)
+
+
+def run_in_threads(work, count: int = 4) -> None:
+    """work(k) in count threads at once, switching between them often, inside
+    the engine's table updates too; every thread must end within a minute."""
+    threads = [threading.Thread(target=work, args=(k,)) for k in range(count)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+
+
 @pytest.fixture(autouse=True)
-def cold_kernel_tables() -> None:
-    """Each test starts on an empty convolution table, so a test that passes only
-    on a table warmed by the tests run before it fails in every run."""
+def cold_tables() -> None:
+    """Each test starts on an empty convolution table (convolve._rules) and an
+    empty datum table (vanishing._phis), so a test that passes only on tables
+    warmed by the tests run before it fails in every run."""
     convolve._clear()
+    vanishing._clear()
 
 
 @pytest.fixture

@@ -2,9 +2,6 @@ from __future__ import annotations
 
 import marshal
 import math
-import sys
-import threading
-import time
 import tracemalloc
 
 import pytest
@@ -17,7 +14,8 @@ from motivic import convolve, realize
 from motivic.jsonio import a1_to_json, class_to_json, dumps
 from motivic.laurent import L_MINUS_1
 
-from conftest import GM, L, ONE, _factors, cross_datum, mu_classes, orb, power_datum, raw_terms
+from conftest import (GM, L, ONE, YieldingTable, _factors, cross_datum, mu_classes, orb,
+                      power_datum, raw_terms, run_in_threads)
 from oracles import N_t, count_fermat_affine, nth_roots_of_minus_one, sum_of_powers_counts
 
 
@@ -355,20 +353,12 @@ def test_the_limit_counts_the_words_of_each_kept_chi():
         assert _held_size() == convolve._held
 
 
-class _YieldingTable(dict):
-    """A table whose clear lets other threads run, as a thread switch there may."""
-
-    def clear(self):
-        super().clear()
-        time.sleep(1e-4)
-
-
 def test_threads_sharing_the_tables_get_serial_results(monkeypatch):
     classes = [orb(2), orb(3), orb(2) + MuClass.fermat(3, 2), GM + orb(3), star(orb(2), orb(3))]
     pairs = [(x, y) for x in classes for y in classes]
     serial = [star(x, y) for x, y in pairs]
     monkeypatch.setattr(convolve, "_MEMO_LIMIT", 512)  # a few pairs fill it: clears race the reads
-    monkeypatch.setattr(convolve, "_rules", _YieldingTable())
+    monkeypatch.setattr(convolve, "_rules", YieldingTable())
     convolve._clear()
     results: list = [None] * 4
     miscounts: list = []
@@ -385,17 +375,7 @@ def test_threads_sharing_the_tables_get_serial_results(monkeypatch):
                         miscounts.append((_held_size(), convolve._held))
         results[k] = out
 
-    threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)  # switch threads often, inside the kernel's table updates too
-    try:
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
+    run_in_threads(work)
     assert results == [serial] * 4
     # a lost update of the count, or a key counted twice, breaks the equality
     assert miscounts == []

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
@@ -215,6 +216,22 @@ def test_huge_exponent_costs_no_more_than_its_residue():
     # the multiplicative group of GF(13) has order 12 and 10^9 + 2 = 6 mod 12
     residue, calls = python_calls(lambda: count_fermat_points(6, 1, 13))
     assert python_calls(lambda: count_fermat_points(10 ** 9 + 2, 1, 13), limit=calls)[0] == residue
+
+
+def test_one_variable_counts_are_a_gcd_with_no_field_table():
+    # x^n = 1 has gcd(n, q - 1) roots in the cyclic group GF(q)^*; a table of
+    # the q - 1 powers would take ~100 MB at q = 1000003
+    tracemalloc.start()
+    try:
+        count, _ = python_calls(lambda: count_fermat_points(2, 1, 1000003), limit=50)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count == 2 and peak < 1 << 20
+    for q in (11, 13, 31, 61):
+        for n in range(2, 9):  # every q here is a prime above 8, so coprime to n
+            roots = sum(pow(x, n, q) == 1 for x in range(1, q))
+            assert count_fermat_points(n, 1, q) == roots, (n, q)
 
 
 def test_budget_counts_the_entries_of_each_tuple():

@@ -1,20 +1,29 @@
 from __future__ import annotations
 
 import copy
+import itertools
+import math
+import os
 import pickle
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+import motivic
 from motivic import (A1Class, Constant, DatumValidationError, MuClass, Resolved,
-                     SmoothProper, SNCDatum, Stratum, ValidationError, a1_unit,
-                     chi_of_a1, nearby_fiber, phi_generator, phi_measure, ts_check,
+                     SmoothProper, SNCDatum, Stratum, ValidationError, a1_to_json, a1_unit,
+                     chi_c, chi_of_a1, nearby_fiber, phi_generator, phi_measure, ts_check,
                      validate_datum, vanishing_cycles)
 from motivic import vanishing
+from motivic.jsonio import dumps
 from motivic.laurent import LaurentInt
 
-from conftest import GM, L, ONE, blowup_datum, cross_datum, orb, power_datum
+from conftest import (GM, L, ONE, YieldingTable, blowup_datum, cross_datum, orb, power_datum,
+                      run_in_threads, trivial_classes)
 
 
 # --- datum validation -------------------------------------------------------------
@@ -391,3 +400,166 @@ def test_chi_is_multiplicative_across_ts_pairs():
     for g_v, g_w in pairs:
         lhs = chi_of_a1(a1_star(phi_generator(g_v), phi_generator(g_w)))
         assert lhs == chi_of_a1(phi_generator(g_v)) * chi_of_a1(phi_generator(g_w))
+
+
+# --- the datum table ---------------------------------------------------------------------
+
+@st.composite
+def valid_data(draw) -> SNCDatum:
+    """Valid data of up to three components, with orbit and opaque covers."""
+    multiplicities = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+    ids = [f"E{i}" for i in range(len(multiplicities))]
+    subsets = [c for k in range(1, len(ids) + 1) for c in itertools.combinations(ids, k)]
+    strata = []
+    for index_set in draw(st.lists(st.sampled_from(subsets), unique=True, max_size=4)):
+        m = math.gcd(*(multiplicities[ids.index(i)] for i in index_set))
+        base = draw(trivial_classes())
+        covers = [base * orb(m), MuClass.opaque("cover", m * chi_c(base)),
+                  MuClass.opaque("curve", m * chi_c(base) + 1, {(0, 0): 2}) - ONE]
+        cover = base if m == 1 else draw(st.sampled_from(covers))
+        locus = "singular" if len(index_set) > 1 else draw(st.sampled_from(vanishing.LOCUS_TAGS))
+        strata.append(Stratum(index_set, base, cover, locus))
+    d = SNCDatum(list(zip(ids, multiplicities)), strata,
+                 draw(trivial_classes()), draw(trivial_classes()))
+    assert validate_datum(d) == []
+    return d
+
+
+@given(st.lists(valid_data(), min_size=1, max_size=4))
+def test_a_warm_table_gives_what_a_cold_one_gives(data):
+    def results(data):
+        pres = [(k + 1, Resolved([(k, d)])) for k, d in enumerate(data)]
+        return ([vanishing_cycles(d) for d in data], [phi_generator(g) for _, g in pres],
+                dumps(a1_to_json(phi_measure(pres))))
+
+    vanishing._clear()
+    cold = results(data)
+    warm = results([copy.deepcopy(d) for d in data])  # equal copies, found in the table
+    assert warm == cold
+    assert cold[0] == [vanishing._cycles(d) for d in data]
+
+
+def _counting_validation(monkeypatch) -> list:
+    calls: list = []
+    monkeypatch.setattr(vanishing, "validate_datum",
+                        lambda d: calls.append(d) or validate_datum(d))
+    return calls
+
+
+def test_each_distinct_datum_is_validated_once_per_process(monkeypatch):
+    calls = _counting_validation(monkeypatch)
+    square, node = Resolved([(0, power_datum(2))]), Resolved([(0, cross_datum())])
+    assert ts_check(square, square, node)["equal"] is True
+    phi_generator(Resolved([(1, power_datum(2))]))
+    phi_measure([(2, Resolved([(0, power_datum(3)), (1, cross_datum())]))])
+    assert ts_check(Resolved([(0, power_datum(3))]), Constant(1, ONE),
+                    Resolved([(1, power_datum(3))]))["equal"] is True
+    vanishing_cycles(cross_datum())
+    assert calls == [power_datum(2), cross_datum(), power_datum(3)]
+
+
+def test_the_table_clears_whole_at_its_limit(monkeypatch):
+    small = power_datum(2)
+    vanishing_cycles(small)
+    size = vanishing._held  # power_datum(3) marshals to the same size
+    monkeypatch.setattr(vanishing, "_PHI_LIMIT", size + size // 2)
+    assert vanishing_cycles(power_datum(3)) == vanishing._cycles(power_datum(3))
+    assert list(vanishing._phis) == [power_datum(3)] and vanishing._held == size
+
+
+def test_an_entry_over_the_limit_is_never_kept(monkeypatch):
+    small, big = power_datum(2), blowup_datum(3)
+    vanishing_cycles(small)
+    size = vanishing._held
+    monkeypatch.setattr(vanishing, "_PHI_LIMIT", 2 * size)  # blowup_datum(3) needs ~4.6x
+    for _ in range(2):
+        assert vanishing_cycles(big) == vanishing._cycles(big)
+        assert list(vanishing._phis) == [small] and vanishing._held == size
+
+
+def test_invalid_and_unhashable_data_are_never_kept(monkeypatch):
+    calls = _counting_validation(monkeypatch)
+    bad = SNCDatum([("E1", 1)], [Stratum({"E1"}, ONE, 2 * ONE, "singular")], MuClass.zero(), ONE)
+    unhashable = SNCDatum([("E1", 2)], [Stratum({"E1"}, ONE, orb(2), ["singular"])],
+                          MuClass.zero(), ONE)
+    errors = [(bad, DatumValidationError,
+               "stratum ['E1']: chi(cover) = 2 differs from m_I * chi(base) = 1 * 1; "
+               "stratum ['E1'] has m_I = 1 but cover differs from base"),
+              (unhashable, DatumValidationError, "stratum ['E1'] has bad locus tag ['singular']"),
+              ([], AttributeError, "'list' object has no attribute 'components'"),
+              (None, AttributeError, "'NoneType' object has no attribute 'components'")]
+    for _ in range(2):
+        for d, error, text in errors:
+            with pytest.raises(error) as raised:
+                vanishing_cycles(d)
+            assert str(raised.value) == text
+            with pytest.raises(error) as raised:
+                phi_measure([(1, Resolved([(0, d)]))])
+            assert str(raised.value) == text
+    assert len(calls) == 16 and not vanishing._phis and vanishing._held == 0
+
+
+def test_a_datum_that_marshal_refuses_is_computed_and_not_kept():
+    # marshal writes no str subclass, so the entry cannot be sized
+    odd = SNCDatum([(_CountingId("E1"), 3)], [Stratum({"E1"}, ONE, orb(3), "singular")],
+                   MuClass.zero(), ONE)
+    assert odd == power_datum(3) and vanishing_cycles(odd) == vanishing._cycles(odd)
+    assert not vanishing._phis and vanishing._held == 0
+
+
+def test_threads_sharing_the_table_get_serial_results(monkeypatch):
+    data = [power_datum(n) for n in range(2, 6)] + [cross_datum(), blowup_datum(2)]
+    sizes = {}
+    for d in data:
+        vanishing._clear()
+        vanishing_cycles(d)
+        sizes[d] = vanishing._held
+    gens = [Resolved([(k, d)]) for k, d in enumerate(data)]
+    cases = [(g, h, Constant(0, ONE)) for g in gens for h in gens]
+    serial = [(vanishing_cycles(d), ts_check(*case)) for d, case in zip(data * 6, cases)]
+    limit = 2 * max(sizes.values())  # a few data fill it: clears race the reads
+    monkeypatch.setattr(vanishing, "_PHI_LIMIT", limit)
+    monkeypatch.setattr(vanishing, "_phis", YieldingTable())
+    vanishing._clear()
+    results: list = [None] * 4
+    miscounts: list = []
+
+    def work(k):
+        order = list(range(len(cases)))
+        order = order[k:] + order[:k]
+        out = [None] * len(cases)
+        for _ in range(5):
+            for i in order:
+                out[i] = (vanishing_cycles(data[i % len(data)]), ts_check(*cases[i]))
+                with vanishing._lock:  # writers hold it, so the table and the count agree here
+                    held = sum(sizes[d] for d in vanishing._phis)
+                    if not held == vanishing._held <= limit:
+                        miscounts.append((held, vanishing._held))
+        results[k] = out
+
+    run_in_threads(work)
+    assert results == [serial] * 4
+    # a lost update of the count, or a datum counted twice, breaks the equality
+    assert miscounts == []
+
+
+def test_a_second_import_of_the_engine_frees_the_first():
+    # a class named in a typing alias stays in typing's cache, and with it the
+    # module's globals and the tables they hold
+    script = """
+import gc, sys, weakref
+import motivic
+from motivic.vanishing import Resolved
+first = weakref.ref(Resolved)
+del Resolved, motivic
+for name in [m for m in sys.modules if m == "motivic" or m.startswith("motivic.")]:
+    del sys.modules[name]
+import motivic
+gc.collect()
+sys.exit(first() is not None)
+"""
+    src = str(Path(motivic.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert done.returncode == 0, done.stderr

@@ -5,12 +5,16 @@ MuClass values; it models the classes that arise as finite sums of
 point-pushforwards.  The convolution over the line pushes the pairwise Psi
 along addition of base points, its unit is the point class sitting at 0, and
 epsilon_push (sum of all fibers) intertwines it with star on the point.
-a1_star runs the kernel of star once over all fiber pairs, summing at p + q.
 
-The folds over the line add and hash no Fraction per fiber pair.  a1_star
-reads each point as its reduced (numerator, denominator) pair once per call,
-sums p + q as a reduced integer pair and keys its accumulator by that pair,
-then makes one Fraction per distinct output point.  Points sort by
+The two folds over the line, a1_star and vanishing.phi_measure, sum integer
+coefficients atom-major, as acc[atom][slot] -> {exponent: integer}, where a
+slot is a dense index per distinct output point, and _line builds both
+results.  a1_star groups each side's fiber terms by atom and maps each pair
+of points to the slot of p + q once per call, summed as reduced (numerator,
+denominator) pairs; the line kernel, convolve._line_into, then reads each
+pair of atoms' rule once.  _line sorts the distinct atoms once and appends
+each slot's terms in that order, so no fiber is sorted on its own, and makes
+one Fraction per output point, hashing none.  Points sort by
 floor(p * 2**64), an integer that orders them as p does; only two points
 within 2**-64 of each other fall back to comparing the Fractions.
 
@@ -26,15 +30,15 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterable, Mapping, Union
 
-from .classes import MuClass
-from .convolve import _psi_into
+from .classes import MuClass, atom_key
+from .convolve import _line_into
 from .errors import ValidationError
 from .laurent import LaurentInt
-from .sparse import Sparse, nest
+from .sparse import Sparse, leaves
 
 PointLike = Union[Fraction, int, str]
 
-_POINT_STR = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+_POINT_STR = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
 
 def as_point(value: PointLike) -> Fraction:
@@ -44,12 +48,14 @@ def as_point(value: PointLike) -> Fraction:
         return value
     if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
-    if isinstance(value, str) and _POINT_STR.fullmatch(value):
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValidationError(f"bad base point {value!r}") from exc
-    raise ValidationError(f"bad base point {value!r}")
+    match = _POINT_STR.fullmatch(value) if isinstance(value, str) else None
+    if match is None:
+        raise ValidationError(f"bad base point {value!r}")
+    num, den = match.groups()
+    try:  # int() refuses more digits than sys.get_int_max_str_digits()
+        return Fraction(int(num), 1 if den is None else int(den))
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValidationError(f"bad base point {value!r}") from exc
 
 
 def point_str(p: Fraction) -> str:
@@ -120,21 +126,57 @@ def a1_unit() -> A1Class:
     return A1Class({0: MuClass.one()})
 
 
+def _line(acc: dict, points: list) -> A1Class:
+    """The class over the line whose integer coefficients acc sums.
+
+    acc maps atoms to dicts from slots to dicts from exponents to integers, and
+    points[slot] is the reduced (numerator, denominator) pair of a slot's point.
+    The atoms are sorted once and each slot's terms appended in that order;
+    zeros are dropped at every level, so a point whose fiber cancels goes too.
+    """
+    fibers: list = [[] for _ in points]
+    for atom in sorted(acc, key=atom_key):
+        at = acc[atom]
+        for slot, value in zip(at, leaves(at.values(), LaurentInt)):
+            if value._terms:
+                fibers[slot].append((atom, value))
+    floors, terms = [], []
+    for (n, d), fiber in zip(points, fibers):
+        if fiber:
+            floors.append((n << 64) // d)
+            terms.append((Fraction(n, d), MuClass._wrap(tuple(fiber))))
+    # floor(p * 2**64) is monotone in p, so only points with equal floors compare as Fractions
+    return A1Class._wrap(tuple([term for _, term in sorted(zip(floors, terms))]))
+
+
 def a1_star(f: A1Class, g: A1Class) -> A1Class:
     """Convolution over the line: Psi of fibers pushed along point addition."""
-    acc: dict = {}  # reduced (numerator, denominator) of p + q -> its dict for nest
-    fs = [(*p.as_integer_ratio(), c.terms()) for p, c in f.support()]
-    gs = [(*q.as_integer_ratio(), c.terms()) for q, c in g.support()]
+    slot_of: dict = {}  # reduced (numerator, denominator) of a sum -> its slot, in slot order
+    qs = [q.as_integer_ratio() for q, _ in g.support()]
+    slots = []
+    for p, _ in f.support():
+        a, b = p.as_integer_ratio()
+        row = []
+        for c, d in qs:
+            n, m = a * d + b * c, b * d
+            k = gcd(n, m)
+            row.append(slot_of.setdefault((n // k, m // k), len(slot_of)))
+        slots.append(row)
+    acc: dict = {}
+    _line_into(acc, _by_atom(f), _by_atom(g), slots)
+    return _line(acc, list(slot_of))
 
-    def products():
-        for a, b, xs in fs:
-            for c, d, ys in gs:
-                n, m = a * d + b * c, b * d
-                k = gcd(n, m)
-                yield acc.setdefault((n // k, m // k), {}), xs, ys
 
-    _psi_into(products())
-    return nest({Fraction(n, d): sub for (n, d), sub in acc.items()}, A1Class, MuClass, LaurentInt)
+def _by_atom(f: A1Class) -> dict:
+    """atom -> the (point index, LaurentInt items) terms of f's fibers that carry it."""
+    out: dict = {}
+    for i, (_, c) in enumerate(f.support()):
+        for atom, k in c.terms():
+            terms = out.get(atom)
+            if terms is None:
+                terms = out[atom] = []
+            terms.append((i, k.items()))
+    return out
 
 
 def epsilon_push(f: A1Class) -> MuClass:

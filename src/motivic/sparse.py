@@ -6,9 +6,11 @@ to nonzero coefficients.  Sparse stores one as a tuple of (key, coefficient)
 pairs, equal keys summed, zero coefficients dropped and the pairs sorted by
 the type's sort key, so structural equality is equality of values.  Every
 sum and product builds its result with one call to ``_make`` over all of its
-terms, which sorts once.  The bilinear folds (``star``, ``psi_pair``,
-``a1_star``, ``phi_measure``) sum integer coefficients into nested dicts
-instead, and ``nest`` builds the value from them once.
+terms, which sorts once.  The bilinear folds sum integer coefficients into
+nested dicts instead: ``nest`` builds ``star`` and ``psi_pair`` from one dict
+per atom, and ``a1._line`` builds ``a1_star`` and ``phi_measure`` from one
+dict per atom and point.  Both build their Laurent coefficients with
+``leaves``.
 
 The module also holds the signed infix renderer used by ``LaurentInt``,
 ``EPoly`` and ``jsonio.pretty``.
@@ -113,40 +115,36 @@ def _total(coeffs: list):
     return sum(coeffs[1:], first)
 
 
-def nest(acc: dict, *levels: type) -> Sparse:
-    """The value of type levels[0] whose integer coefficients are summed in acc.
+def nest(acc: dict, cls: type, leaf: type) -> Sparse:
+    """The value of type cls whose integer coefficients are summed in acc.
 
-    acc maps each key of levels[0] to such a dict for levels[1], and so on down
-    to dicts from exponents to integers.  Zeros are dropped at every level, so
-    a key whose coefficient cancels goes too.  The values are built one level
-    at a time, all the leaves in one pass.  A leaf's exponents are distinct
-    integers, so its (exponent, integer) pairs sort with no key function, and
-    a one-entry leaf is not sorted.  A level of one dict is sorted by the sort
-    key of each term; in a level of many dicts (a1_star's atoms at each
-    point), each distinct key's sort key is computed once per call and every
-    dict is sorted by a C-level lookup of its keys' ranks.
+    acc maps each key of cls to a dict from exponents to integers, its
+    coefficient of type leaf.  Zeros are dropped at both levels, so a key whose
+    coefficient cancels goes too.  All the leaves are built in one pass
+    (``leaves``), then the terms are sorted once by cls's sort key.  The folds
+    over the line keep a dict per atom and point; ``a1._line`` builds those.
     """
-    return _nest_all([acc], levels)[0]
+    terms = [t for t in zip(acc, leaves(acc.values(), leaf)) if t[1]._terms]
+    if len(terms) > 1:
+        terms.sort(key=cls._sort_key)
+    return cls._wrap(tuple(terms))
 
 
-def _nest_all(dicts: list, levels: tuple) -> list:
-    """nest of each of dicts, in order."""
-    cls = levels[0]
-    if len(levels) == 1:
-        return [cls._wrap(tuple(sorted([t for t in d.items() if t[1]]) if len(d) > 1
-                                else [t for t in d.items() if t[1]]))
-                for d in dicts]
-    values = iter(_nest_all([sub for d in dicts for sub in d.values()], levels[1:]))
-    if len(dicts) == 1:
-        terms = [t for t in zip(dicts[0], values) if t[1]._terms]
-        if len(terms) > 1:
-            terms.sort(key=cls._sort_key)
-        return [cls._wrap(tuple(terms))]
-    order = sorted(dict.fromkeys(chain.from_iterable(dicts)).items(), key=cls._sort_key)
-    rank = {key: i for i, (key, _) in enumerate(order)}
-    return [cls._wrap(tuple((key, value) for _, key, value
-                            in sorted(zip(map(rank.__getitem__, d), d, values)) if value._terms))
-            for d in dicts]
+def leaves(dicts: Iterable[dict], cls: type) -> list:
+    """The value of type cls of each of dicts, which map exponents to integers.
+
+    A leaf's exponents are distinct integers, so its (exponent, integer) pairs
+    sort with no key function, and a one-entry leaf is not sorted.  Zeros are
+    filtered out only from a dict that holds one.
+    """
+    new = object.__new__
+    out = []
+    for d in dicts:
+        terms = sorted(d.items()) if len(d) > 1 else d.items()
+        leaf = new(cls)
+        leaf._terms = tuple([t for t in terms if t[1]] if 0 in d.values() else terms)
+        out.append(leaf)
+    return out
 
 
 # --- rendering ---------------------------------------------------------------------

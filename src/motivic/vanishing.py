@@ -49,12 +49,11 @@ from fractions import Fraction
 from itertools import chain
 from typing import Union
 
-from .a1 import A1Class, a1_star, as_point, point_str
+from .a1 import A1Class, _line, a1_star, as_point, point_str
 from .classes import MuClass
 from .errors import DatumValidationError, ValidationError
-from .laurent import ONE_MINUS_L, LaurentInt
+from .laurent import ONE_MINUS_L
 from .realize import chi_c
-from .sparse import nest
 
 LOCUS_TAGS = ("regular", "singular")
 
@@ -304,44 +303,68 @@ def _fibers(g: Generator, phi) -> list[tuple[Fraction, MuClass]]:
 
 def phi_generator(g: Generator) -> A1Class:
     """Vanishing-cycle class of one generator, as a class over the line."""
-    return A1Class(_fibers(g, lambda d: vanishing_cycles(d)[0]))
+    # a Resolved's critical values are distinct and sorted, and a Constant has one
+    return A1Class._wrap(tuple([(p, c) for p, c in _fibers(g, lambda d: vanishing_cycles(d)[0])
+                                if c]))
 
 
 def phi_measure(p: Presentation) -> A1Class:
     """The measure on a presentation: coefficient-weighted sum over generators.
 
-    Each distinct datum is validated and its phi computed once per process
-    while it stays in vanishing_cycles' table.  A per-call dict keeps the phi
-    each datum met in the call: a datum object shared by many generators then
-    finds it by identity, where the table, keyed by the first equal datum it
-    met, would compare the two records field by field at every lookup.  All
-    fibers are summed into one dict per point, atom and exponent
-    (sparse.nest).  A point is keyed by its reduced (numerator, denominator)
-    pair, so equal points share a dict with no Fraction hash; the first
-    Fraction met for a key is the one in the output.
+    The generators are read in order, and the first one at fault raises: for
+    a coefficient that is not an integer, then for a generator of no known
+    kind, then for the first invalid datum among its critical values, as
+    vanishing_cycles reports it.  Each distinct datum is validated and its
+    phi computed once per process while it stays in vanishing_cycles' table.
+    A per-call dict keeps the phi each datum met in the call: a datum object
+    shared by many generators then finds it by identity, where the table,
+    keyed by the first equal datum it met, would compare the two records
+    field by field at every lookup.
+
+    The coefficients are first summed per fiber: per reduced (numerator,
+    denominator) point and fiber-class object, so equal points meet with no
+    Fraction hash and a phi shared by many generators is weighed once.  Then
+    each such fiber with a nonzero weight adds its class once into one dict
+    per atom, point and exponent, and a1._line builds the class.
     """
     phis: dict = {}  # datum -> phi, for this call
-
-    def phi(d: SNCDatum) -> MuClass:
-        try:
-            value = phis.get(d)
-        except TypeError:  # an unhashable field is invalid: vanishing_cycles reports it
-            return vanishing_cycles(d)[0]
-        if value is None:
-            value = phis[d] = vanishing_cycles(d)[0]
-        return value
-
-    acc: dict = {}  # (numerator, denominator) -> (point, its dict for nest)
+    weights: dict = {}  # ((numerator, denominator), id of a class) -> its summed coefficient
+    classes: dict = {}  # id -> class; holding each class keeps its id its own
     for coeff, g in p:
         if not isinstance(coeff, int):
             raise ValidationError(f"presentation coefficient {coeff!r} is not an integer")
-        for point, cls in _fibers(g, phi):
-            at_point = acc.setdefault(point.as_integer_ratio(), (point, {}))[1]
-            for atom, c in cls.terms():
-                coeffs = at_point.setdefault(atom, {})
-                for e, x in c.items():
-                    coeffs[e] = coeffs.get(e, 0) + coeff * x
-    return nest(dict(acc.values()), A1Class, MuClass, LaurentInt)
+        if not isinstance(g, Resolved):
+            for point, cls in _fibers(g, None):  # no datum, so no phi to look up
+                classes[id(cls)] = cls
+                key = (point.as_integer_ratio(), id(cls))
+                weights[key] = weights.get(key, 0) + coeff
+            continue
+        for point, d in g.criticals:  # _fibers of a Resolved, each phi looked up in place
+            try:
+                cls = phis.get(d)
+            except TypeError:  # an unhashable field is invalid: vanishing_cycles reports it
+                cls = vanishing_cycles(d)[0]
+            if cls is None:
+                cls = phis[d] = vanishing_cycles(d)[0]
+            classes[id(cls)] = cls
+            key = (point.as_integer_ratio(), id(cls))
+            weights[key] = weights.get(key, 0) + coeff
+    acc: dict = {}  # atom -> slot -> exponent -> integer
+    slot_of: dict = {}  # (numerator, denominator) -> its slot, in slot order
+    for (point, i), w in weights.items():
+        if not w:
+            continue
+        slot = slot_of.setdefault(point, len(slot_of))
+        for atom, c in classes[i].terms():
+            at = acc.get(atom)
+            if at is None:
+                at = acc[atom] = {}
+            coeffs = at.get(slot)
+            if coeffs is None:
+                coeffs = at[slot] = {}
+            for e, x in c.items():
+                coeffs[e] = coeffs.get(e, 0) + w * x
+    return _line(acc, list(slot_of))
 
 
 def ts_check(g_v: Generator, g_w: Generator, direct: Generator) -> dict:

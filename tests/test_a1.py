@@ -1,9 +1,10 @@
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from motivic import (A1Class, ValidationError, a1_star, a1_unit, chi_c, chi_of_a1,
                      epsilon_push, star)
@@ -36,6 +37,53 @@ def test_other_points_are_refused(value):
     # Fraction() alone would take "1e10000000" and spend seconds expanding it
     with pytest.raises(ValidationError, match="bad base point"):
         as_point(value)
+
+
+def reference_as_point(value):
+    """as_point before it read the groups of its own pattern: the string matched
+    the pattern and then went to Fraction(str), which parsed it again."""
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, int) and not isinstance(value, bool):
+        return Fraction(value)
+    if isinstance(value, str) and re.fullmatch(r"[+-]?[0-9]+(/[0-9]+)?", value):
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ValidationError(f"bad base point {value!r}") from exc
+    raise ValidationError(f"bad base point {value!r}")
+
+
+def _parsed(parse, value):
+    try:
+        out = parse(value)
+    except ValidationError as exc:
+        return exc.args
+    assert type(out) is Fraction
+    return out
+
+
+# signs, leading zeros, a zero denominator, whitespace, separators of other
+# number syntaxes and digits outside ASCII (Arabic-Indic one, fullwidth five)
+_POINT_CHARS = "0123456789" + "00+-//" + " \t\n_.e" + "\u0661\uff15"
+_point_strings = st.one_of(
+    st.text(alphabet=_POINT_CHARS, max_size=8),
+    st.tuples(st.sampled_from(["", "+", "-"]), st.text(alphabet="0123456789", min_size=1, max_size=6),
+              st.sampled_from(["", "/"]), st.text(alphabet="0123456789", max_size=4)).map("".join),
+)
+
+
+@given(_point_strings)
+@example("5" * 5000)  # past Python's default limit of 4300 digits for int(str)
+@example("1/" + "7" * 5000)
+@example("-" + "9" * 4300 + "/3")
+@example("+007/000")
+@example("-0/5")
+@example("\uff15/2")
+@example(" 3/4")
+@example("3/4\n")
+def test_points_parse_as_fraction_of_the_string_parsed_them(value):
+    assert _parsed(as_point, value) == _parsed(reference_as_point, value)
 
 
 def test_zero_fibers_are_dropped():

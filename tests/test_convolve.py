@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import marshal
 import math
 import tracemalloc
@@ -10,7 +11,7 @@ from hypothesis import given, strategies as st
 from motivic import (A1Class, BiClass, Constant, MuClass, Resolved, ValidationError, a1_star,
                      assoc_check, chi_c, count_fermat_points, forget_action, mul, normalize,
                      phi_measure, psi_pair, star, star_power, tensor)
-from motivic import convolve, realize
+from motivic import convolve, realize, vanishing
 from motivic.jsonio import a1_to_json, class_to_json, dumps
 from motivic.laurent import L_MINUS_1
 
@@ -282,6 +283,25 @@ def test_a_second_star_of_a_pair_derives_no_rule(monkeypatch):
                         lambda *cores: forms.append(cores) or core_form(*cores))
     assert star(*_MIXED) == first
     assert chis == [] and forms == []
+
+
+def test_a1_star_derives_each_pair_of_atoms_once(monkeypatch):
+    # the line kernel reads a rule once per pair of atoms, however many pairs
+    # of points carry it, and a repeat call finds every rule in the table
+    f = A1Class({0: orb(2) + orb(3), 1: orb(2) + GM, "1/2": orb(3) + MuClass.fermat(3, 2)})
+    g = A1Class({-1: orb(2) + MuClass.fermat(3, 2), 2: orb(3) + orb(2), "1/3": GM})
+    derived = []
+    pair = convolve._pair
+    monkeypatch.setattr(convolve, "_pair", lambda a, b: derived.append((a, b)) or pair(a, b))
+    convolve._clear()
+    vanishing._clear()
+    first = a1_star(f, g)
+    atoms = [{a for _, c in h.support() for a, _ in c.terms()} for h in (f, g)]
+    assert len(derived) == len(set(derived)) == len(atoms[0]) * len(atoms[1]) == 16
+    assert set(derived) == set(itertools.product(*atoms))
+    derived.clear()
+    assert a1_star(f, g) == first
+    assert derived == []
 
 
 def test_a_rule_that_raises_raises_on_every_call():

@@ -18,7 +18,8 @@ second ``MuClass``.  As in the earlier routes, star went through ``tensor``
 and ``psi_pair``, which summed one ``MuClass`` per pair term, and a1_star
 summed one ``psi_pair`` per fiber pair.  phi_measure measured each generator
 through ``phi_generator``, validating its data every time, and merged the
-weighted classes over the line.  ts_check looked each point of the sorted
+weighted classes over the line, and phi_generator sent its fibers through the
+A1Class constructor.  ts_check looked each point of the sorted
 union of both supports up on each side with ``A1Class.fiber``, a linear scan;
 it now walks the two sorted supports once.  Each pair must agree on every
 input, and on invalid input raise the same exception with the same payload.
@@ -43,7 +44,7 @@ from motivic.errors import ValidationError
 from motivic.jsonio import class_to_json, dumps
 from motivic.laurent import EPoly, L_MINUS_1, ONE_MINUS_L, LaurentInt
 from motivic.realize import factor_chi
-from motivic.vanishing import LOCUS_TAGS
+from motivic.vanishing import LOCUS_TAGS, _fibers
 
 from conftest import cross_datum, laurents, power_datum, python_calls, trivial_classes
 
@@ -540,6 +541,50 @@ def test_phi_measure_raises_at_the_same_generator(p, make_invalid, at):
     assert outcome(phi_measure, p) == outcome(reference_phi_measure, p)
     q = p[:at] + [(None, SmoothProper())] + p[at:]
     assert outcome(phi_measure, q) == outcome(reference_phi_measure, q)
+
+
+def test_phi_measure_drops_a_fiber_whose_weights_cancel():
+    d, twin = power_datum(3), power_datum(3)
+    assert d == twin and d is not twin
+    half = Fraction(1, 2)
+    p = [(2, Resolved([(0, d), (1, cross_datum())])), (-2, Resolved([(0, d)])),
+         # at 1/2 an equal but distinct datum joins d; at 1 the weights 2 + 3 - 1 - 4 cancel
+         (1, Resolved([(half, d)])), (3, Resolved([("2/4", twin), (1, cross_datum())])),
+         (-1, Resolved([(1, cross_datum())])), (-4, Resolved([(1, cross_datum())]))]
+    out = phi_measure(p)
+    assert out == reference_phi_measure(p)
+    assert out.support() == ((half, 4 * vanishing_cycles(d)[0]),)
+    assert phi_measure(p[:2] + p[4:5]) == reference_phi_measure(p[:2] + p[4:5])
+
+
+def test_phi_measure_keeps_points_within_two_to_the_minus_64_apart():
+    # each point is met by two generators, which hold the points in turn
+    near = sorted(_NEAR + [Fraction(1, 3) + 2 * _TINY, Fraction(1, 3) + _TINY / 2])
+    data = [power_datum(2), cross_datum(), power_datum(3)]
+    p = [(c, Resolved([(q, data[i % 3]) for i, q in enumerate(near) if i % 2 in parity]))
+         for c, parity in ((1, (1,)), (2, (0, 1)), (-1, (0,)))]
+    out = phi_measure(p)
+    assert out == reference_phi_measure(p)
+    assert _points_of(out) == sorted(_points_of(out)) and len(_points_of(out)) == len(near)
+
+
+def test_a1_star_drops_a_point_whose_fibers_cancel():
+    # 1/2 + 1/2 and 1/3 + 2/3 both give 1, where their two Psi cancel
+    x = MuClass.orbit(2) + MuClass.fermat_trivial(3, 2)
+    f = A1Class({Fraction(1, 2): x, Fraction(1, 3): x})
+    g = A1Class({Fraction(1, 2): x, Fraction(2, 3): -x})
+    out = a1_star(f, g)
+    assert out == reference_a1_star(f, g)
+    assert _points_of(out) == [Fraction(5, 6), Fraction(7, 6)]
+
+
+@given(_generators)
+def test_phi_generator_wraps_the_fibers_the_constructor_would_build(g):
+    reference = outcome(lambda: A1Class(_fibers(g, lambda d: vanishing_cycles(d)[0])))
+    out = outcome(phi_generator, g)
+    assert out == reference == outcome(reference_phi_generator, g)
+    if isinstance(out, A1Class):
+        assert out.support() == reference.support()
 
 
 # Thom-Sebastiani checks: points from a small set, so the two sides share some

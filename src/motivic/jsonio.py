@@ -14,25 +14,27 @@ Line-class format:
 
 Serialization is canonical (sorted keys, sorted term order, compact
 separators), so identical values produce byte-identical documents, and
-parse(serialize(x)) == x.
+parse(serialize(x)) == x.  The text itself is written by dumps, which lives in
+the leaf module canonical.py.
+
+Class I/O needs only the class layers.  The line, datum, generator and
+presentation functions, and pretty on a line class, import a1 and vanishing
+when called, once per document: reading or writing a class loads neither.
 """
 
 from __future__ import annotations
 
-import json
-from typing import Any
+from typing import TYPE_CHECKING
 
-from .a1 import A1Class, point_str
+from .canonical import dumps
 from .classes import Factor, MuClass
 from .errors import ParseError
 from .laurent import EPoly, LaurentInt
 from .sparse import monomial, power, signed_join
-from .vanishing import (Constant, Generator, Presentation, Resolved, SmoothProper,
-                        SNCDatum, Stratum)
 
-
-def dumps(obj: Any) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+if TYPE_CHECKING:
+    from .a1 import A1Class
+    from .vanishing import Generator, Presentation, SNCDatum
 
 
 def _expect(condition: bool, message: str) -> None:
@@ -146,10 +148,12 @@ def class_from_json(obj) -> MuClass:
 # --- classes over the line ---------------------------------------------------
 
 def a1_to_json(f: A1Class) -> dict:
+    from .a1 import point_str
     return {"support": [{"point": point_str(p), "class": class_to_json(c)}
                         for p, c in f.support()]}
 
 def a1_from_json(obj) -> A1Class:
+    from .a1 import A1Class
     support, = _fields(obj, "line class", "support")
     pairs = []
     for entry in _list(support, "line class support"):
@@ -159,6 +163,8 @@ def a1_from_json(obj) -> A1Class:
 
 
 # --- resolution data and presentations ----------------------------------------
+# The private forms take the vanishing module (v) and a1.point_str, imported
+# once by the public function that reads or writes the whole document.
 
 def datum_to_json(d: SNCDatum) -> dict:
     return {
@@ -171,7 +177,7 @@ def datum_to_json(d: SNCDatum) -> dict:
         "fiber_singular": class_to_json(d.fiber_singular),
     }
 
-def datum_from_json(obj) -> SNCDatum:
+def _datum_from_json(obj, v) -> SNCDatum:
     components, strata, fiber_regular, fiber_singular = _fields(
         obj, "datum", "components", "strata", "fiber_regular", "fiber_singular")
     checked = []
@@ -184,48 +190,66 @@ def datum_from_json(obj) -> SNCDatum:
         index_set, base, cover, locus = _fields(s, "stratum", "I", "base", "cover", "locus")
         _expect(isinstance(index_set, list) and all(isinstance(i, str) for i in index_set),
                 "stratum index set must be a list of component ids")
-        built.append(Stratum(index_set, class_from_json(base), class_from_json(cover), locus))
-    return SNCDatum(checked, built, class_from_json(fiber_regular),
-                    class_from_json(fiber_singular))
+        built.append(v.Stratum(index_set, class_from_json(base), class_from_json(cover), locus))
+    return v.SNCDatum(checked, built, class_from_json(fiber_regular),
+                      class_from_json(fiber_singular))
+
+def datum_from_json(obj) -> SNCDatum:
+    from . import vanishing
+    return _datum_from_json(obj, vanishing)
 
 
-def generator_to_json(g: Generator):
-    if isinstance(g, SmoothProper):
+def _generator_to_json(g: Generator, v, point_str):
+    if isinstance(g, v.SmoothProper):
         return "smooth_proper"
-    if isinstance(g, Constant):
+    if isinstance(g, v.Constant):
         return {"constant": {"value": point_str(g.value),
                              "class": class_to_json(g.fiber_class)}}
     return {"resolved": {"criticals": [{"point": point_str(p), "datum": datum_to_json(d)}
                                        for p, d in g.criticals]}}
 
-def generator_from_json(obj) -> Generator:
+def generator_to_json(g: Generator):
+    from . import vanishing
+    from .a1 import point_str
+    return _generator_to_json(g, vanishing, point_str)
+
+def _generator_from_json(obj, v) -> Generator:
     if obj == "smooth_proper":
-        return SmoothProper()
+        return v.SmoothProper()
     _expect(isinstance(obj, dict) and len(obj) == 1,
             'generator must be "smooth_proper" or a one-key object')
     (kind, payload), = obj.items()
     if kind == "constant":
         value, c = _fields(payload, "constant generator", "value", "class")
-        return Constant(_point(value), class_from_json(c))
+        return v.Constant(_point(value), class_from_json(c))
     if kind == "resolved":
         entries, = _fields(payload, "resolved generator", "criticals")
         criticals = []
         for entry in _list(entries, "resolved generator criticals"):
             point, datum = _fields(entry, "critical entry", "point", "datum")
-            criticals.append((_point(point), datum_from_json(datum)))
-        return Resolved(criticals)
+            criticals.append((_point(point), _datum_from_json(datum, v)))
+        return v.Resolved(criticals)
     raise ParseError(f"unknown generator kind {kind!r}")
+
+def generator_from_json(obj) -> Generator:
+    from . import vanishing
+    return _generator_from_json(obj, vanishing)
 
 
 def presentation_to_json(p: Presentation) -> dict:
-    return {"terms": [{"coeff": c, "generator": generator_to_json(g)} for c, g in p]}
+    from . import vanishing
+    from .a1 import point_str
+    return {"terms": [{"coeff": c, "generator": _generator_to_json(g, vanishing, point_str)}
+                      for c, g in p]}
 
 def presentation_from_json(obj) -> Presentation:
+    from . import vanishing
     entries, = _fields(obj, "presentation", "terms")
     terms = []
     for t in _list(entries, "presentation terms"):
         coeff, generator = _fields(t, "presentation term", "coeff", "generator")
-        terms.append((_int(coeff, "presentation coefficient"), generator_from_json(generator)))
+        terms.append((_int(coeff, "presentation coefficient"),
+                      _generator_from_json(generator, vanishing)))
     return tuple(terms)
 
 
@@ -252,12 +276,17 @@ def _pretty_term(atom, coeff: LaurentInt, several: bool) -> tuple[bool, str]:
     return False, f"({coeff})" if several else str(coeff)
 
 
+def _pretty_class(c: MuClass) -> str:
+    terms = c.terms()
+    return signed_join(_pretty_term(atom, coeff, len(terms) > 1) for atom, coeff in terms)
+
+
 def pretty(value) -> str:
     """Human-readable infix rendering, output only; not parsed back."""
-    if isinstance(value, A1Class):
-        inner = ", ".join(f"{point_str(p)} -> {pretty(c)}" for p, c in value.support())
-        return "{" + inner + "}"
-    if not isinstance(value, MuClass):
+    if isinstance(value, MuClass):
+        return _pretty_class(value)
+    from .a1 import A1Class, point_str
+    if not isinstance(value, A1Class):
         raise TypeError(f"cannot pretty-print {type(value).__name__}")
-    terms = value.terms()
-    return signed_join(_pretty_term(atom, coeff, len(terms) > 1) for atom, coeff in terms)
+    inner = ", ".join(f"{point_str(p)} -> {_pretty_class(c)}" for p, c in value.support())
+    return "{" + inner + "}"

@@ -8,10 +8,12 @@ equality.  Instances are immutable and hashable; all arithmetic is exact.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from typing import TYPE_CHECKING, Iterable, Mapping, Union
 
 from .sparse import Sparse, monomial, power, signed_join
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 Coeffable = Union["LaurentInt", int]
 
@@ -87,6 +89,7 @@ class LaurentInt(Sparse):
 
     def evaluate(self, value: int | Fraction) -> Fraction:
         """Exact evaluation at a nonzero rational value."""
+        from fractions import Fraction  # here, so loading the classes does not load fractions
         x = Fraction(value)
         if x == 0 and any(e < 0 for e, _ in self._terms):
             raise ZeroDivisionError("negative exponent at 0")
@@ -140,6 +143,7 @@ class EPoly(Sparse):
                           for (i1, j1), c1 in self._terms for (i2, j2), c2 in other._terms)
 
     def evaluate(self, u, v):
+        from fractions import Fraction
         return sum((Fraction(c) * Fraction(u) ** i * Fraction(v) ** j
                     for (i, j), c in self._terms), Fraction(0))
 

@@ -227,14 +227,42 @@ def test_outputs_are_byte_identical_across_processes(tmp_path):
     assert runs[0] == runs[1] and runs[0].strip()
 
 
+def _engine_env() -> dict:
+    """This environment with the engine's sources first on PYTHONPATH."""
+    src = str(Path(motivic.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
     # a request pays for every module its import loads; these two cost ~6 ms of start-up
-    src = str(Path(motivic.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     code = "import motivic.cli, sys; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True, env=env).stdout
+                         check=True, env=_engine_env()).stdout
     assert out == "[]\n"
+
+
+_CLASS_LAYERS = ["motivic.classes", "motivic.convolve", "motivic.a1", "motivic.vanishing"]
+_LINE_LAYERS = ["motivic.a1", "motivic.vanishing", "fractions"]
+
+
+@pytest.mark.parametrize("argv, exit_code, absent", [
+    (["oracle", "--fer", "2", "2", "--q", "13"], 0, _CLASS_LAYERS),
+    (["no-such-command"], 2, _CLASS_LAYERS),
+    (["normalize", "class.json"], 0, _LINE_LAYERS),
+    (["realize", "--chi-c", "class.json"], 0, _LINE_LAYERS),
+])
+def test_each_request_loads_only_the_modules_it_runs(tmp_path, argv, exit_code, absent):
+    # the package loads its submodules on first use, so a request that needs
+    # no class, or no class over the line, compiles none of their modules
+    write(tmp_path, "class.json", class_to_json(orb(3) + MuClass.fermat(4, 2)))
+    code = ("import json, sys\nfrom motivic.cli import run\ncode = run(sys.argv[1:])\n"
+            "sys.stderr.write(json.dumps([code, sorted(sys.modules)]))")
+    done = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True,
+                          cwd=tmp_path, env=_engine_env())
+    code, loaded = json.loads(done.stderr)
+    assert code == exit_code, done.stdout
+    assert len(done.stdout.splitlines()) == 1
+    assert [m for m in absent if m in loaded] == []
 
 
 def test_opaque_atoms_differing_only_in_e_data(tmp_path, capsys):
@@ -264,7 +292,7 @@ def test_unexpected_engine_failure_is_one_internal_error_line(tmp_path, capsys, 
     def broken(a, b):
         raise RuntimeError("pair table\nis missing")
 
-    monkeypatch.setattr(motivic.cli, "star", broken)
+    monkeypatch.setattr(motivic.convolve, "star", broken)
     a = write(tmp_path, "a.json", class_to_json(orb(2)))
     code, out = run_cli(capsys, "convolve", a, a)
     assert code == 3 and len(out.splitlines()) == 1

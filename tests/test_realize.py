@@ -244,6 +244,17 @@ def test_budget_counts_the_entries_of_each_tuple():
         count_fermat_points(3, 9, 2, budget=8)
 
 
+def test_counts_over_gf2_are_the_parity_of_r():
+    # GF(2)^* = {1}, so the one tuple sums to r; the enumeration built an
+    # (r + 1)-byte table and an r-fold product, ~3 GB at the budget's r = 10**8
+    for n in (3, 5, 7):
+        for r in range(1, 13):
+            assert count_fermat_points(n, r, 2) == count_fermat_affine(n, r, 2, 1), (n, r)
+    assert python_calls(lambda: count_fermat_points(3, 10 ** 8, 2), limit=50)[0] == 0
+    with pytest.raises(ValidationError):
+        count_fermat_points(2, 3, 2)  # even n is still refused at q = 2
+
+
 def test_oracle_budget_env_override(monkeypatch):
     monkeypatch.setenv("MOTIVIC_ORACLE_BUDGET", "10")
     with pytest.raises(OracleBudgetError):

@@ -30,7 +30,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterable, Mapping, Union
 
-from .classes import MuClass, atom_key
+from .classes import MuClass, sort_atoms
 from .convolve import _line_into
 from .errors import ValidationError
 from .laurent import LaurentInt
@@ -62,6 +62,12 @@ def point_str(p: Fraction) -> str:
     return str(p.numerator) if p.denominator == 1 else f"{p.numerator}/{p.denominator}"
 
 
+def _point_key(term):
+    # floor(p * 2**64) is monotone in p; p itself breaks a tie
+    n, d = term[0].as_integer_ratio()
+    return (n << 64) // d, term[0]
+
+
 def _checked_fiber(point: PointLike, cls: MuClass) -> tuple[Fraction, MuClass]:
     pt = as_point(point)
     if not isinstance(cls, MuClass):
@@ -75,10 +81,8 @@ class A1Class(Sparse):
     __slots__ = ()
 
     @staticmethod
-    def _sort_key(term):
-        # floor(p * 2**64) is monotone in p; p itself breaks a tie
-        n, d = term[0].as_integer_ratio()
-        return (n << 64) // d, term[0]
+    def _sort(terms: list) -> None:
+        terms.sort(key=_point_key)
 
     def __init__(self, support: Mapping[PointLike, MuClass] | Iterable[tuple[PointLike, MuClass]] = ()):
         items = support.items() if isinstance(support, Mapping) else support
@@ -135,8 +139,9 @@ def _line(acc: dict, points: list) -> A1Class:
     zeros are dropped at every level, so a point whose fiber cancels goes too.
     """
     fibers: list = [[] for _ in points]
-    for atom in sorted(acc, key=atom_key):
-        at = acc[atom]
+    atoms = list(acc.items())
+    sort_atoms(atoms)
+    for atom, at in atoms:
         for slot, value in zip(at, leaves(at.values(), LaurentInt)):
             if value._terms:
                 fibers[slot].append((atom, value))

@@ -12,6 +12,11 @@ combinations of atoms, an atom being a canonically sorted product of factors
 
 plus, in raw input only, GM(d): a one-torus with multiplication action.
 
+Atoms are ordered by atom_key: by factor count, then factor by factor in
+factor_key order (ORB < FER < fer < OPQ, then the entries).  Every sort of
+atoms goes through sort_atoms, which sorts by the cheap key atom_order and
+falls back to atom_key in the one case atom_order's tuples do not compare.
+
 Rewriting rules (applied to a fixed point; each strictly shrinks a
 (factor-count, orbit-size) measure, and the system is confluent because every
 factor kind has at most one applicable rule):
@@ -41,7 +46,8 @@ eigenvalues 1 +- sqrt(L), and three identities give the expansions:
 from __future__ import annotations
 
 import math
-from typing import Iterable, Union
+from functools import partial
+from typing import Callable, Iterable, Union
 
 from .errors import ValidationError
 from .laurent import L_MINUS_1, ZERO, Coeffable, EPoly, LaurentInt
@@ -100,7 +106,38 @@ def factor_key(f: Factor):
 
 
 def atom_key(a: Atom):
+    """The atom order, exact and total: by factor count, then factor by factor."""
     return (len(a), tuple(map(factor_key, a)))
+
+
+def atom_order(a: Atom) -> tuple:
+    """atom_key's order on normal atoms, as a key that is one cheap call to build.
+
+    The atoms then compare as plain tuples.  That is atom_key's order: a normal
+    atom holds at most one orbit factor, and first, the only kind whose rank is
+    out of ASCII order; FER < fer < opq in both; two factors of one kind compare
+    their entries.  Only two opaque factors of equal tag and chi, one with
+    E-data and one without, do not compare: the tuple comparison raises
+    TypeError where factor_key ranks the one without first.
+    """
+    return len(a), not (a and a[0][0] == "orb"), a
+
+
+def _term_key(order: Callable, term: tuple):
+    return order(term[0])
+
+
+def sort_atoms(items: list, key: Callable = _term_key) -> None:
+    """Sort items in place in the atom order; each sort of atoms goes through here.
+
+    key(order, item) is an item's sort key made with the atom key order; by
+    default an item is a term (atom, value).  The sort uses atom_order, and
+    sorts again with atom_key when atom_order's tuples do not compare.
+    """
+    try:
+        items.sort(key=partial(key, atom_order))
+    except TypeError:
+        items.sort(key=partial(key, atom_key))
 
 
 def factor_str(f: Factor) -> str:
@@ -172,7 +209,7 @@ class MuClass(Sparse):
 
     __slots__ = ()
 
-    _sort_key = staticmethod(lambda term: atom_key(term[0]))
+    _sort = staticmethod(sort_atoms)
 
     def __init__(self, raw_terms: Iterable[RawTerm] = ()):
         items: list[tuple[Atom, LaurentInt]] = []

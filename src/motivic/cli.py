@@ -89,7 +89,12 @@ def _function(entry):
     return getattr(import_module(f"{__package__}.{module}"), attr)
 
 
-def _build_parser():
+def _build_parser(command: str | None = None):
+    """The parser of every command, or of command alone when one is named.
+
+    A subcommand's help and error messages name no other subcommand, so only
+    the top-level help and an unknown or missing command need all of them.
+    """
     import argparse  # after the engine modules that run() loads first
 
     class Parser(argparse.ArgumentParser):
@@ -99,24 +104,27 @@ def _build_parser():
     parser = Parser(prog="motivic", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, paths, _, _, to_pretty) in _COMMANDS.items():
-        p = sub.add_parser(name)
-        for arg in paths:
-            p.add_argument(arg)
-        p.add_argument("--out", default=None)
-        if to_pretty:
-            p.add_argument("--pretty", action="store_true")
+        if command in (None, name):
+            p = sub.add_parser(name)
+            for arg in paths:
+                p.add_argument(arg)
+            p.add_argument("--out", default=None)
+            if to_pretty:
+                p.add_argument("--pretty", action="store_true")
 
-    realize = sub.add_parser("realize")
-    mode = realize.add_mutually_exclusive_group(required=True)
-    mode.add_argument("--chi-c", action="store_true")
-    mode.add_argument("--e-poly", action="store_true")
-    realize.add_argument("class_file")
-    realize.add_argument("--out", default=None)  # after the modes, as --help has always shown
+    if command in (None, "realize"):
+        realize = sub.add_parser("realize")
+        mode = realize.add_mutually_exclusive_group(required=True)
+        mode.add_argument("--chi-c", action="store_true")
+        mode.add_argument("--e-poly", action="store_true")
+        realize.add_argument("class_file")
+        realize.add_argument("--out", default=None)  # after the modes, as --help has always shown
 
-    oracle = sub.add_parser("oracle")
-    oracle.add_argument("--fer", nargs=2, type=int, metavar=("N", "R"), required=True)
-    oracle.add_argument("--q", type=int, required=True)
-    oracle.add_argument("--out", default=None)
+    if command in (None, "oracle"):
+        oracle = sub.add_parser("oracle")
+        oracle.add_argument("--fer", nargs=2, type=int, metavar=("N", "R"), required=True)
+        oracle.add_argument("--q", type=int, required=True)
+        oracle.add_argument("--out", default=None)
     return parser
 
 
@@ -137,13 +145,14 @@ def _realize(obj, chi: bool):
 
 def run(argv: list[str]) -> int:
     try:
-        if argv and argv[0] in _COMMANDS:
+        command = argv[0] if argv and argv[0] in (*_COMMANDS, "realize", "oracle") else None
+        if command in _COMMANDS:
             # load the command's engine modules before argparse and the parser
             # exist: compiled on the smaller heap, they raise the request's peak
             # RSS ~0.4 MB less, as when the package loaded the whole engine first
-            for entry in _COMMANDS[argv[0]]:
+            for entry in _COMMANDS[command]:
                 _function(entry)
-        args = _build_parser().parse_args(argv)
+        args = _build_parser(command).parse_args(argv)
         if args.command == "realize":
             value, form = _realize(_load(args.class_file), args.chi_c)
         elif args.command == "oracle":

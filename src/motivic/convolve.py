@@ -52,7 +52,7 @@ import marshal
 import threading
 from typing import Iterable
 
-from .classes import FER, Atom, Factor, MuClass, atom_key, atom_mul, factor_str, fer, orb
+from .classes import FER, Atom, Factor, MuClass, atom_mul, factor_str, fer, orb, sort_atoms
 from .errors import ValidationError
 from .laurent import L_MINUS_1, ONE, Coeffable, LaurentInt
 from .realize import atom_chi, chi_c
@@ -64,7 +64,9 @@ class BiClass(Sparse):
 
     __slots__ = ()
 
-    _sort_key = staticmethod(lambda term: (atom_key(term[0][0]), atom_key(term[0][1])))
+    @staticmethod
+    def _sort(terms: list) -> None:
+        sort_atoms(terms, lambda order, term: (order(term[0][0]), order(term[0][1])))
 
     def __init__(self, terms: Iterable[tuple[Atom, Atom, Coeffable]] = ()):
         self._terms = self._canonical(

@@ -3,14 +3,16 @@
 Laurent polynomials in L, E-polynomials, classes over the point, exterior
 products and classes over the line are all finitely supported maps from keys
 to nonzero coefficients.  Sparse stores one as a tuple of (key, coefficient)
-pairs, equal keys summed, zero coefficients dropped and the pairs sorted by
-the type's sort key, so structural equality is equality of values.  Every
-sum and product builds its result with one call to ``_make`` over all of its
-terms, which sorts once.  The bilinear folds sum integer coefficients into
-nested dicts instead: ``nest`` builds ``star`` and ``psi_pair`` from one dict
-per atom, and ``a1._line`` builds ``a1_star`` and ``phi_measure`` from one
-dict per atom and point.  Both build their Laurent coefficients with
-``leaves``.
+pairs, equal keys summed, zero coefficients dropped and the pairs sorted in
+the type's order, so structural equality is equality of values.  A type's
+``_sort`` sorts a list of pairs in place: by the key itself unless the type
+says otherwise, and for classes by ``classes.sort_atoms``, the one sort of
+atoms.  Every sum and product builds its result with one call to ``_make``
+over all of its terms, which sorts once.  The bilinear folds sum integer
+coefficients into nested dicts instead: ``nest`` builds ``star`` and
+``psi_pair`` from one dict per atom, and ``a1._line`` builds ``a1_star`` and
+``phi_measure`` from one dict per atom and point.  Both build their Laurent
+coefficients with ``leaves``.
 
 The module also holds the signed infix renderer used by ``LaurentInt``,
 ``EPoly`` and ``jsonio.pretty``.
@@ -28,9 +30,11 @@ class Sparse:
 
     __slots__ = ("_terms",)
 
-    # sort key of a (key, coefficient) pair; by default the key itself, so a
-    # sort never compares coefficients or tests keys for equality first
-    _sort_key = staticmethod(itemgetter(0))
+    @staticmethod
+    def _sort(terms: list) -> None:
+        """Sort (key, coefficient) pairs in place in the type's order."""
+        # by the key itself, so a sort never compares coefficients or tests keys for equality first
+        terms.sort(key=itemgetter(0))
 
     @classmethod
     def _canonical(cls, items: Iterable[tuple]) -> tuple:
@@ -55,7 +59,7 @@ class Sparse:
                 acc[key] = _total(group)
         terms = [term for term in acc.items() if term[1]]
         if len(terms) > 1:
-            terms.sort(key=cls._sort_key)
+            cls._sort(terms)
         return tuple(terms)
 
     @classmethod
@@ -121,12 +125,12 @@ def nest(acc: dict, cls: type, leaf: type) -> Sparse:
     acc maps each key of cls to a dict from exponents to integers, its
     coefficient of type leaf.  Zeros are dropped at both levels, so a key whose
     coefficient cancels goes too.  All the leaves are built in one pass
-    (``leaves``), then the terms are sorted once by cls's sort key.  The folds
+    (``leaves``), then the terms are sorted once by cls's ``_sort``.  The folds
     over the line keep a dict per atom and point; ``a1._line`` builds those.
     """
     terms = [t for t in zip(acc, leaves(acc.values(), leaf)) if t[1]._terms]
     if len(terms) > 1:
-        terms.sort(key=cls._sort_key)
+        cls._sort(terms)
     return cls._wrap(tuple(terms))
 
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import contextlib
 import io
 import json
@@ -263,6 +264,33 @@ def test_each_request_loads_only_the_modules_it_runs(tmp_path, argv, exit_code, 
     assert code == exit_code, done.stdout
     assert len(done.stdout.splitlines()) == 1
     assert [m for m in absent if m in loaded] == []
+
+
+_EVERY_COMMAND = ["normalize", "convolve", "star-a1", "assoc-check", "vanishing", "measure",
+                  "ts-check", "realize", "oracle"]
+
+
+@pytest.mark.parametrize("argv, built", [
+    (["oracle", "--fer", "2", "2", "--q", "13"], ["oracle"]),
+    (["realize", "--chi-c"], ["realize"]),
+    (["normalize", "class.json"], ["normalize"]),
+    (["no-such-command"], _EVERY_COMMAND),  # its error message lists every command
+    ([], _EVERY_COMMAND),
+])
+def test_a_request_naming_a_command_builds_its_subparser_alone(tmp_path, monkeypatch, capsys,
+                                                                argv, built):
+    names = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def counted(self, name, **kwargs):
+        names.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
+    monkeypatch.chdir(tmp_path)
+    write(tmp_path, "class.json", class_to_json(orb(3)))
+    run_cli(capsys, *argv)
+    assert names == built
 
 
 def test_opaque_atoms_differing_only_in_e_data(tmp_path, capsys):

@@ -148,11 +148,11 @@ def _psi_into(products: Iterable[tuple[dict, Iterable, Iterable]]) -> None:
     it stays there; the table's bound is in bytes, as the module docstring says.
     """
     for acc, xs, ys in products:
+        ys = [(b, cb.items()) for b, cb in ys]  # read once per product, not once per pair
         for a, ca in xs:
             ca = ca.items()
             row = _rules.get(a, {})  # the b of one ys are distinct, so row need not grow here
             for b, cb in ys:
-                cb = cb.items()
                 rule = row.get(b)
                 if rule is None:
                     rule = _pair(a, b)

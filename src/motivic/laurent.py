@@ -51,6 +51,15 @@ class LaurentInt(Sparse):
             return cls._wrap(((0, int(other)),) if other else ())
         return None
 
+    def __hash__(self) -> int:
+        # a constant is equal to its int (see _coerce), so it hashes as that int
+        terms = self._terms
+        if not terms:
+            return 0
+        if len(terms) == 1 and terms[0][0] == 0:
+            return hash(terms[0][1])
+        return Sparse.__hash__(self)
+
     __add__ = __radd__ = Sparse.__add__
     __neg__ = Sparse.__neg__
     __sub__ = Sparse.__sub__

@@ -23,8 +23,10 @@ contribute nothing).  Smoothness/properness flags are trusted input; this is
 a calculator, not a verifier of geometry.
 
 The records (Stratum, SNCDatum and the three generator kinds) are immutable
-values, compared and hashed by their fields; each constructor converts and
-checks its arguments.
+values; each constructor converts and checks its arguments.  A record compares
+and hashes by one key of its fields as plain data (classes as their terms,
+nested records as their keys), built once and kept beside the hash, so two
+equal but distinct records compare as two tuples, in C.
 
 vanishing_cycles keeps one table, _phis, for the process: datum -> (phi,
 phi_regular), keyed by the record, whose hash it keeps.  So vanishing_cycles,
@@ -47,6 +49,7 @@ import math
 import threading
 from fractions import Fraction
 from itertools import chain
+from operator import attrgetter, itemgetter
 from typing import Union
 
 from .a1 import A1Class, _line, a1_star, as_point, point_str
@@ -57,12 +60,17 @@ from .realize import chi_c
 
 LOCUS_TAGS = ("regular", "singular")
 
+# a class's terms as plain data, read in C: its atoms, and each coefficient's terms
+_atom, _coeff, _coeff_terms = itemgetter(0), itemgetter(1), attrgetter("_terms")
+
 
 class _Record:
     """An immutable value named by its __slots__: equal to a record of its own
-    type with equal fields, hashed (once, then kept) and shown by those fields."""
+    type with equal fields, and shown by those fields.  Equality and the hash
+    go through one key of plain data, built the first time either needs it and
+    kept beside the hash, so an equal but distinct record compares in C."""
 
-    __slots__ = ("_hash",)
+    __slots__ = ("_hash", "_key")
 
     def _set(self, *values) -> None:
         for name, value in zip(self.__slots__, values):
@@ -71,6 +79,25 @@ class _Record:
     def _fields(self) -> tuple:
         return tuple([getattr(self, name) for name in self.__slots__])
 
+    def _plain(self) -> tuple:
+        """The key: the fields in order, a class as (its type, ((atom, its
+        coefficient's terms), ...)), a record, alone or in a tuple field, as
+        (its type, its key), and any other value as it is.  Built once; no Python
+        function is called per term, and per field only for a nested record."""
+        try:
+            return self._key
+        except AttributeError:
+            pass
+        key = tuple([
+            (v.__class__, tuple(zip(map(_atom, v._terms), map(_coeff_terms, map(_coeff, v._terms)))))
+            if isinstance(v, MuClass) else
+            (v.__class__, v._plain()) if isinstance(v, _Record) else
+            tuple([(x.__class__, x._plain()) if isinstance(x, _Record) else x for x in v])
+            if v.__class__ is tuple else v
+            for v in map(self.__getattribute__, self.__slots__)])
+        object.__setattr__(self, "_key", key)
+        return key
+
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
 
@@ -78,15 +105,20 @@ class _Record:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def __eq__(self, other):
+        if other is self:
+            return True
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._fields() == other._fields()
+        try:
+            return self._key == other._key
+        except AttributeError:  # a key not built yet
+            return self._plain() == other._plain()
 
     def __hash__(self):
         try:
             return self._hash
         except AttributeError:  # not hashed yet; an unhashable field raises TypeError here
-            object.__setattr__(self, "_hash", hash(self._fields()))
+            object.__setattr__(self, "_hash", hash(self._plain()))
             return self._hash
 
     def __reduce__(self):
@@ -318,8 +350,8 @@ def phi_measure(p: Presentation) -> A1Class:
     phi computed once per process while it stays in vanishing_cycles' table.
     A per-call dict keeps the phi each datum met in the call: a datum object
     shared by many generators then finds it by identity, where the table,
-    keyed by the first equal datum it met, would compare the two records
-    field by field at every lookup.
+    keyed by the first equal datum it met, would compare the two records'
+    keys at every lookup.
 
     The coefficients are first summed per fiber: per reduced (numerator,
     denominator) point and fiber-class object, so equal points meet with no
@@ -372,7 +404,8 @@ def ts_check(g_v: Generator, g_w: Generator, direct: Generator) -> dict:
 
     Returns per-base-point symbolic equality of a1_star(phi(g_v), phi(g_w))
     against phi(direct), plus the overall verdict.  A point on one side only
-    is unequal, as neither side holds a zero fiber.
+    is unequal, as neither side holds a zero fiber, so the overall verdict is
+    the conjunction of the per-point ones.
     """
     lhs = a1_star(phi_generator(g_v), phi_generator(g_w))
     rhs = phi_generator(direct)
@@ -380,4 +413,4 @@ def ts_check(g_v: Generator, g_w: Generator, direct: Generator) -> dict:
     # two runs already in point order: sorted() merges them in one linear pass
     points = sorted([*left, *(p for p in right if p not in left)])
     by_point = [{"point": point_str(p), "equal": left.get(p) == right.get(p)} for p in points]
-    return {"equal": lhs == rhs, "by_point": by_point}
+    return {"equal": all(map(itemgetter("equal"), by_point)), "by_point": by_point}

@@ -3,7 +3,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, strategies as st
 
 from motivic.laurent import L, L_MINUS_1, ONE, ONE_MINUS_L, ZERO, LaurentInt
 
@@ -62,3 +62,11 @@ def test_ring_axioms(a, b, c):
 @given(laurents())
 def test_hash_consistent_with_equality(a):
     assert hash(a) == hash(LaurentInt(dict(a.items())))
+
+
+@given(st.integers())
+def test_a_constant_hashes_as_the_int_it_equals(n):
+    c = LaurentInt.from_int(n)
+    assert c == n and n == c
+    assert hash(c) == hash(n)
+    assert n in {c} and c in {n}

@@ -23,7 +23,7 @@ from motivic.jsonio import dumps
 from motivic.laurent import LaurentInt
 
 from conftest import (GM, L, ONE, YieldingTable, blowup_datum, cross_datum, orb, power_datum,
-                      run_in_threads, trivial_classes)
+                      python_calls, run_in_threads, trivial_classes)
 
 
 # --- datum validation -------------------------------------------------------------
@@ -199,13 +199,79 @@ def test_records_copy_and_pickle_to_equal_values():
 
 
 def test_a_record_hashes_its_fields_once(monkeypatch):
-    calls = []
-    fields = vanishing._Record._fields
-    monkeypatch.setattr(vanishing._Record, "_fields", lambda self: calls.append(self) or fields(self))
+    builds = []
+    plain = vanishing._Record._plain
+
+    def counted(self):
+        if not hasattr(self, "_key"):  # this call builds the record's key
+            builds.append(self)
+        return plain(self)
+
+    monkeypatch.setattr(vanishing._Record, "_plain", counted)
     d = cross_datum()
     h = hash(d)
-    assert calls[0] is d and len(calls) == 4  # the datum and its three strata
-    assert hash(d) == h and len(calls) == 4
+    assert builds[0] is d and len(builds) == 4  # the datum and its three strata
+    assert hash(d) == h and len(builds) == 4
+    e = cross_datum()
+    assert d == e and e == d and hash(e) == h and d.strata[2] == e.strata[2]
+    assert builds[4] is e and len(builds) == 8
+
+
+# data built from a spec, each field of which one mutant below changes
+_SPECS = st.fixed_dictionaries({
+    "locus": st.sampled_from(["regular", "singular"]),
+    "multiplicity": st.integers(1, 3),
+    "cover": st.integers(-2, 2),
+    "epoly": st.dictionaries(st.tuples(st.integers(0, 1), st.integers(0, 1)), st.integers(-1, 1),
+                             max_size=2),
+    "point": st.tuples(st.integers(-2, 2), st.integers(1, 3)),
+    "stratum": st.sampled_from([Stratum, type("OtherStratum", (Stratum,), {})]),
+})
+
+
+def _build(spec: dict) -> list:
+    """A stratum, a datum holding it and the generators of each kind, built anew."""
+    m = spec["multiplicity"]
+    base = ONE + MuClass.opaque("blob", 1, spec["epoly"])
+    cover = base + spec["cover"] * orb(m)
+    s = spec["stratum"]({"E1"}, base, cover, spec["locus"])
+    d = SNCDatum([("E1", m)], [s], MuClass.zero(), ONE)
+    point = Fraction(*spec["point"])
+    return [s, d, Resolved([(point, d)]), Constant(point, base), SmoothProper()]
+
+
+def _agree(a, b) -> None:
+    """a == b as the fields compare, and equal keys hash equal."""
+    assert a is not b
+    same = a.__class__ is b.__class__ and a._fields() == b._fields()
+    assert (a == b) is same and (a != b) is not same
+    if a._plain() == b._plain():
+        assert hash(a) == hash(b)
+
+
+@given(_SPECS)
+def test_copies_compare_by_key_as_by_fields(spec):
+    for a, b in zip(_build(spec), _build(spec)):
+        _agree(a, b)
+        assert a == b and hash(a) == hash(b)
+
+
+@given(_SPECS, _SPECS)
+def test_one_field_mutants_compare_by_key_as_by_fields(spec, other):
+    for field in spec:  # each mutant takes one field from the other spec
+        mutant = dict(spec, **{field: other[field]})
+        for a, b in zip(_build(spec), _build(mutant)):
+            _agree(a, b)
+            _agree(b, a)
+
+
+def test_a_hit_through_an_equal_datum_compares_keys():
+    d, e = blowup_datum(4), blowup_datum(4)
+    found = vanishing_cycles(d)
+    hash(e)  # hashed once, as a datum met before is
+    again, calls = python_calls(lambda: vanishing_cycles(e))
+    assert again is found and e is not d
+    assert calls <= 5, calls  # the lambda, vanishing_cycles, e's hash and one key comparison
 
 
 def test_an_unhashable_field_makes_the_hash_raise():

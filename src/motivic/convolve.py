@@ -36,20 +36,17 @@ star-fold pass of stars took 13 % longer through _line_into with one slot,
 and line-measure's a1_star calls took 23 % longer through _psi_into, one pair
 of points at a time, than through _line_into.
 
-The table, _rules, is kept for the process, so every caller derives a rule
-once per pair of atoms; _pair alone derives, sizes and keeps a rule.
-A rule counts the bytes of its two key atoms and itself marshalled together,
-and the table holds at most _MEMO_LIMIT (2 MiB) of them.  When full it keeps
-about 3.6 MB, by tracemalloc on the benchmark's star-fold inputs.  A miss that
-would pass the limit clears the table first, and neither a miss whose own size
-passes it nor an exception is kept.  Writes take a lock; stored values are
-shared, never mutated.
+The table, _rules (a table.Table), is kept for the process: _pair alone
+derives, sizes and keeps a rule, so every caller derives a rule once per pair
+of atoms.  A rule counts the bytes of its two key atoms and itself marshalled
+together; the table holds at most 2 MiB of them, 2.4 times one seed of
+star-fold's inputs (0.86-0.88 MB), and when full keeps about 3.6 MB by
+tracemalloc on those inputs.  A rule that raises is not kept.
 """
 
 from __future__ import annotations
 
 import marshal
-import threading
 from typing import Iterable
 
 from .classes import FER, Atom, Factor, MuClass, atom_mul, factor_str, fer, orb, sort_atoms
@@ -57,6 +54,7 @@ from .errors import ValidationError
 from .laurent import L_MINUS_1, ONE, Coeffable, LaurentInt
 from .realize import atom_chi, chi_c
 from .sparse import Sparse, nest
+from .table import Table
 
 
 class BiClass(Sparse):
@@ -95,22 +93,11 @@ def tensor(a: MuClass, b: MuClass) -> BiClass:
                                for a1, c1 in a.terms() for a2, c2 in b.terms()))
 
 
-_MEMO_LIMIT = 1 << 21  # bytes; one seed of star-fold's inputs fills 0.86-0.88 MB
-_rules: dict = {}  # a -> {b: the one atom of Psi(a x b), coefficient 1, or a list of its terms}
-_held = 0  # the marshalled bytes of the kept rules
-_lock = threading.RLock()
-
-
-def _clear() -> None:
-    global _held
-    with _lock:
-        _rules.clear()
-        _held = 0
+_rules = Table(1 << 21)  # a -> {b: the one atom of Psi(a x b), coefficient 1, or its terms}
 
 
 def _pair(a: Atom, b: Atom):
     """Derive Psi(a x b), keep it in _rules and return it."""
-    global _held
     # the fer factors act trivially; the core of an atom is the rest
     triv = tuple(f for f in a + b if f[0] == "fer")
     core_a, core_b = (tuple(f for f in x if f[0] != "fer") for x in (a, b))
@@ -127,15 +114,7 @@ def _pair(a: Atom, b: Atom):
             # P6: the cores' orbits went into the tag, so nothing fuses; fer factors
             # sort as plain tuples in factor_key order, and opaque ones rank last
             rule = tuple(sorted(triv)) + (form,)
-    size = len(marshal.dumps((a, b, rule), 2))  # version 2 writes no back-references
-    if size <= _MEMO_LIMIT:
-        with _lock:
-            if _held + size > _MEMO_LIMIT:
-                _clear()
-            row = _rules.setdefault(a, {})
-            if b not in row:  # another thread may have kept it since the miss
-                row[b] = rule
-                _held += size
+    _rules.keep(len(marshal.dumps((a, b, rule), 2)), rule, a, b)  # version 2: no back-references
     return rule
 
 
@@ -144,8 +123,7 @@ def _psi_into(products: Iterable[tuple[dict, Iterable, Iterable]]) -> None:
 
     xs and ys are (normal atom, LaurentInt) terms and acc maps atoms to dicts
     from exponents to integers.  Each pair of atoms takes its rule from _rules,
-    the kernel's one table, so a rule is derived once per pair of atoms while
-    it stays there; the table's bound is in bytes, as the module docstring says.
+    the kernel's one table, so a rule is derived once per pair while it stays.
     """
     for acc, xs, ys in products:
         ys = [(b, cb.items()) for b, cb in ys]  # read once per product, not once per pair

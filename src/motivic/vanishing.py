@@ -28,25 +28,22 @@ and hashes by one key of its fields as plain data (classes as their terms,
 nested records as their keys), built once and kept beside the hash, so two
 equal but distinct records compare as two tuples, in C.
 
-vanishing_cycles keeps one table, _phis, for the process: datum -> (phi,
-phi_regular), keyed by the record, whose hash it keeps.  So vanishing_cycles,
-phi_generator, phi_measure and ts_check validate each distinct datum and
-compute its phi once per process while it stays in the table.  _cycles alone
-validates and computes; _derive alone sizes and keeps an entry.  An entry
-counts the bytes of the datum's fields and both results marshalled together,
-and the table holds at most _PHI_LIMIT (512 KiB) of them.  When full it keeps
+vanishing_cycles keeps one table, _phis (a table.Table), for the process,
+keyed by the record, whose hash it keeps: so vanishing_cycles, phi_generator,
+phi_measure and ts_check validate each distinct datum and compute its phi once
+while it stays there.  _cycles alone validates and computes; _derive alone
+sizes and keeps an entry.  An entry counts the bytes of the datum's fields and
+both results marshalled together; the table holds at most 512 KiB of them,
+~300 times one seed of line-measure's six data (1.7 kB), and when full keeps
 about 4.6 MB by tracemalloc for ~2 100 one-component data (x^n), the most per
-marshalled byte, and 1.8 MB for the 63 blow-ups of x^n + y^n with n = 2..64.
-A miss that would pass the limit clears the table first; neither an entry
-whose own size passes it, nor an invalid datum, nor an unhashable one is
-kept.  Writes take a lock; stored values are shared, never mutated.
+byte, and 1.8 MB for the 63 blow-ups of x^n + y^n with n = 2..64.  No invalid
+or unhashable datum, nor one marshal refuses, is kept.
 """
 
 from __future__ import annotations
 
 import marshal
 import math
-import threading
 from fractions import Fraction
 from itertools import chain
 from operator import attrgetter, itemgetter
@@ -57,6 +54,7 @@ from .classes import MuClass
 from .errors import DatumValidationError, ValidationError
 from .laurent import ONE_MINUS_L
 from .realize import chi_c
+from .table import Table
 
 LOCUS_TAGS = ("regular", "singular")
 
@@ -65,19 +63,23 @@ _atom, _coeff, _coeff_terms = itemgetter(0), itemgetter(1), attrgetter("_terms")
 
 
 class _Record:
-    """An immutable value named by its __slots__: equal to a record of its own
-    type with equal fields, and shown by those fields.  Equality and the hash
-    go through one key of plain data, built the first time either needs it and
-    kept beside the hash, so an equal but distinct record compares in C."""
+    """An immutable value shown by its fields, _names (the nearest non-empty own
+    __slots__ of its class), and equal to a record of its type with equal fields.
+    Equality and the hash go through one key of plain data, built the first time
+    either needs it and kept beside the hash, so equal records compare in C."""
 
     __slots__ = ("_hash", "_key")
+    _names: tuple = ()
+
+    def __init_subclass__(cls):
+        cls._names = cls.__dict__.get("__slots__") or cls._names
 
     def _set(self, *values) -> None:
-        for name, value in zip(self.__slots__, values):
+        for name, value in zip(self._names, values):
             object.__setattr__(self, name, value)
 
     def _fields(self) -> tuple:
-        return tuple([getattr(self, name) for name in self.__slots__])
+        return tuple([getattr(self, name) for name in self._names])
 
     def _plain(self) -> tuple:
         """The key: the fields in order, a class as (its type, ((atom, its
@@ -94,7 +96,7 @@ class _Record:
             (v.__class__, v._plain()) if isinstance(v, _Record) else
             tuple([(x.__class__, x._plain()) if isinstance(x, _Record) else x for x in v])
             if v.__class__ is tuple else v
-            for v in map(self.__getattribute__, self.__slots__)])
+            for v in map(self.__getattribute__, self._names)])
         object.__setattr__(self, "_key", key)
         return key
 
@@ -125,7 +127,7 @@ class _Record:
         return self.__class__, self._fields()
 
     def __repr__(self) -> str:
-        shown = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._fields()))
+        shown = ", ".join(f"{name}={value!r}" for name, value in zip(self._names, self._fields()))
         return f"{self.__class__.__qualname__}({shown})"
 
 
@@ -224,17 +226,7 @@ def nearby_fiber(d: SNCDatum) -> MuClass:
     return MuClass._make(_nearby_terms(d))
 
 
-_PHI_LIMIT = 1 << 19  # bytes; one seed of line-measure's six distinct data hold 1.7 kB
-_phis: dict = {}  # datum -> (phi, phi_regular)
-_held = 0  # the marshalled bytes of the kept entries
-_lock = threading.RLock()
-
-
-def _clear() -> None:
-    global _held
-    with _lock:
-        _phis.clear()
-        _held = 0
+_phis = Table(1 << 19)  # datum -> (phi, phi_regular)
 
 
 def _cycles(d: SNCDatum) -> tuple[MuClass, MuClass]:
@@ -247,7 +239,6 @@ def _cycles(d: SNCDatum) -> tuple[MuClass, MuClass]:
 
 def _derive(d: SNCDatum) -> tuple[MuClass, MuClass]:
     """Compute vanishing_cycles(d), keep it in _phis and return it."""
-    global _held
     found = _cycles(d)
     image = [d.components]  # the datum's fields and both results as plain data
     classes = [d.fiber_regular, d.fiber_singular, *found]
@@ -256,16 +247,9 @@ def _derive(d: SNCDatum) -> tuple[MuClass, MuClass]:
         classes += s.base_class, s.cover_class
     image += [(atom, k._terms) for c in classes for atom, k in c._terms]
     try:
-        size = len(marshal.dumps(image, 2))  # version 2 writes no back-references
-    except ValueError:  # a str subclass among the ids or locus tags: not kept
-        return found
-    if size <= _PHI_LIMIT:
-        with _lock:
-            if _held + size > _PHI_LIMIT:
-                _clear()
-            if d not in _phis:  # another thread may have kept it since the miss
-                _phis[d] = found
-                _held += size
+        _phis.keep(len(marshal.dumps(image, 2)), found, d)  # version 2 writes no back-references
+    except ValueError:  # marshal refuses a str subclass among the ids or locus tags: not kept
+        pass
     return found
 
 

@@ -12,6 +12,7 @@ from hypothesis import HealthCheck, settings, strategies as st
 
 from motivic import LaurentInt, MuClass, SNCDatum, Stratum, convolve, vanishing
 from motivic.laurent import L_MINUS_1
+from motivic.table import Table
 
 settings.register_profile(
     "engine", max_examples=60, derandomize=True,
@@ -137,8 +138,10 @@ def python_calls(f, limit: float = math.inf) -> tuple:
     return result, count
 
 
-class YieldingTable(dict):
+class YieldingTable(Table):
     """A table whose clear lets other threads run, as a thread switch there may."""
+
+    __slots__ = ()
 
     def clear(self):
         super().clear()
@@ -166,8 +169,8 @@ def cold_tables() -> None:
     """Each test starts on an empty convolution table (convolve._rules) and an
     empty datum table (vanishing._phis), so a test that passes only on tables
     warmed by the tests run before it fails in every run."""
-    convolve._clear()
-    vanishing._clear()
+    convolve._rules.clear()
+    vanishing._phis.clear()
 
 
 @pytest.fixture

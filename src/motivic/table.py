@@ -1,4 +1,5 @@
-"""The one kind of process-wide table: a dict kept under a bound in bytes.
+"""A process-wide table: a dict kept under a bound in bytes.  Its one user is
+the convolution kernel's table of pair rules, convolve._rules.
 
 Its owner sizes each entry by its own image (what marshal writes of it) and
 keeps it with keep(); held counts the kept bytes, at most limit.  An entry

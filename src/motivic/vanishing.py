@@ -28,21 +28,17 @@ and hashes by one key of its fields as plain data (classes as their terms,
 nested records as their keys), built once and kept beside the hash, so two
 equal but distinct records compare as two tuples, in C.
 
-vanishing_cycles keeps one table, _phis (a table.Table), for the process,
-keyed by the record, whose hash it keeps: so vanishing_cycles, phi_generator,
-phi_measure and ts_check validate each distinct datum and compute its phi once
-while it stays there.  _cycles alone validates and computes; _derive alone
-sizes and keeps an entry.  An entry counts the bytes of the datum's fields and
-both results marshalled together; the table holds at most 512 KiB of them,
-~300 times one seed of line-measure's six data (1.7 kB), and when full keeps
-about 4.6 MB by tracemalloc for ~2 100 one-component data (x^n), the most per
-byte, and 1.8 MB for the 63 blow-ups of x^n + y^n with n = 2..64.  No invalid
-or unhashable datum, nor one marshal refuses, is kept.
+vanishing_cycles keeps a datum's (phi, phi_regular) on the datum object, in a
+slot beside the hash and the key; it is no field, so no key, pickle or repr
+shows it.  So vanishing_cycles, phi_generator, phi_measure and ts_check validate a datum
+object and compute its phi once.  _cycles alone validates and computes, and
+the result is set only after it returns, so an invalid datum raises on every
+call.  The memo lives and dies with the datum, so nothing bounds it; an equal
+but distinct datum object is validated and computed again.
 """
 
 from __future__ import annotations
 
-import marshal
 import math
 from fractions import Fraction
 from itertools import chain
@@ -54,7 +50,6 @@ from .classes import MuClass
 from .errors import DatumValidationError, ValidationError
 from .laurent import ONE_MINUS_L
 from .realize import chi_c
-from .table import Table
 
 LOCUS_TAGS = ("regular", "singular")
 
@@ -68,7 +63,7 @@ class _Record:
     Equality and the hash go through one key of plain data, built the first time
     either needs it and kept beside the hash, so equal records compare in C."""
 
-    __slots__ = ("_hash", "_key")
+    __slots__ = ("_hash", "_key", "_memo")  # _memo: an SNCDatum's vanishing cycles
     _names: tuple = ()
 
     def __init_subclass__(cls):
@@ -226,9 +221,6 @@ def nearby_fiber(d: SNCDatum) -> MuClass:
     return MuClass._make(_nearby_terms(d))
 
 
-_phis = Table(1 << 19)  # datum -> (phi, phi_regular)
-
-
 def _cycles(d: SNCDatum) -> tuple[MuClass, MuClass]:
     """Validate d and compute its (phi, phi_regular); nothing is kept."""
     _require_valid(d)
@@ -237,35 +229,21 @@ def _cycles(d: SNCDatum) -> tuple[MuClass, MuClass]:
     return phi, phi_regular
 
 
-def _derive(d: SNCDatum) -> tuple[MuClass, MuClass]:
-    """Compute vanishing_cycles(d), keep it in _phis and return it."""
-    found = _cycles(d)
-    image = [d.components]  # the datum's fields and both results as plain data
-    classes = [d.fiber_regular, d.fiber_singular, *found]
-    for s in d.strata:
-        image.append((s.index_set, s.locus))
-        classes += s.base_class, s.cover_class
-    image += [(atom, k._terms) for c in classes for atom, k in c._terms]
-    try:
-        _phis.keep(len(marshal.dumps(image, 2)), found, d)  # version 2 writes no back-references
-    except ValueError:  # marshal refuses a str subclass among the ids or locus tags: not kept
-        pass
-    return found
-
-
 def vanishing_cycles(d: SNCDatum) -> tuple[MuClass, MuClass]:
     """(phi, phi_regular): fiber minus nearby fiber, split by locus.
 
     phi lives on the singular locus; phi_regular vanishes for data coming
     from genuine resolutions and is returned so that defective inputs are
-    visible rather than silently absorbed.  Each distinct datum is validated
-    and computed once per process while it stays in the table, _phis.
+    visible rather than silently absorbed.  Each datum object is validated
+    and computed once: the result is kept on it, and an invalid datum, which
+    keeps nothing, raises on every call.
     """
     try:
-        found = _phis.get(d)
-    except TypeError:  # an unhashable field is invalid: _cycles reports it
-        return _cycles(d)
-    return _derive(d) if found is None else found
+        return d._memo
+    except AttributeError:  # not computed yet, or not a datum: _cycles reports that
+        found = _cycles(d)
+    object.__setattr__(d, "_memo", found)  # racing threads store equal values
+    return found
 
 
 # --- generators and the measure ----------------------------------------------
@@ -330,12 +308,10 @@ def phi_measure(p: Presentation) -> A1Class:
     The generators are read in order, and the first one at fault raises: for
     a coefficient that is not an integer, then for a generator of no known
     kind, then for the first invalid datum among its critical values, as
-    vanishing_cycles reports it.  Each distinct datum is validated and its
-    phi computed once per process while it stays in vanishing_cycles' table.
-    A per-call dict keeps the phi each datum met in the call: a datum object
-    shared by many generators then finds it by identity, where the table,
-    keyed by the first equal datum it met, would compare the two records'
-    keys at every lookup.
+    vanishing_cycles reports it.  Each datum object is validated and its phi
+    computed once, and kept on it, by vanishing_cycles.  A per-call dict
+    keeps the phi each distinct datum met in the call, so equal but distinct
+    data, as a parsed presentation holds them, are computed once per call.
 
     The coefficients are first summed per fiber: per reduced (numerator,
     denominator) point and fiber-class object, so equal points meet with no
@@ -391,10 +367,25 @@ def ts_check(g_v: Generator, g_w: Generator, direct: Generator) -> dict:
     is unequal, as neither side holds a zero fiber, so the overall verdict is
     the conjunction of the per-point ones.
     """
-    lhs = a1_star(phi_generator(g_v), phi_generator(g_w))
-    rhs = phi_generator(direct)
-    left, right = dict(lhs.support()), dict(rhs.support())
-    # two runs already in point order: sorted() merges them in one linear pass
-    points = sorted([*left, *(p for p in right if p not in left)])
-    by_point = [{"point": point_str(p), "equal": left.get(p) == right.get(p)} for p in points]
+    left = a1_star(phi_generator(g_v), phi_generator(g_w)).support()
+    right = phi_generator(direct).support()
+    # both supports are sorted by point, so one merge lines them up, reading the
+    # order of two points from their reduced ratios: no Fraction is hashed
+    by_point, i, j = [], 0, 0
+    while i < len(left) or j < len(right):
+        if j == len(right):
+            order = -1
+        elif i == len(left):
+            order = 1
+        else:
+            (n, d), (m, e) = left[i][0].as_integer_ratio(), right[j][0].as_integer_ratio()
+            order = n * e - m * d  # the sign of p - q, as d, e > 0
+        if order <= 0:
+            point, left_fiber = left[i]
+            i += 1
+        if order >= 0:
+            point, right_fiber = right[j]
+            j += 1
+        by_point.append({"point": point_str(point),
+                         "equal": order == 0 and left_fiber == right_fiber})
     return {"equal": all(map(itemgetter("equal"), by_point)), "by_point": by_point}

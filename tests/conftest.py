@@ -10,7 +10,7 @@ import time
 import pytest
 from hypothesis import HealthCheck, settings, strategies as st
 
-from motivic import LaurentInt, MuClass, SNCDatum, Stratum, convolve, vanishing
+from motivic import LaurentInt, MuClass, SNCDatum, Stratum, convolve
 from motivic.laurent import L_MINUS_1
 from motivic.table import Table
 
@@ -166,11 +166,11 @@ def run_in_threads(work, count: int = 4) -> None:
 
 @pytest.fixture(autouse=True)
 def cold_tables() -> None:
-    """Each test starts on an empty convolution table (convolve._rules) and an
-    empty datum table (vanishing._phis), so a test that passes only on tables
-    warmed by the tests run before it fails in every run."""
+    """Each test starts on an empty convolution table (convolve._rules), so a
+    test that passes only on a table warmed by the tests run before it fails in
+    every run.  A datum keeps its phi on itself, and the builders below make new
+    data at each call, so no test finds a phi another test computed."""
     convolve._rules.clear()
-    vanishing._phis.clear()
 
 
 @pytest.fixture

@@ -11,7 +11,7 @@ from hypothesis import given, strategies as st
 from motivic import (A1Class, BiClass, Constant, MuClass, Resolved, ValidationError, a1_star,
                      assoc_check, chi_c, count_fermat_points, forget_action, mul, normalize,
                      phi_measure, psi_pair, star, star_power, tensor)
-from motivic import convolve, realize, vanishing
+from motivic import convolve, realize
 from motivic.jsonio import a1_to_json, class_to_json, dumps
 from motivic.laurent import L_MINUS_1
 
@@ -294,7 +294,6 @@ def test_a1_star_derives_each_pair_of_atoms_once(monkeypatch):
     pair = convolve._pair
     monkeypatch.setattr(convolve, "_pair", lambda a, b: derived.append((a, b)) or pair(a, b))
     convolve._rules.clear()
-    vanishing._phis.clear()
     first = a1_star(f, g)
     atoms = [{a for _, c in h.support() for a, _ in c.terms()} for h in (f, g)]
     assert len(derived) == len(set(derived)) == len(atoms[0]) * len(atoms[1]) == 16

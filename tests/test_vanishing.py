@@ -15,10 +15,11 @@ from hypothesis import given, strategies as st
 
 import motivic
 from motivic import (A1Class, Constant, DatumValidationError, MuClass, Resolved,
-                     SmoothProper, SNCDatum, Stratum, ValidationError, a1_to_json, a1_unit,
-                     chi_c, chi_of_a1, nearby_fiber, phi_generator, phi_measure, ts_check,
-                     validate_datum, vanishing_cycles)
-from motivic import vanishing
+                     SmoothProper, SNCDatum, Stratum, ValidationError, a1_star, a1_to_json,
+                     a1_unit, chi_c, chi_of_a1, nearby_fiber, phi_generator, phi_measure,
+                     ts_check, validate_datum, vanishing_cycles)
+from motivic import convolve, vanishing
+from motivic.a1 import point_str
 from motivic.jsonio import dumps
 from motivic.laurent import LaurentInt
 
@@ -265,24 +266,31 @@ def test_one_field_mutants_compare_by_key_as_by_fields(spec, other):
             _agree(b, a)
 
 
-def test_a_hit_through_an_equal_datum_compares_keys():
-    d, e = blowup_datum(4), blowup_datum(4)
-    found = vanishing_cycles(d)
-    hash(e)  # hashed once, as a datum met before is
-    again, calls = python_calls(lambda: vanishing_cycles(e))
-    assert again is found and e is not d
-    assert calls <= 5, calls  # the lambda, vanishing_cycles, e's hash and one key comparison
-
-
-def test_a_warm_hit_makes_no_python_call_in_the_table():
-    # the table's reads are dict.get in C: a Python-level read would add a call to each
-    d, e = blowup_datum(3), blowup_datum(3)
+def test_a_warm_call_finds_phi_on_the_datum():
+    d = blowup_datum(3)
     found = vanishing_cycles(d)
     again, calls = python_calls(lambda: vanishing_cycles(d))
-    assert again is found and calls == 3  # the lambda, vanishing_cycles and d's hash
-    hash(e)
-    again, calls = python_calls(lambda: vanishing_cycles(e))
-    assert again is found and calls == 4  # and one key comparison
+    assert again is found and calls <= 2, calls  # the lambda and vanishing_cycles
+
+
+def test_a_memoized_datum_is_the_value_it_was():
+    # the memo is no field: it shows in no comparison, hash, repr or pickle, and
+    # a copy or a pickled datum does not carry it
+    def odd():  # a datum whose id is of a str subclass
+        return SNCDatum([(_CountingId("E1"), 3)], [Stratum({"E1"}, ONE, orb(3), "singular")],
+                        MuClass.zero(), ONE)
+
+    for build in (lambda: blowup_datum(4), odd):
+        d, fresh = build(), build()
+        shown, pickled = repr(d), pickle.dumps(d)
+        found = vanishing_cycles(d)
+        assert vanishing_cycles(d) is found and found == vanishing._cycles(fresh)
+        assert d == fresh and fresh == d and hash(d) == hash(fresh)
+        assert d._plain() == fresh._plain() and d._fields() == fresh._fields()
+        assert repr(d) == repr(fresh) == shown
+        assert pickle.dumps(d) == pickle.dumps(fresh) == pickled
+        for other in (pickle.loads(pickled), copy.copy(d), copy.deepcopy(d)):
+            assert other == d and not hasattr(other, "_memo")
 
 
 def test_a_record_subclass_with_empty_slots_keeps_its_fields():
@@ -480,17 +488,83 @@ def test_ts_check_reports_disagreement_per_point():
     assert report["by_point"] == [{"point": "0", "equal": False}]
 
 
+def _reference_ts_check(g_v, g_w, direct) -> dict:
+    """The reference for ts_check's merge: the sorted union of both sides'
+    points, and a dict of each side's fibers."""
+    lhs = a1_star(phi_generator(g_v), phi_generator(g_w))
+    left, right = dict(lhs.support()), dict(phi_generator(direct).support())
+    points = sorted([*left, *(p for p in right if p not in left)])
+    by_point = [{"point": point_str(p), "equal": left.get(p) == right.get(p)} for p in points]
+    return {"equal": all(x["equal"] for x in by_point), "by_point": by_point}
+
+
+_TINY = Fraction(1, 2 ** 70)
+# points within 2**-64 of each other share floor(p * 2**64), the key the line sorts by first
+_TS_POINTS = [Fraction(0), _TINY, -_TINY, Fraction(1, 3), Fraction(1, 3) + 4 * _TINY,
+              Fraction(-1, 2), Fraction(2), Fraction(7, 5), Fraction(-9, 4)]
+_TS_DATA = (lambda: power_datum(2), lambda: power_datum(3), cross_datum)
+
+
+@st.composite
+def ts_cases(draw) -> tuple:
+    """g_v over some points, g_w a point translating them, and a direct
+    generator over other points: some on one side only, some on both with
+    the same datum (equal fibers) and some on both with any datum."""
+    shift = draw(st.sampled_from([Fraction(0), _TINY, Fraction(1, 3)]))
+    left = draw(st.lists(st.sampled_from(_TS_POINTS), unique=True, max_size=4))
+    data = {p + shift: draw(st.sampled_from(_TS_DATA)) for p in left}
+    right = []
+    for p in draw(st.lists(st.sampled_from(_TS_POINTS), unique=True, max_size=4)):
+        same = p in data and draw(st.booleans())
+        right.append((p, (data[p] if same else draw(st.sampled_from(_TS_DATA)))()))
+    g_v = Resolved([(p, build()) for p, build in zip(left, data.values())])
+    return g_v, Constant(shift, ONE), Resolved(right)
+
+
+@given(ts_cases())
+def test_ts_check_lines_up_the_sides_as_the_sorted_union_did(case):
+    assert dumps(ts_check(*case)) == dumps(_reference_ts_check(*case))
+
+
+def test_ts_check_reports_each_kind_of_point():
+    one_only, shared, differs, near = Fraction(-1, 2), Fraction(1, 3), Fraction(2), _TINY
+    g_v = Resolved([(one_only, power_datum(2)), (near, power_datum(3)),
+                    (shared, power_datum(2)), (differs, power_datum(2))])
+    direct = Resolved([(0, power_datum(3)), (shared, power_datum(2)), (differs, cross_datum()),
+                       (Fraction(7, 5), power_datum(2))])
+    report = ts_check(g_v, Constant(0, ONE), direct)
+    assert report == _reference_ts_check(g_v, Constant(0, ONE), direct)
+    assert report == {"equal": False, "by_point": [
+        {"point": "-1/2", "equal": False}, {"point": "0", "equal": False},
+        {"point": "1/1180591620717411303424", "equal": False}, {"point": "1/3", "equal": True},
+        {"point": "7/5", "equal": False}, {"point": "2", "equal": False}]}
+
+
+def test_ts_check_hashes_no_fraction(monkeypatch):
+    # line-measure's two shapes of case: x^2 + y^2 against the cross, and a translate
+    p, q = Fraction(-3, 7), Fraction(5, 4)
+    cases = [(Resolved([(p, power_datum(2))]), Resolved([(q, power_datum(2))]),
+              Resolved([(p + q, cross_datum())])),
+             (Resolved([(p, power_datum(4))]), Constant(q, ONE),
+              Resolved([(p + q, power_datum(4))]))]
+    hashes = []
+    fraction_hash = Fraction.__hash__
+    monkeypatch.setattr(Fraction, "__hash__", lambda f: hashes.append(f) or fraction_hash(f))
+    for _ in range(2):  # cold, then with each phi kept on its datum
+        assert [ts_check(*case)["equal"] for case in cases] == [True, True]
+    assert hashes == []
+
+
 def test_chi_is_multiplicative_across_ts_pairs():
     pairs = [(Resolved([(0, power_datum(2))]), Resolved([(0, power_datum(5))])),
              (Resolved([(0, cross_datum())]), Constant(2, L)),
              (SmoothProper(), Resolved([(0, power_datum(3))]))]
-    from motivic import a1_star
     for g_v, g_w in pairs:
         lhs = chi_of_a1(a1_star(phi_generator(g_v), phi_generator(g_w)))
         assert lhs == chi_of_a1(phi_generator(g_v)) * chi_of_a1(phi_generator(g_w))
 
 
-# --- the datum table ---------------------------------------------------------------------
+# --- phi kept on the datum -----------------------------------------------------------------
 
 @st.composite
 def valid_data(draw) -> SNCDatum:
@@ -520,10 +594,11 @@ def test_a_warm_table_gives_what_a_cold_one_gives(data):
         return ([vanishing_cycles(d) for d in data], [phi_generator(g) for _, g in pres],
                 dumps(a1_to_json(phi_measure(pres))))
 
-    vanishing._phis.clear()
+    convolve._rules.clear()
     cold = results(data)
-    warm = results([copy.deepcopy(d) for d in data])  # equal copies, found in the table
-    assert warm == cold
+    warm = results(data)  # each phi found on its datum, each rule in the table
+    copies = results([copy.deepcopy(d) for d in data])  # equal copies, computed again
+    assert warm == cold and copies == cold
     assert cold[0] == [vanishing._cycles(d) for d in data]
 
 
@@ -534,16 +609,19 @@ def _counting_validation(monkeypatch) -> list:
     return calls
 
 
-def test_each_distinct_datum_is_validated_once_per_process(monkeypatch):
+def test_each_datum_object_is_validated_once(monkeypatch):
     calls = _counting_validation(monkeypatch)
-    square, node = Resolved([(0, power_datum(2))]), Resolved([(0, cross_datum())])
-    assert ts_check(square, square, node)["equal"] is True
-    phi_generator(Resolved([(1, power_datum(2))]))
-    phi_measure([(2, Resolved([(0, power_datum(3)), (1, cross_datum())]))])
-    assert ts_check(Resolved([(0, power_datum(3))]), Constant(1, ONE),
-                    Resolved([(1, power_datum(3))]))["equal"] is True
-    vanishing_cycles(cross_datum())
-    assert calls == [power_datum(2), cross_datum(), power_datum(3)]
+    square, node, cube = power_datum(2), cross_datum(), power_datum(3)
+    assert ts_check(Resolved([(0, square)]), Resolved([(0, square)]),
+                    Resolved([(0, node)]))["equal"] is True
+    phi_generator(Resolved([(1, square)]))
+    phi_measure([(2, Resolved([(0, cube), (1, node)]))])
+    assert ts_check(Resolved([(0, cube)]), Constant(1, ONE), Resolved([(1, cube)]))["equal"] is True
+    vanishing_cycles(node)
+    assert list(map(id, calls)) == list(map(id, (square, node, cube)))
+    # an equal but distinct datum keeps its own phi, so it is validated again
+    assert vanishing_cycles(cross_datum()) == vanishing_cycles(node)
+    assert calls == [square, node, cube, node] and calls[3] is not node
 
 
 def test_invalid_and_unhashable_data_are_never_kept(monkeypatch):
@@ -565,29 +643,21 @@ def test_invalid_and_unhashable_data_are_never_kept(monkeypatch):
             with pytest.raises(error) as raised:
                 phi_measure([(1, Resolved([(0, d)]))])
             assert str(raised.value) == text
-    assert len(calls) == 16 and not vanishing._phis and vanishing._phis.held == 0
-
-
-def test_a_datum_that_marshal_refuses_is_computed_and_not_kept():
-    # marshal writes no str subclass, so the entry cannot be sized
-    odd = SNCDatum([(_CountingId("E1"), 3)], [Stratum({"E1"}, ONE, orb(3), "singular")],
-                   MuClass.zero(), ONE)
-    assert odd == power_datum(3) and vanishing_cycles(odd) == vanishing._cycles(odd)
-    assert not vanishing._phis and vanishing._phis.held == 0
+    assert len(calls) == 16 and not hasattr(bad, "_memo") and not hasattr(unhashable, "_memo")
 
 
 def test_threads_sharing_the_table_get_serial_results(monkeypatch):
-    data = [power_datum(n) for n in range(2, 6)] + [cross_datum(), blowup_datum(2)]
-    sizes = []
-    for d in data:
-        vanishing._phis.clear()
-        vanishing_cycles(d)
-        sizes.append(vanishing._phis.held)
-    gens = [Resolved([(k, d)]) for k, d in enumerate(data)]
-    cases = [(g, h, Constant(0, ONE)) for g in gens for h in gens]
+    def build():
+        data = [power_datum(n) for n in range(2, 6)] + [cross_datum(), blowup_datum(2)]
+        gens = [Resolved([(k, d)]) for k, d in enumerate(data)]
+        return data, [(g, h, Constant(0, ONE)) for g in gens for h in gens]
+
+    data, cases = build()
     serial = [(vanishing_cycles(d), ts_check(*case)) for d, case in zip(data * 6, cases)]
-    # a few data fill it: clears race the reads
-    monkeypatch.setattr(vanishing, "_phis", YieldingTable(2 * max(sizes)))
+    # new data, so the threads race to keep each phi on the datum they share,
+    # and a rule table a few rules fill, so its clears race the reads
+    data, cases = build()
+    monkeypatch.setattr(convolve, "_rules", YieldingTable(512))
     results: list = [None] * 4
 
     def work(k):
@@ -601,6 +671,7 @@ def test_threads_sharing_the_table_get_serial_results(monkeypatch):
 
     run_in_threads(work)
     assert results == [serial] * 4
+    assert [d._memo for d in data] == [phis for phis, _ in serial[:len(data)]]
 
 
 def test_a_second_import_of_the_engine_frees_the_first():

@@ -59,7 +59,8 @@ def as_point(value: PointLike) -> Fraction:
 
 
 def point_str(p: Fraction) -> str:
-    return str(p.numerator) if p.denominator == 1 else f"{p.numerator}/{p.denominator}"
+    n, d = p.as_integer_ratio()
+    return str(n) if d == 1 else f"{n}/{d}"
 
 
 def _point_key(term):

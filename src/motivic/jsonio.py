@@ -213,7 +213,7 @@ def generator_to_json(g: Generator):
     from .a1 import point_str
     return _generator_to_json(g, vanishing, point_str)
 
-def _generator_from_json(obj, v) -> Generator:
+def _generator_from_json(obj, v, shared: dict) -> Generator:
     if obj == "smooth_proper":
         return v.SmoothProper()
     _expect(isinstance(obj, dict) and len(obj) == 1,
@@ -227,13 +227,18 @@ def _generator_from_json(obj, v) -> Generator:
         criticals = []
         for entry in _list(entries, "resolved generator criticals"):
             point, datum = _fields(entry, "critical entry", "point", "datum")
-            criticals.append((_point(point), _datum_from_json(datum, v)))
+            d = _datum_from_json(datum, v)
+            try:  # shared maps each datum of the document to itself: one object, one phi
+                d = shared.setdefault(d, d)
+            except TypeError:  # an unhashable field is invalid: vanishing_cycles reports it
+                pass
+            criticals.append((_point(point), d))
         return v.Resolved(criticals)
     raise ParseError(f"unknown generator kind {kind!r}")
 
 def generator_from_json(obj) -> Generator:
     from . import vanishing
-    return _generator_from_json(obj, vanishing)
+    return _generator_from_json(obj, vanishing, {})
 
 
 def presentation_to_json(p: Presentation) -> dict:
@@ -245,11 +250,11 @@ def presentation_to_json(p: Presentation) -> dict:
 def presentation_from_json(obj) -> Presentation:
     from . import vanishing
     entries, = _fields(obj, "presentation", "terms")
-    terms = []
+    terms, shared = [], {}
     for t in _list(entries, "presentation terms"):
         coeff, generator = _fields(t, "presentation term", "coeff", "generator")
         terms.append((_int(coeff, "presentation coefficient"),
-                      _generator_from_json(generator, vanishing)))
+                      _generator_from_json(generator, vanishing, shared)))
     return tuple(terms)
 
 

@@ -23,18 +23,18 @@ contribute nothing).  Smoothness/properness flags are trusted input; this is
 a calculator, not a verifier of geometry.
 
 The records (Stratum, SNCDatum and the three generator kinds) are immutable
-values; each constructor converts and checks its arguments.  A record compares
-and hashes by one key of its fields as plain data (classes as their terms,
-nested records as their keys), built once and kept beside the hash, so two
-equal but distinct records compare as two tuples, in C.
+values, compared by their fields and hashed by them once; each constructor
+converts and checks its arguments.
 
 vanishing_cycles keeps a datum's (phi, phi_regular) on the datum object, in a
-slot beside the hash and the key; it is no field, so no key, pickle or repr
-shows it.  So vanishing_cycles, phi_generator, phi_measure and ts_check validate a datum
-object and compute its phi once.  _cycles alone validates and computes, and
-the result is set only after it returns, so an invalid datum raises on every
-call.  The memo lives and dies with the datum, so nothing bounds it; an equal
-but distinct datum object is validated and computed again.
+slot beside the hash; it is no field, so no comparison, hash, pickle or repr
+shows it.  It is the one cache of phi: vanishing_cycles, phi_generator,
+phi_measure and ts_check validate a datum object and compute its phi once.
+_cycles alone validates and computes, and the result is set only after it
+returns, so an invalid datum raises on every call.  The memo lives and dies
+with the datum, so nothing bounds it; an equal but distinct datum object is
+validated and computed again.  The JSON reader (jsonio) gives one object per
+equal datum in a document, so a parsed presentation computes each once.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import chain
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 from typing import Union
 
 from .a1 import A1Class, _line, a1_star, as_point, point_str
@@ -53,17 +53,13 @@ from .realize import chi_c
 
 LOCUS_TAGS = ("regular", "singular")
 
-# a class's terms as plain data, read in C: its atoms, and each coefficient's terms
-_atom, _coeff, _coeff_terms = itemgetter(0), itemgetter(1), attrgetter("_terms")
-
 
 class _Record:
     """An immutable value shown by its fields, _names (the nearest non-empty own
-    __slots__ of its class), and equal to a record of its type with equal fields.
-    Equality and the hash go through one key of plain data, built the first time
-    either needs it and kept beside the hash, so equal records compare in C."""
+    __slots__ of its class), equal to a record of its type with equal fields,
+    and hashed by those fields once, then kept."""
 
-    __slots__ = ("_hash", "_key", "_memo")  # _memo: an SNCDatum's vanishing cycles
+    __slots__ = ("_hash", "_memo")  # _memo: an SNCDatum's vanishing cycles
     _names: tuple = ()
 
     def __init_subclass__(cls):
@@ -76,25 +72,6 @@ class _Record:
     def _fields(self) -> tuple:
         return tuple([getattr(self, name) for name in self._names])
 
-    def _plain(self) -> tuple:
-        """The key: the fields in order, a class as (its type, ((atom, its
-        coefficient's terms), ...)), a record, alone or in a tuple field, as
-        (its type, its key), and any other value as it is.  Built once; no Python
-        function is called per term, and per field only for a nested record."""
-        try:
-            return self._key
-        except AttributeError:
-            pass
-        key = tuple([
-            (v.__class__, tuple(zip(map(_atom, v._terms), map(_coeff_terms, map(_coeff, v._terms)))))
-            if isinstance(v, MuClass) else
-            (v.__class__, v._plain()) if isinstance(v, _Record) else
-            tuple([(x.__class__, x._plain()) if isinstance(x, _Record) else x for x in v])
-            if v.__class__ is tuple else v
-            for v in map(self.__getattribute__, self._names)])
-        object.__setattr__(self, "_key", key)
-        return key
-
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
 
@@ -106,16 +83,13 @@ class _Record:
             return True
         if other.__class__ is not self.__class__:
             return NotImplemented
-        try:
-            return self._key == other._key
-        except AttributeError:  # a key not built yet
-            return self._plain() == other._plain()
+        return self._fields() == other._fields()
 
     def __hash__(self):
         try:
             return self._hash
         except AttributeError:  # not hashed yet; an unhashable field raises TypeError here
-            object.__setattr__(self, "_hash", hash(self._plain()))
+            object.__setattr__(self, "_hash", hash(self._fields()))
             return self._hash
 
     def __reduce__(self):
@@ -235,8 +209,9 @@ def vanishing_cycles(d: SNCDatum) -> tuple[MuClass, MuClass]:
     phi lives on the singular locus; phi_regular vanishes for data coming
     from genuine resolutions and is returned so that defective inputs are
     visible rather than silently absorbed.  Each datum object is validated
-    and computed once: the result is kept on it, and an invalid datum, which
-    keeps nothing, raises on every call.
+    and computed once: the result is kept on it, the one cache of phi, and an
+    invalid datum, which keeps nothing, raises on every call.  An equal but
+    distinct datum object is computed again.
     """
     try:
         return d._memo
@@ -309,9 +284,9 @@ def phi_measure(p: Presentation) -> A1Class:
     a coefficient that is not an integer, then for a generator of no known
     kind, then for the first invalid datum among its critical values, as
     vanishing_cycles reports it.  Each datum object is validated and its phi
-    computed once, and kept on it, by vanishing_cycles.  A per-call dict
-    keeps the phi each distinct datum met in the call, so equal but distinct
-    data, as a parsed presentation holds them, are computed once per call.
+    computed once, and kept on it, by vanishing_cycles; a presentation read
+    from JSON holds one object per equal datum, and equal but distinct data
+    built by a caller are each computed.
 
     The coefficients are first summed per fiber: per reduced (numerator,
     denominator) point and fiber-class object, so equal points meet with no
@@ -319,7 +294,6 @@ def phi_measure(p: Presentation) -> A1Class:
     each such fiber with a nonzero weight adds its class once into one dict
     per atom, point and exponent, and a1._line builds the class.
     """
-    phis: dict = {}  # datum -> phi, for this call
     weights: dict = {}  # ((numerator, denominator), id of a class) -> its summed coefficient
     classes: dict = {}  # id -> class; holding each class keeps its id its own
     for coeff, g in p:
@@ -331,13 +305,8 @@ def phi_measure(p: Presentation) -> A1Class:
                 key = (point.as_integer_ratio(), id(cls))
                 weights[key] = weights.get(key, 0) + coeff
             continue
-        for point, d in g.criticals:  # _fibers of a Resolved, each phi looked up in place
-            try:
-                cls = phis.get(d)
-            except TypeError:  # an unhashable field is invalid: vanishing_cycles reports it
-                cls = vanishing_cycles(d)[0]
-            if cls is None:
-                cls = phis[d] = vanishing_cycles(d)[0]
+        for point, d in g.criticals:  # _fibers of a Resolved, each phi read in place
+            cls = vanishing_cycles(d)[0]
             classes[id(cls)] = cls
             key = (point.as_integer_ratio(), id(cls))
             weights[key] = weights.get(key, 0) + coeff

@@ -5,11 +5,11 @@ import json
 import pytest
 from hypothesis import given, strategies as st
 
-from motivic import (A1Class, Constant, MuClass, ParseError, Resolved, SmoothProper,
-                     ValidationError, a1_from_json, a1_to_json, class_from_json,
+from motivic import (A1Class, Constant, DatumValidationError, MuClass, ParseError, Resolved,
+                     SmoothProper, ValidationError, a1_from_json, a1_to_json, class_from_json,
                      class_to_json, datum_from_json, datum_to_json,
-                     generator_from_json, generator_to_json, presentation_from_json,
-                     presentation_to_json, pretty)
+                     generator_from_json, generator_to_json, phi_measure,
+                     presentation_from_json, presentation_to_json, pretty)
 from motivic.classes import fer as fer_factor, gm as gm_factor, opq as opq_factor, orb as orb_factor
 from motivic.jsonio import dumps
 from motivic.laurent import L_MINUS_1, LaurentInt
@@ -231,6 +231,20 @@ def test_generator_and_presentation_roundtrip():
     pres = tuple((i - 1, g) for i, g in enumerate(gens))
     assert presentation_from_json(presentation_to_json(pres)) == pres
     assert generator_from_json("smooth_proper") == SmoothProper()
+
+
+def test_an_unhashable_datum_parses_and_is_reported_invalid():
+    # a list locus makes the datum unhashable, so the reader cannot share it
+    doc = datum_to_json(power_datum(2))
+    doc["strata"][0]["locus"] = ["singular"]
+    entry = {"point": 0, "datum": doc}
+    pres = presentation_from_json({"terms": [
+        {"coeff": 1, "generator": {"resolved": {"criticals": [entry]}}},
+        {"coeff": 1, "generator": {"resolved": {"criticals": [dict(entry, point=1)]}}}]})
+    first, second = (g.criticals[0][1] for _, g in pres)
+    assert first == second and first is not second
+    with pytest.raises(DatumValidationError, match="bad locus tag"):
+        phi_measure(pres)
 
 
 def test_pretty_contract_examples():

@@ -200,22 +200,17 @@ def test_records_copy_and_pickle_to_equal_values():
 
 
 def test_a_record_hashes_its_fields_once(monkeypatch):
-    builds = []
-    plain = vanishing._Record._plain
-
-    def counted(self):
-        if not hasattr(self, "_key"):  # this call builds the record's key
-            builds.append(self)
-        return plain(self)
-
-    monkeypatch.setattr(vanishing._Record, "_plain", counted)
+    reads = []
+    fields = vanishing._Record._fields
+    monkeypatch.setattr(vanishing._Record, "_fields",
+                        lambda self: reads.append(self) or fields(self))
     d = cross_datum()
     h = hash(d)
-    assert builds[0] is d and len(builds) == 4  # the datum and its three strata
-    assert hash(d) == h and len(builds) == 4
+    assert reads[0] is d and len(reads) == 4  # the datum and its three strata
+    assert hash(d) == h and len(reads) == 4
     e = cross_datum()
-    assert d == e and e == d and hash(e) == h and d.strata[2] == e.strata[2]
-    assert builds[4] is e and len(builds) == 8
+    assert hash(e) == h and reads[4] is e and len(reads) == 8
+    assert d == e and e == d and d.strata[2] == e.strata[2]
 
 
 # data built from a spec, each field of which one mutant below changes
@@ -241,24 +236,32 @@ def _build(spec: dict) -> list:
     return [s, d, Resolved([(point, d)]), Constant(point, base), SmoothProper()]
 
 
+def _plain(value):
+    """value as plain data: a record, alone or in a tuple, as (its type, its fields)."""
+    if isinstance(value, vanishing._Record):
+        return value.__class__, tuple(map(_plain, value._fields()))
+    return tuple(map(_plain, value)) if value.__class__ is tuple else value
+
+
 def _agree(a, b) -> None:
-    """a == b as the fields compare, and equal keys hash equal."""
+    """a == b as their fields compare, nested records field by field, and
+    equal records hash equal."""
     assert a is not b
-    same = a.__class__ is b.__class__ and a._fields() == b._fields()
+    same = _plain(a) == _plain(b)
     assert (a == b) is same and (a != b) is not same
-    if a._plain() == b._plain():
+    if same:
         assert hash(a) == hash(b)
 
 
 @given(_SPECS)
-def test_copies_compare_by_key_as_by_fields(spec):
+def test_copies_compare_as_their_fields(spec):
     for a, b in zip(_build(spec), _build(spec)):
         _agree(a, b)
         assert a == b and hash(a) == hash(b)
 
 
 @given(_SPECS, _SPECS)
-def test_one_field_mutants_compare_by_key_as_by_fields(spec, other):
+def test_one_field_mutants_compare_as_their_fields(spec, other):
     for field in spec:  # each mutant takes one field from the other spec
         mutant = dict(spec, **{field: other[field]})
         for a, b in zip(_build(spec), _build(mutant)):
@@ -286,7 +289,7 @@ def test_a_memoized_datum_is_the_value_it_was():
         found = vanishing_cycles(d)
         assert vanishing_cycles(d) is found and found == vanishing._cycles(fresh)
         assert d == fresh and fresh == d and hash(d) == hash(fresh)
-        assert d._plain() == fresh._plain() and d._fields() == fresh._fields()
+        assert d._fields() == fresh._fields()
         assert repr(d) == repr(fresh) == shown
         assert pickle.dumps(d) == pickle.dumps(fresh) == pickled
         for other in (pickle.loads(pickled), copy.copy(d), copy.deepcopy(d)):
@@ -433,15 +436,32 @@ def test_measure_is_additive(c1, c2):
     assert phi_measure((g1, g2)) == phi_measure((g1,)) + phi_measure((g2,))
 
 
-def test_measure_validates_each_distinct_datum_once(monkeypatch):
-    calls = []
-    monkeypatch.setattr(vanishing, "validate_datum",
-                        lambda d: calls.append(d) or validate_datum(d))
-    shared = power_datum(3)
-    pres = [(1, Resolved([(k, shared), (k + 1, cross_datum())])) for k in range(20)]
-    measure = phi_measure(pres)
-    assert calls == [shared, cross_datum()]  # one shared object, and 20 equal copies
-    assert measure == sum((phi_generator(g) for _, g in pres), A1Class.zero())
+def _measured_data(k: int) -> list:
+    """The data of a presentation's k-th generator, built anew: the cross, and
+    one of four mutants of it in one field each, the first two of equal phi."""
+    base = cross_datum()
+    fields = dict(zip(base._names, base._fields()))
+    name, value = [("components", base.components[::-1]), ("strata", base.strata[::-1]),
+                   ("fiber_regular", 3 * GM), ("fiber_singular", 2 * ONE)][k % 4]
+    return [base, SNCDatum(**dict(fields, **{name: value}))]
+
+
+def test_a_parsed_presentation_validates_each_distinct_datum_once(monkeypatch):
+    built = tuple((k % 3 - 1 or 2, Resolved(zip((k, Fraction(2 * k + 1, 2)), _measured_data(k))))
+                  for k in range(20))
+    doc = motivic.presentation_to_json(built)
+    parsed = motivic.presentation_from_json(doc)
+    data = [d for _, g in parsed for _, d in g.criticals]
+    # 20 copies of the cross and 5 of each mutant: one object per equal datum
+    distinct = list({id(d): d for d in data}.values())
+    assert distinct == [d for k in range(4) for d in _measured_data(k)[k > 0:]]
+    assert all((a is b) is (a == b) for a in data for b in data)
+    calls = _counting_validation(monkeypatch)
+    measure = phi_measure(parsed)
+    assert list(map(id, calls)) == list(map(id, distinct))
+    assert measure == phi_measure(built) and len(calls) == 5 + 40  # each built datum alone
+    again = [d for _, g in motivic.presentation_from_json(doc) for _, d in g.criticals]
+    assert again == data and not set(map(id, again)) & set(map(id, data))
 
 
 # --- Thom-Sebastiani checks ---------------------------------------------------------------

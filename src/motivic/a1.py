@@ -16,7 +16,9 @@ pair of atoms' rule once.  _line sorts the distinct atoms once and appends
 each slot's terms in that order, so no fiber is sorted on its own, and makes
 one Fraction per output point, hashing none.  Points sort by
 floor(p * 2**64), an integer that orders them as p does; only two points
-within 2**-64 of each other fall back to comparing the Fractions.
+within 2**-64 of each other fall back to comparing the Fractions.  One pair
+of points has no rule read to share, so a1_star of two one-point classes (as
+in ts_check) is star at p + q, through star's loop: convolve._psi_into.
 
 Base points are exact rationals even though the theory runs over an
 algebraically closed field: every computation shipped here has rational
@@ -31,10 +33,10 @@ from math import gcd
 from typing import Iterable, Mapping, Union
 
 from .classes import MuClass, sort_atoms
-from .convolve import _line_into
+from .convolve import _line_into, _psi_into
 from .errors import ValidationError
 from .laurent import LaurentInt
-from .sparse import Sparse, leaves
+from .sparse import Sparse, leaves, nest
 
 PointLike = Union[Fraction, int, str]
 
@@ -156,7 +158,15 @@ def _line(acc: dict, points: list) -> A1Class:
 
 
 def a1_star(f: A1Class, g: A1Class) -> A1Class:
-    """Convolution over the line: Psi of fibers pushed along point addition."""
+    """Convolution over the line: Psi of fibers pushed along point addition.
+    Two one-point classes take star's loop, any other shape the line kernel."""
+    acc: dict = {}
+    if len(f._terms) == 1 == len(g._terms):
+        ((p, c),), ((q, d),) = f._terms, g._terms
+        _psi_into([(acc, c._terms, d._terms)])
+        fiber = nest(acc, MuClass, LaurentInt)
+        (a, b), (n, m) = p.as_integer_ratio(), q.as_integer_ratio()
+        return A1Class._wrap(((Fraction(a * m + b * n, b * m), fiber),) if fiber._terms else ())
     slot_of: dict = {}  # reduced (numerator, denominator) of a sum -> its slot, in slot order
     qs = [q.as_integer_ratio() for q, _ in g.support()]
     slots = []
@@ -168,7 +178,6 @@ def a1_star(f: A1Class, g: A1Class) -> A1Class:
             k = gcd(n, m)
             row.append(slot_of.setdefault((n // k, m // k), len(slot_of)))
         slots.append(row)
-    acc: dict = {}
     _line_into(acc, _by_atom(f), _by_atom(g), slots)
     return _line(acc, list(slot_of))
 

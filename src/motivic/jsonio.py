@@ -190,6 +190,7 @@ def _datum_from_json(obj, v) -> SNCDatum:
         index_set, base, cover, locus = _fields(s, "stratum", "I", "base", "cover", "locus")
         _expect(isinstance(index_set, list) and all(isinstance(i, str) for i in index_set),
                 "stratum index set must be a list of component ids")
+        _expect(isinstance(locus, str), "stratum locus must be a string")
         built.append(v.Stratum(index_set, class_from_json(base), class_from_json(cover), locus))
     return v.SNCDatum(checked, built, class_from_json(fiber_regular),
                       class_from_json(fiber_singular))
@@ -228,11 +229,7 @@ def _generator_from_json(obj, v, shared: dict) -> Generator:
         for entry in _list(entries, "resolved generator criticals"):
             point, datum = _fields(entry, "critical entry", "point", "datum")
             d = _datum_from_json(datum, v)
-            try:  # shared maps each datum of the document to itself: one object, one phi
-                d = shared.setdefault(d, d)
-            except TypeError:  # an unhashable field is invalid: vanishing_cycles reports it
-                pass
-            criticals.append((_point(point), d))
+            criticals.append((_point(point), shared.setdefault(d, d)))  # one object per equal datum
         return v.Resolved(criticals)
     raise ParseError(f"unknown generator kind {kind!r}")
 

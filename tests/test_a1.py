@@ -6,11 +6,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, strategies as st
 
-from motivic import (A1Class, ValidationError, a1_star, a1_unit, chi_c, chi_of_a1,
-                     epsilon_push, star)
+from motivic import (A1Class, Constant, Resolved, ValidationError, a1, a1_star, a1_unit, chi_c,
+                     chi_of_a1, convolve, epsilon_push, phi_generator, star)
 from motivic.a1 import as_point
 
-from conftest import L, ONE, mu_classes, orb
+from conftest import L, ONE, mu_classes, orb, power_datum, python_calls
 
 
 def a1_classes():
@@ -134,6 +134,40 @@ def test_epsilon_push_sums_fibers():
 def test_epsilon_push_is_a_ring_morphism_on_orbit_fibers():
     f = A1Class({0: orb(2)})
     assert epsilon_push(a1_star(f, f)) == star(epsilon_push(f), epsilon_push(f))
+
+
+def _ts_check_pairs():
+    """The pairs of one-point classes that line-measure's ts_check operations
+    convolve: phi of x^n at p with phi of y^2, or with the point class, at q."""
+    p, q = Fraction(3, 7), Fraction(-5, 4)
+    yield (phi_generator(Resolved([(p, power_datum(2))])),
+           phi_generator(Resolved([(q, power_datum(2))])))
+    for n in range(2, 7):
+        yield phi_generator(Resolved([(p, power_datum(n))])), phi_generator(Constant(q, ONE))
+
+
+def test_one_pair_a1_star_costs_one_star():
+    for f, g in _ts_check_pairs():
+        (p, c), (q, d) = f.support() + g.support()
+        expected = A1Class({p + q: star(c, d)})  # warms the rules of the pair too
+        out, calls = python_calls(lambda: a1_star(f, g))
+        assert out == expected
+        # through the line kernel these pairs take 30-34 calls (Python 3.11)
+        assert calls <= min(24, python_calls(lambda: star(c, d))[1] + 3)
+
+
+def test_one_pair_a1_star_skips_the_line_kernel(monkeypatch):
+    calls = []
+    for module, name in [(a1, "_line"), (a1, "_line_into"), (convolve, "_line_into")]:
+        fn = getattr(module, name)
+        monkeypatch.setattr(module, name,
+                            lambda *args, fn=fn, name=name: calls.append(name) or fn(*args))
+    for f, g in _ts_check_pairs():
+        a1_star(f, g)
+    assert calls == []
+    f, g = next(_ts_check_pairs())
+    a1_star(f + A1Class({0: ONE}), g)  # two pairs of points take the line kernel
+    assert calls == ["_line_into", "_line"]
 
 
 @given(a1_classes(), a1_classes())

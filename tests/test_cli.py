@@ -64,6 +64,16 @@ def test_parse_errors_exit_two(tmp_path, capsys):
                                            "detail": "unknown generator kind 'bogus'"})
 
 
+def test_a_locus_that_is_not_a_string_exits_two(tmp_path, capsys):
+    datum = datum_to_json(power_datum(2))
+    datum["strata"][0]["locus"] = ["singular"]
+    presentation = {"terms": [{"coeff": 1, "generator": {
+        "resolved": {"criticals": [{"point": 0, "datum": datum}]}}}]}
+    code, out = run_cli(capsys, "measure", write(tmp_path, "p.json", presentation))
+    assert code == 2 and len(out.splitlines()) == 1
+    assert json.loads(out) == {"error": "parse", "detail": "stratum locus must be a string"}
+
+
 def test_convolve(tmp_path, capsys):
     a = write(tmp_path, "a.json", class_to_json(orb(2)))
     code, out = run_cli(capsys, "convolve", a, a)

@@ -233,16 +233,29 @@ def test_generator_and_presentation_roundtrip():
     assert generator_from_json("smooth_proper") == SmoothProper()
 
 
-def test_an_unhashable_datum_parses_and_is_reported_invalid():
-    # a list locus makes the datum unhashable, so the reader cannot share it
+@pytest.mark.parametrize("locus", [["singular"], {"tag": "singular"}, 1, None, True],
+                         ids=["list", "object", "integer", "null", "boolean"])
+def test_a_locus_that_is_not_a_string_is_a_parse_error(locus):
+    # every other field of a parsed datum is hashable, so the reader can share any datum
     doc = datum_to_json(power_datum(2))
-    doc["strata"][0]["locus"] = ["singular"]
+    doc["strata"][0]["locus"] = locus
+    entry = {"point": 0, "datum": doc}
+    with pytest.raises(ParseError, match="^stratum locus must be a string$"):
+        datum_from_json(doc)
+    with pytest.raises(ParseError, match="^stratum locus must be a string$"):
+        presentation_from_json({"terms": [
+            {"coeff": 1, "generator": {"resolved": {"criticals": [entry]}}}]})
+
+
+def test_a_string_locus_that_is_no_tag_parses_and_is_reported_invalid():
+    doc = datum_to_json(power_datum(2))
+    doc["strata"][0]["locus"] = "nowhere"
     entry = {"point": 0, "datum": doc}
     pres = presentation_from_json({"terms": [
         {"coeff": 1, "generator": {"resolved": {"criticals": [entry]}}},
         {"coeff": 1, "generator": {"resolved": {"criticals": [dict(entry, point=1)]}}}]})
     first, second = (g.criticals[0][1] for _, g in pres)
-    assert first == second and first is not second
+    assert first is second
     with pytest.raises(DatumValidationError, match="bad locus tag"):
         phi_measure(pres)
 

@@ -16,7 +16,9 @@ direct terms: each pair result went back through the validating ``MuClass``
 constructor (rules N1-N5b) and was multiplied with the trivial factors as a
 second ``MuClass``.  As in the earlier routes, star went through ``tensor``
 and ``psi_pair``, which summed one ``MuClass`` per pair term, and a1_star
-summed one ``psi_pair`` per fiber pair.  phi_measure measured each generator
+summed one ``psi_pair`` per fiber pair.  a1_star of one pair of points now
+runs star's loop; its reference is also the atom-major line kernel, called
+directly, that serves two or more pairs.  phi_measure measured each generator
 through ``phi_generator``, validating its data every time, and merged the
 weighted classes over the line, and phi_generator sent its fibers through the
 A1Class constructor.  ts_check looked each point of the sorted
@@ -38,6 +40,7 @@ from fractions import Fraction
 from motivic import (A1Class, BiClass, Constant, MuClass, Resolved, SmoothProper, SNCDatum,
                      Stratum, a1_star, chi_of_a1, phi_generator, phi_measure, psi_pair, star,
                      tensor, ts_check, validate_datum, vanishing_cycles)
+from motivic import a1, convolve
 from motivic.a1 import point_str
 from motivic.classes import _FER2_START, FER, TOWER_LIMIT, _tower, atom_mul, factor_str, fer, opq, orb
 from motivic.errors import ValidationError
@@ -482,6 +485,73 @@ def test_a_chi_past_the_limit_raises_at_the_same_pair():
     assert star(big, MuClass.one()) == reference_star(big, MuClass.one())  # P2 takes no chi
     assert outcome(star, other, big) == outcome(reference_star, other, big)
     assert outcome(star, other, big)[0] is ValidationError
+
+
+# One pair of points: a1_star runs star's loop, so it must agree with the
+# atom-major line kernel that serves two or more pairs, called directly here,
+# and with star at the sum of the points.
+
+def atom_major_a1_star(f, g):
+    """a1_star through the line kernel: convolve._line_into over one slot per
+    distinct sum of points, then a1._line."""
+    slot_of = {}
+    slots = [[slot_of.setdefault((p + q).as_integer_ratio(), len(slot_of)) for q, _ in g.support()]
+             for p, _ in f.support()]
+    acc = {}
+    convolve._line_into(acc, a1._by_atom(f), a1._by_atom(g), slots)
+    return a1._line(acc, list(slot_of))
+
+
+@st.composite
+def _point_pairs(draw):
+    """Two points, the second often the negative of the first, so that p + q = 0."""
+    p = draw(_points)
+    return p, draw(_points | st.just(-p))
+
+
+# FER(3,401) and FER(3,402) with a core on the other side are P6 pairs whose
+# chi passes TOWER_LIMIT: the first such pair that a loop visits raises
+_PAST_THE_LIMIT = MuClass([(1, (FER(3, 401),)), (1, (FER(3, 402),))])
+_one_pair_fibers = _classes.filter(bool) | st.just(_PAST_THE_LIMIT)
+
+
+@given(_point_pairs(), _one_pair_fibers, _one_pair_fibers)
+@example((Fraction(1, 3), Fraction(-1, 3)),
+         MuClass([(1, (BLOB, fer(3, 2))), (LaurentInt({-2: 1}), (HUSK,))]),
+         MuClass([(1, (orb(2),)), (-1, (opq("blob", 2),))]))
+@example((Fraction(-7, 2), Fraction(5, 3)), MuClass([(1, (fer(3, 2),)), (1, (orb(5),))]),
+         _PAST_THE_LIMIT)
+# blob with and without E-data, times fer(3,2), are two atoms whose cheap keys
+# do not compare, so the fiber is sorted by sort_atoms' fallback
+@example((Fraction(0), Fraction(1)), MuClass([(1, (fer(3, 2),)), (1, (orb(2),))]),
+         MuClass([(1, (BLOB,)), (1, (opq("blob", 2),))]))
+def test_one_pair_a1_star_equals_the_line_kernel_and_star_at_the_sum(points, c, d):
+    p, q = points
+    f, g = A1Class({p: c}), A1Class({q: d})
+    out = outcome(a1_star, f, g)
+    assert out == outcome(atom_major_a1_star, f, g)
+    assert out == outcome(lambda: A1Class({p + q: star(c, d)}))
+    if isinstance(out, A1Class):
+        assert all(type(point) is Fraction for point in _points_of(out))
+
+
+def test_one_pair_whose_star_cancels_is_the_zero_class():
+    # P6 names a pair of opaque cores by their tags and the product of their
+    # chi, so opq(t,0) meets opq(s,1) and opq(s,2) in one atom
+    c = MuClass([(1, (opq("t", 0),))])
+    d = MuClass([(1, (opq("s", 1),)), (-1, (opq("s", 2),))])
+    assert c and d and star(c, d).is_zero()
+    f, g = A1Class({"1/2": c}), A1Class({"-7/3": d})
+    assert a1_star(f, g) == atom_major_a1_star(f, g) == A1Class.zero()
+
+
+def test_one_pair_raises_as_the_line_kernel_at_the_same_pair():
+    other = MuClass([(1, (fer(3, 2),)), (1, (orb(5),)), (1, (orb(7),))])
+    for c, d in [(other, _PAST_THE_LIMIT), (_PAST_THE_LIMIT, other)]:
+        f, g = A1Class({0: c}), A1Class({"1/2": d})
+        out = outcome(a1_star, f, g)
+        assert out == outcome(atom_major_a1_star, f, g) == outcome(star, c, d)
+        assert out == (ValidationError, ("chi_c of FER(3,401) exceeds the limit r <= 400",))
 
 
 # Presentations: data are drawn as one shared object or as an equal copy, and

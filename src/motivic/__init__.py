@@ -24,7 +24,6 @@ __version__ = "0.1.0"
 # every submodule, with the public names it defines
 _MODULES = {
     "sparse": (),
-    "table": (),
     "errors": ("MotivicError", "ValidationError", "DatumValidationError",
                "RealizationUndefinedError", "OracleBudgetError", "ParseError"),
     "laurent": ("LaurentInt", "EPoly"),

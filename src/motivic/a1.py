@@ -18,7 +18,7 @@ one Fraction per output point, hashing none.  Points sort by
 floor(p * 2**64), an integer that orders them as p does; only two points
 within 2**-64 of each other fall back to comparing the Fractions.  One pair
 of points has no rule read to share, so a1_star of two one-point classes (as
-in ts_check) is star at p + q, through star's loop: convolve._psi_into.
+in ts_check) is star at p + q, through star's loop: convolve._psi.
 
 Base points are exact rationals even though the theory runs over an
 algebraically closed field: every computation shipped here has rational
@@ -33,10 +33,10 @@ from math import gcd
 from typing import Iterable, Mapping, Union
 
 from .classes import MuClass, sort_atoms
-from .convolve import _line_into, _psi_into
+from .convolve import _line_into, _psi
 from .errors import ValidationError
-from .laurent import LaurentInt
-from .sparse import Sparse, leaves, nest
+from .laurent import LaurentInt, leaves
+from .sparse import Sparse
 
 PointLike = Union[Fraction, int, str]
 
@@ -145,7 +145,7 @@ def _line(acc: dict, points: list) -> A1Class:
     atoms = list(acc.items())
     sort_atoms(atoms)
     for atom, at in atoms:
-        for slot, value in zip(at, leaves(at.values(), LaurentInt)):
+        for slot, value in zip(at, leaves(at.values())):
             if value._terms:
                 fibers[slot].append((atom, value))
     floors, terms = [], []
@@ -160,13 +160,12 @@ def _line(acc: dict, points: list) -> A1Class:
 def a1_star(f: A1Class, g: A1Class) -> A1Class:
     """Convolution over the line: Psi of fibers pushed along point addition.
     Two one-point classes take star's loop, any other shape the line kernel."""
-    acc: dict = {}
     if len(f._terms) == 1 == len(g._terms):
         ((p, c),), ((q, d),) = f._terms, g._terms
-        _psi_into([(acc, c._terms, d._terms)])
-        fiber = nest(acc, MuClass, LaurentInt)
+        fiber = _psi([(c._terms, d._terms)])
         (a, b), (n, m) = p.as_integer_ratio(), q.as_integer_ratio()
         return A1Class._wrap(((Fraction(a * m + b * n, b * m), fiber),) if fiber._terms else ())
+    acc: dict = {}
     slot_of: dict = {}  # reduced (numerator, denominator) of a sum -> its slot, in slot order
     qs = [q.as_integer_ratio() for q, _ in g.support()]
     slots = []

@@ -26,39 +26,43 @@ by P3 are multiplied back with atom_mul.
 
 The kernel has one table of rules and two accumulation loops, both summing
 into integer coefficients and adding P2 and P6 pairs with no multiplication
-by their unit coefficient.  _psi_into, for star, psi_pair and a1.a1_star of
-two one-point classes, walks each pair of terms and sums by atom and
-exponent; sparse.nest builds the class.  _line_into, for a1.a1_star from two
-pairs of points up, is atom-major: it walks each pair of atoms once, reads
-its rule once and adds the product of every pair of points that carry the
-two atoms, by atom, point slot and exponent; a1._line builds the class.
-They stay two loops because each fold is slower in the other's loop: a
-star-fold pass of stars took 13 % longer through _line_into with one slot,
-and line-measure's a1_star calls took 23 % longer through _psi_into, one pair
-of points at a time, than through _line_into.  One pair of points shares
-nothing, and there _psi_into wins: on line-measure's seed-0 ts_check pairs
-(collector off, Python 3.11, 2-core Xeon), a1_star took 6.5-6.9 against
-11.2-11.7 us a call through _line_into.
+by their unit coefficient.  _psi, for star, psi_pair and a1.a1_star of two
+one-point classes, walks each pair of terms, sums by atom and exponent and
+builds the class: the Laurent leaves in one pass (laurent.leaves), then one
+sort of the atoms.  _line_into, for a1.a1_star from two pairs of points up,
+is atom-major: it walks each pair of atoms once, reads its rule once and adds
+the product of every pair of points that carry the two atoms, by atom, point
+slot and exponent; a1._line builds the class.  They stay two loops because
+each fold is slower in the other's loop: a star-fold pass of stars took 13 %
+longer through _line_into with one slot, and line-measure's a1_star calls
+took 23 % longer one pair of points at a time, in star's loop, than through
+_line_into.  One pair of points shares nothing, and there star's loop wins:
+on line-measure's seed-0 ts_check pairs (collector off, Python 3.11, 2-core
+Xeon), a1_star took 6.5-6.9 against 11.2-11.7 us a call through _line_into.
 
-The table, _rules (a table.Table), is kept for the process: _pair alone
-derives, sizes and keeps a rule, so every caller derives a rule once per pair
-of atoms.  A rule counts the bytes of its two key atoms and itself marshalled
-together; the table holds at most 2 MiB of them, 2.4 times one seed of
-star-fold's inputs (0.86-0.88 MB), and when full keeps about 3.6 MB by
-tracemalloc on those inputs.  A rule that raises is not kept.
+The table, _rules, is a dict of rows, a -> {b: rule}, kept for the process.
+_pair alone derives, sizes and keeps a rule, so every caller derives a rule
+once per pair of atoms.  A rule counts the bytes of its two key atoms and
+itself marshalled together; the table holds at most limit = 2 MiB of them,
+2.4 times one seed of star-fold's inputs (0.86-0.88 MB), and when full keeps
+about 3.6 MB by tracemalloc on those inputs.  A rule that would pass the
+limit clears the table whole first, a rule larger than the limit is never
+kept, and a rule that raises is not kept.  Writes take the table's lock;
+reads are the dict's own get, with no lock and no Python call, and a kept
+rule is never mutated.
 """
 
 from __future__ import annotations
 
 import marshal
+import threading
 from typing import Iterable
 
 from .classes import FER, Atom, Factor, MuClass, atom_mul, factor_str, fer, orb, sort_atoms
 from .errors import ValidationError
-from .laurent import L_MINUS_1, ONE, Coeffable, LaurentInt
+from .laurent import L_MINUS_1, ONE, Coeffable, LaurentInt, leaves
 from .realize import atom_chi, chi_c
-from .sparse import Sparse, nest
-from .table import Table
+from .sparse import Sparse
 
 
 class BiClass(Sparse):
@@ -97,7 +101,21 @@ def tensor(a: MuClass, b: MuClass) -> BiClass:
                                for a1, c1 in a.terms() for a2, c2 in b.terms()))
 
 
-_rules = Table(1 << 21)  # a -> {b: the one atom of Psi(a x b), coefficient 1, or its terms}
+class _Rules(dict):
+    """The pair rules, a -> {b: rule}, held counted bytes of them, at most limit."""
+
+    __slots__ = ("limit", "held", "lock")
+
+    def __init__(self, limit: int):
+        self.limit, self.held, self.lock = limit, 0, threading.RLock()
+
+    def clear(self) -> None:
+        with self.lock:
+            super().clear()
+            self.held = 0
+
+
+_rules = _Rules(1 << 21)  # a -> {b: the one atom of Psi(a x b), coefficient 1, or its terms}
 
 
 def _pair(a: Atom, b: Atom):
@@ -118,18 +136,29 @@ def _pair(a: Atom, b: Atom):
             # P6: the cores' orbits went into the tag, so nothing fuses; fer factors
             # sort as plain tuples in factor_key order, and opaque ones rank last
             rule = tuple(sorted(triv)) + (form,)
-    _rules.keep(len(marshal.dumps((a, b, rule), 2)), rule, a, b)  # version 2: no back-references
+    size = len(marshal.dumps((a, b, rule), 2))  # version 2: no back-references
+    if size <= _rules.limit:
+        with _rules.lock:
+            if _rules.held + size > _rules.limit:
+                _rules.clear()
+            row = _rules.setdefault(a, {})
+            if b not in row:  # another thread may have kept it since the miss
+                row[b] = rule
+                _rules.held += size
     return rule
 
 
-def _psi_into(products: Iterable[tuple[dict, Iterable, Iterable]]) -> None:
-    """For each (acc, xs, ys) of products, add Psi(xs x ys) into acc.
+def _psi(products: Iterable[tuple[Iterable, Iterable]]) -> MuClass:
+    """Psi of the sum of xs x ys over the (xs, ys) of products.
 
-    xs and ys are (normal atom, LaurentInt) terms and acc maps atoms to dicts
-    from exponents to integers.  Each pair of atoms takes its rule from _rules,
-    the kernel's one table, so a rule is derived once per pair while it stays.
+    xs and ys are (normal atom, LaurentInt) terms.  Each pair of atoms takes its
+    rule from _rules, the kernel's one table, so a rule is derived once per pair
+    while it stays.  The integer coefficients are summed into one dict per atom,
+    from exponents to integers; zeros are dropped at both levels, so an atom
+    whose coefficient cancels goes too.
     """
-    for acc, xs, ys in products:
+    acc: dict = {}
+    for xs, ys in products:
         ys = [(b, cb.items()) for b, cb in ys]  # read once per product, not once per pair
         for a, ca in xs:
             ca = ca.items()
@@ -154,6 +183,10 @@ def _psi_into(products: Iterable[tuple[dict, Iterable, Iterable]]) -> None:
                     for e1, x1 in c:
                         for e2, x2 in k:
                             coeffs[e1 + e2] = coeffs.get(e1 + e2, 0) + x1 * x2
+    terms = [t for t in zip(acc, leaves(acc.values())) if t[1]._terms]
+    if len(terms) > 1:
+        sort_atoms(terms)
+    return MuClass._wrap(tuple(terms))
 
 
 def _line_into(acc: dict, xs: dict, ys: dict, slots: list) -> None:
@@ -230,16 +263,12 @@ def _core_form(core_a: Atom, core_b: Atom) -> list[tuple[Atom, tuple]] | Factor:
 
 def psi_pair(p: BiClass) -> MuClass:
     """Psi of an exterior product, by bilinear extension of the pair rules."""
-    acc: dict = {}
-    _psi_into((acc, ((a, c),), ((b, ONE),)) for (a, b), c in p.terms())
-    return nest(acc, MuClass, LaurentInt)
+    return _psi((((a, c),), ((b, ONE),)) for (a, b), c in p.terms())
 
 
 def star(a: MuClass, b: MuClass) -> MuClass:
     """The convolution product on classes over the point."""
-    acc: dict = {}
-    _psi_into([(acc, a.terms(), b.terms())])
-    return nest(acc, MuClass, LaurentInt)
+    return _psi([(a.terms(), b.terms())])
 
 
 def star_power(n: int, r: int) -> MuClass:

@@ -18,8 +18,8 @@ parse(serialize(x)) == x.  The text itself is written by dumps, which lives in
 the leaf module canonical.py.
 
 Class I/O needs only the class layers.  The line, datum, generator and
-presentation functions, and pretty on a line class, import a1 and vanishing
-when called, once per document: reading or writing a class loads neither.
+presentation functions, and pretty on a line class, import the names of a1
+and vanishing they read when called: reading or writing a class loads neither.
 """
 
 from __future__ import annotations
@@ -163,8 +163,6 @@ def a1_from_json(obj) -> A1Class:
 
 
 # --- resolution data and presentations ----------------------------------------
-# The private forms take the vanishing module (v) and a1.point_str, imported
-# once by the public function that reads or writes the whole document.
 
 def datum_to_json(d: SNCDatum) -> dict:
     return {
@@ -177,7 +175,8 @@ def datum_to_json(d: SNCDatum) -> dict:
         "fiber_singular": class_to_json(d.fiber_singular),
     }
 
-def _datum_from_json(obj, v) -> SNCDatum:
+def datum_from_json(obj) -> SNCDatum:
+    from .vanishing import SNCDatum, Stratum
     components, strata, fiber_regular, fiber_singular = _fields(
         obj, "datum", "components", "strata", "fiber_regular", "fiber_singular")
     checked = []
@@ -191,67 +190,56 @@ def _datum_from_json(obj, v) -> SNCDatum:
         _expect(isinstance(index_set, list) and all(isinstance(i, str) for i in index_set),
                 "stratum index set must be a list of component ids")
         _expect(isinstance(locus, str), "stratum locus must be a string")
-        built.append(v.Stratum(index_set, class_from_json(base), class_from_json(cover), locus))
-    return v.SNCDatum(checked, built, class_from_json(fiber_regular),
-                      class_from_json(fiber_singular))
-
-def datum_from_json(obj) -> SNCDatum:
-    from . import vanishing
-    return _datum_from_json(obj, vanishing)
+        built.append(Stratum(index_set, class_from_json(base), class_from_json(cover), locus))
+    return SNCDatum(checked, built, class_from_json(fiber_regular),
+                    class_from_json(fiber_singular))
 
 
-def _generator_to_json(g: Generator, v, point_str):
-    if isinstance(g, v.SmoothProper):
+def generator_to_json(g: Generator):
+    from .a1 import point_str
+    from .vanishing import Constant, SmoothProper
+    if isinstance(g, SmoothProper):
         return "smooth_proper"
-    if isinstance(g, v.Constant):
+    if isinstance(g, Constant):
         return {"constant": {"value": point_str(g.value),
                              "class": class_to_json(g.fiber_class)}}
     return {"resolved": {"criticals": [{"point": point_str(p), "datum": datum_to_json(d)}
                                        for p, d in g.criticals]}}
 
-def generator_to_json(g: Generator):
-    from . import vanishing
-    from .a1 import point_str
-    return _generator_to_json(g, vanishing, point_str)
-
-def _generator_from_json(obj, v, shared: dict) -> Generator:
+def _generator_from_json(obj, shared: dict) -> Generator:
+    from .vanishing import Constant, Resolved, SmoothProper
     if obj == "smooth_proper":
-        return v.SmoothProper()
+        return SmoothProper()
     _expect(isinstance(obj, dict) and len(obj) == 1,
             'generator must be "smooth_proper" or a one-key object')
     (kind, payload), = obj.items()
     if kind == "constant":
         value, c = _fields(payload, "constant generator", "value", "class")
-        return v.Constant(_point(value), class_from_json(c))
+        return Constant(_point(value), class_from_json(c))
     if kind == "resolved":
         entries, = _fields(payload, "resolved generator", "criticals")
         criticals = []
         for entry in _list(entries, "resolved generator criticals"):
             point, datum = _fields(entry, "critical entry", "point", "datum")
-            d = _datum_from_json(datum, v)
+            d = datum_from_json(datum)
             criticals.append((_point(point), shared.setdefault(d, d)))  # one object per equal datum
-        return v.Resolved(criticals)
+        return Resolved(criticals)
     raise ParseError(f"unknown generator kind {kind!r}")
 
 def generator_from_json(obj) -> Generator:
-    from . import vanishing
-    return _generator_from_json(obj, vanishing, {})
+    return _generator_from_json(obj, {})
 
 
 def presentation_to_json(p: Presentation) -> dict:
-    from . import vanishing
-    from .a1 import point_str
-    return {"terms": [{"coeff": c, "generator": _generator_to_json(g, vanishing, point_str)}
-                      for c, g in p]}
+    return {"terms": [{"coeff": c, "generator": generator_to_json(g)} for c, g in p]}
 
 def presentation_from_json(obj) -> Presentation:
-    from . import vanishing
     entries, = _fields(obj, "presentation", "terms")
     terms, shared = [], {}
     for t in _list(entries, "presentation terms"):
         coeff, generator = _fields(t, "presentation term", "coeff", "generator")
         terms.append((_int(coeff, "presentation coefficient"),
-                      _generator_from_json(generator, vanishing, shared)))
+                      _generator_from_json(generator, shared)))
     return tuple(terms)
 
 

@@ -4,6 +4,10 @@ A LaurentInt is a finitely supported map from integer exponents (negative
 allowed) to arbitrary-precision integer coefficients.  The invariant is that
 no zero coefficient is ever stored, so structural equality is semantic
 equality.  Instances are immutable and hashable; all arithmetic is exact.
+
+The bilinear folds (convolve._psi and a1._line) sum integer coefficients in
+dicts from exponents to integers and make them LaurentInt values with leaves,
+which skips the constructor's checks and _canonical's grouping.
 """
 
 from __future__ import annotations
@@ -111,6 +115,23 @@ class LaurentInt(Sparse):
 
     def __repr__(self) -> str:
         return f"LaurentInt({dict(self._terms)!r})"
+
+
+def leaves(dicts: Iterable[dict]) -> list:
+    """The LaurentInt of each of dicts, which map exponents to integers.
+
+    A leaf's exponents are distinct integers, so its (exponent, integer) pairs
+    sort with no key function, and a one-entry leaf is not sorted.  Zeros are
+    filtered out only from a dict that holds one.
+    """
+    new = object.__new__
+    out = []
+    for d in dicts:
+        terms = sorted(d.items()) if len(d) > 1 else d.items()
+        leaf = new(LaurentInt)
+        leaf._terms = tuple([t for t in terms if t[1]] if 0 in d.values() else terms)
+        out.append(leaf)
+    return out
 
 
 ZERO = LaurentInt()

@@ -9,10 +9,10 @@ the type's order, so structural equality is equality of values.  A type's
 says otherwise, and for classes by ``classes.sort_atoms``, the one sort of
 atoms.  Every sum and product builds its result with one call to ``_make``
 over all of its terms, which sorts once.  The bilinear folds sum integer
-coefficients into nested dicts instead: ``nest`` builds ``star`` and
-``psi_pair`` from one dict per atom, and ``a1._line`` builds ``a1_star`` and
-``phi_measure`` from one dict per atom and point.  Both build their Laurent
-coefficients with ``leaves``.
+coefficients into nested dicts instead and build their classes themselves:
+``convolve._psi`` (``star`` and ``psi_pair``) from one dict per atom, and
+``a1._line`` (``a1_star`` and ``phi_measure``) from one dict per atom and
+point, both with ``laurent.leaves``.
 
 The module also holds the signed infix renderer used by ``LaurentInt``,
 ``EPoly`` and ``jsonio.pretty``.
@@ -117,38 +117,6 @@ def _total(coeffs: list):
     if isinstance(first, Sparse):
         return first._make(chain.from_iterable(c._terms for c in coeffs))
     return sum(coeffs[1:], first)
-
-
-def nest(acc: dict, cls: type, leaf: type) -> Sparse:
-    """The value of type cls whose integer coefficients are summed in acc.
-
-    acc maps each key of cls to a dict from exponents to integers, its
-    coefficient of type leaf.  Zeros are dropped at both levels, so a key whose
-    coefficient cancels goes too.  All the leaves are built in one pass
-    (``leaves``), then the terms are sorted once by cls's ``_sort``.  The folds
-    over the line keep a dict per atom and point; ``a1._line`` builds those.
-    """
-    terms = [t for t in zip(acc, leaves(acc.values(), leaf)) if t[1]._terms]
-    if len(terms) > 1:
-        cls._sort(terms)
-    return cls._wrap(tuple(terms))
-
-
-def leaves(dicts: Iterable[dict], cls: type) -> list:
-    """The value of type cls of each of dicts, which map exponents to integers.
-
-    A leaf's exponents are distinct integers, so its (exponent, integer) pairs
-    sort with no key function, and a one-entry leaf is not sorted.  Zeros are
-    filtered out only from a dict that holds one.
-    """
-    new = object.__new__
-    out = []
-    for d in dicts:
-        terms = sorted(d.items()) if len(d) > 1 else d.items()
-        leaf = new(cls)
-        leaf._terms = tuple([t for t in terms if t[1]] if 0 in d.values() else terms)
-        out.append(leaf)
-    return out
 
 
 # --- rendering ---------------------------------------------------------------------

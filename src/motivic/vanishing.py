@@ -259,10 +259,10 @@ Generator = Union["Resolved", "Constant", "SmoothProper"]
 Presentation = tuple  # tuple of (int coefficient, Generator) pairs
 
 
-def _fibers(g: Generator, phi) -> list[tuple[Fraction, MuClass]]:
-    """(point, class) fibers of one generator's measure; phi maps a datum to its phi."""
+def _fibers(g: Generator) -> list[tuple[Fraction, MuClass]]:
+    """(point, class) fibers of one generator's measure: a datum's fiber is its phi."""
     if isinstance(g, Resolved):
-        return [(p, phi(d)) for p, d in g.criticals]
+        return [(p, vanishing_cycles(d)[0]) for p, d in g.criticals]
     if isinstance(g, Constant):
         return [(g.value, g.fiber_class)]
     if isinstance(g, SmoothProper):
@@ -273,8 +273,7 @@ def _fibers(g: Generator, phi) -> list[tuple[Fraction, MuClass]]:
 def phi_generator(g: Generator) -> A1Class:
     """Vanishing-cycle class of one generator, as a class over the line."""
     # a Resolved's critical values are distinct and sorted, and a Constant has one
-    return A1Class._wrap(tuple([(p, c) for p, c in _fibers(g, lambda d: vanishing_cycles(d)[0])
-                                if c]))
+    return A1Class._wrap(tuple([(p, c) for p, c in _fibers(g) if c]))
 
 
 def phi_measure(p: Presentation) -> A1Class:
@@ -300,7 +299,7 @@ def phi_measure(p: Presentation) -> A1Class:
         if not isinstance(coeff, int):
             raise ValidationError(f"presentation coefficient {coeff!r} is not an integer")
         if not isinstance(g, Resolved):
-            for point, cls in _fibers(g, None):  # no datum, so no phi to look up
+            for point, cls in _fibers(g):  # no datum, so no phi to look up
                 classes[id(cls)] = cls
                 key = (point.as_integer_ratio(), id(cls))
                 weights[key] = weights.get(key, 0) + coeff

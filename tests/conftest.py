@@ -12,7 +12,6 @@ from hypothesis import HealthCheck, settings, strategies as st
 
 from motivic import LaurentInt, MuClass, SNCDatum, Stratum, convolve
 from motivic.laurent import L_MINUS_1
-from motivic.table import Table
 
 settings.register_profile(
     "engine", max_examples=60, derandomize=True,
@@ -138,8 +137,8 @@ def python_calls(f, limit: float = math.inf) -> tuple:
     return result, count
 
 
-class YieldingTable(Table):
-    """A table whose clear lets other threads run, as a thread switch there may."""
+class YieldingTable(convolve._Rules):
+    """A rules table whose clear lets other threads run, as a thread switch there may."""
 
     __slots__ = ()
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from motivic import (A1Class, Constant, Resolved, ValidationError, a1, a1_star, a1_unit, chi_c,
-                     chi_of_a1, convolve, epsilon_push, phi_generator, star)
+                     chi_of_a1, convolve, epsilon_push, phi_generator, psi_pair, star, tensor)
 from motivic.a1 import as_point
 
 from conftest import L, ONE, mu_classes, orb, power_datum, python_calls
@@ -158,14 +158,20 @@ def test_one_pair_a1_star_costs_one_star():
 
 def test_one_pair_a1_star_skips_the_line_kernel(monkeypatch):
     calls = []
-    for module, name in [(a1, "_line"), (a1, "_line_into"), (convolve, "_line_into")]:
+    for module, name in [(a1, "_line"), (a1, "_line_into"), (convolve, "_line_into"),
+                         (a1, "_psi"), (convolve, "_psi")]:
         fn = getattr(module, name)
         monkeypatch.setattr(module, name,
                             lambda *args, fn=fn, name=name: calls.append(name) or fn(*args))
     for f, g in _ts_check_pairs():
-        a1_star(f, g)
-    assert calls == []
+        (_, c), (_, d) = f.support() + g.support()
+        # star, psi_pair and one-pair a1_star are each one pass of star's loop
+        for call in (lambda: a1_star(f, g), lambda: star(c, d), lambda: psi_pair(tensor(c, d))):
+            calls.clear()
+            call()
+            assert calls == ["_psi"]
     f, g = next(_ts_check_pairs())
+    calls.clear()
     a1_star(f + A1Class({0: ONE}), g)  # two pairs of points take the line kernel
     assert calls == ["_line_into", "_line"]
 

@@ -266,8 +266,14 @@ def test_psi_pair_matches_star_through_tensor():
 def _held_size() -> int:
     """The size of the kernel's table, counted from it: the marshalled bytes of
     each rule with its two key atoms."""
-    return sum(len(marshal.dumps((a, b, rule), 2))
+    return sum(_size_of(((a, b), rule))
                for a, row in convolve._rules.items() for b, rule in row.items())
+
+
+def _size_of(item) -> int:
+    """The bytes a kept ((a, b), rule) counts: its atoms and rule marshalled together."""
+    (a, b), rule = item
+    return len(marshal.dumps((a, b, rule), 2))
 
 
 # P6 (orbits 2 and 3, FER(3,2) with ORB(2)), P4 (ORB(2) twice) and P5 (FER(3,2) with ORB(3))
@@ -301,6 +307,90 @@ def test_a1_star_derives_each_pair_of_atoms_once(monkeypatch):
     derived.clear()
     assert a1_star(f, g) == first
     assert derived == []
+
+
+_O2, _O3, _O4, _O5 = ((("orb", d),) for d in range(2, 6))
+
+
+def _rule_size(a, b) -> int:
+    """The bytes the rule of (a, b) counts; the table is left empty."""
+    convolve._rules.clear()
+    rule = convolve._pair(a, b)
+    convolve._rules.clear()
+    return _size_of(((a, b), rule))
+
+
+def test_a_rule_that_would_pass_the_limit_clears_the_table_whole(monkeypatch):
+    pairs = [(_O2, _O3), (_O2, _O4), (_O3, _O2)]
+    last = _rule_size(_O4, _O5)
+    # up to the limit itself nothing is cleared
+    monkeypatch.setattr(convolve._rules, "limit", sum(_rule_size(*ab) for ab in pairs))
+    rules = {ab: convolve._pair(*ab) for ab in pairs}
+    # each rule is kept in the row of its first atom
+    assert convolve._rules == {_O2: {_O3: rules[_O2, _O3], _O4: rules[_O2, _O4]},
+                               _O3: {_O2: rules[_O3, _O2]}}
+    assert _held_size() == convolve._rules.held == convolve._rules.limit
+    rule = convolve._pair(_O4, _O5)
+    assert convolve._rules == {_O4: {_O5: rule}} and convolve._rules.held == last
+
+
+def test_a_rule_over_the_limit_is_never_kept(monkeypatch):
+    monkeypatch.setattr(convolve._rules, "limit", _rule_size(_O2, _O3))
+    assert _rule_size(_O2, _O2) > convolve._rules.limit  # P4 keeps two terms, P6 one atom
+    kept = convolve._pair(_O2, _O3)
+    for _ in range(2):
+        assert convolve._pair(_O2, _O2) == [(a, c.items()) for a, c in star(orb(2), orb(2)).terms()]
+        assert convolve._rules == {_O2: {_O3: kept}}
+        assert convolve._rules.held == convolve._rules.limit
+
+
+def test_a_rule_kept_already_keeps_its_first_value_and_size():
+    first = convolve._pair(_O2, _O2)
+    held = convolve._rules.held
+    again = convolve._pair(_O2, _O2)  # as a thread that missed before another kept it
+    assert again == first and again is not first
+    assert convolve._rules[_O2][_O2] is first and convolve._rules.held == held == _held_size()
+
+
+def test_clear_empties_the_count_too():
+    star(orb(2) + orb(3), orb(2))
+    assert convolve._rules.held > 0
+    limit = convolve._rules.limit
+    convolve._rules.clear()
+    assert convolve._rules == {} and convolve._rules.held == 0 and convolve._rules.limit == limit
+
+
+def test_reads_are_the_dicts_own():
+    # both loops' hit paths call get on the table: it must stay dict.get, in C
+    assert convolve._Rules.get is dict.get
+    assert convolve._Rules.__getitem__ is dict.__getitem__
+    assert convolve._Rules.__contains__ is dict.__contains__
+    assert not hasattr(convolve._rules, "__dict__")
+
+
+def test_threads_keep_a_count_that_matches_the_table(monkeypatch):
+    atoms = [_O2, _O3, _O4, _O5, (("fer", 3, 2),), ()]
+    expected = {(a, b): convolve._pair(a, b) for a in atoms for b in atoms}
+    keys = list(expected)
+    # a few rules fill it: clears race the keeps
+    monkeypatch.setattr(convolve, "_rules", YieldingTable(3 * max(map(_size_of, expected.items()))))
+    miscounts: list = []
+
+    def work(k):
+        for _ in range(20):
+            for a, b in keys[k:] + keys[:k]:
+                convolve._pair(a, b)
+                rules = convolve._rules
+                with rules.lock:  # writers hold it, so the table and the count agree here
+                    kept = [((x, y), v) for x, row in rules.items() for y, v in row.items()]
+                    held = sum(map(_size_of, kept))
+                    wrong = any(v != expected[xy] for xy, v in kept)
+                    if wrong or not held == rules.held <= rules.limit:
+                        miscounts.append((held, rules.held))
+
+    run_in_threads(work)
+    # a lost update of the count, or a rule counted twice, breaks the equality
+    assert miscounts == []
 
 
 def test_a_rule_that_raises_raises_on_every_call():

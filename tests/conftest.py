@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import gc
+import marshal
 import math
 import random
 import sys
@@ -145,6 +146,30 @@ class YieldingTable(convolve._Rules):
     def clear(self):
         super().clear()
         time.sleep(1e-4)
+
+
+def _size_of(item) -> int:
+    """The bytes a kept ((a, b), rule) counts: its atoms and rule marshalled together."""
+    (a, b), rule = item
+    return len(marshal.dumps((a, b, rule), 2))
+
+
+def _held_size() -> int:
+    """The size of the kernel's table, counted from it: the marshalled bytes of
+    each rule with its two key atoms."""
+    return sum(_size_of(((a, b), rule))
+               for a, row in convolve._rules.items() for b, rule in row.items())
+
+
+_O2, _O3, _O4, _O5 = ((("orb", d),) for d in range(2, 6))
+
+
+def _rule_size(a, b) -> int:
+    """The bytes the rule of (a, b) counts; the table is left empty."""
+    convolve._rules.clear()
+    rule = convolve._pair(a, b)
+    convolve._rules.clear()
+    return _size_of(((a, b), rule))
 
 
 def run_in_threads(work, count: int = 4) -> None:

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import itertools
-import marshal
 import math
 import tracemalloc
 
@@ -15,8 +14,9 @@ from motivic import convolve, realize
 from motivic.jsonio import a1_to_json, class_to_json, dumps
 from motivic.laurent import L_MINUS_1
 
-from conftest import (GM, L, ONE, YieldingTable, _factors, cross_datum, mu_classes, orb,
-                      power_datum, raw_terms, run_in_threads)
+from conftest import (GM, L, ONE, YieldingTable, _O2, _O3, _O4, _O5, _factors, _held_size,
+                      _rule_size, _size_of, cross_datum, mu_classes, orb, power_datum,
+                      raw_terms, run_in_threads)
 from oracles import N_t, count_fermat_affine, nth_roots_of_minus_one, sum_of_powers_counts
 
 
@@ -263,19 +263,6 @@ def test_psi_pair_matches_star_through_tensor():
 
 # --- the kernel's table -------------------------------------------------------------------
 
-def _held_size() -> int:
-    """The size of the kernel's table, counted from it: the marshalled bytes of
-    each rule with its two key atoms."""
-    return sum(_size_of(((a, b), rule))
-               for a, row in convolve._rules.items() for b, rule in row.items())
-
-
-def _size_of(item) -> int:
-    """The bytes a kept ((a, b), rule) counts: its atoms and rule marshalled together."""
-    (a, b), rule = item
-    return len(marshal.dumps((a, b, rule), 2))
-
-
 # P6 (orbits 2 and 3, FER(3,2) with ORB(2)), P4 (ORB(2) twice) and P5 (FER(3,2) with ORB(3))
 _MIXED = (orb(2) + orb(3) + MuClass.fermat(3, 2), orb(3) + orb(2) + GM)
 
@@ -307,31 +294,6 @@ def test_a1_star_derives_each_pair_of_atoms_once(monkeypatch):
     derived.clear()
     assert a1_star(f, g) == first
     assert derived == []
-
-
-_O2, _O3, _O4, _O5 = ((("orb", d),) for d in range(2, 6))
-
-
-def _rule_size(a, b) -> int:
-    """The bytes the rule of (a, b) counts; the table is left empty."""
-    convolve._rules.clear()
-    rule = convolve._pair(a, b)
-    convolve._rules.clear()
-    return _size_of(((a, b), rule))
-
-
-def test_a_rule_that_would_pass_the_limit_clears_the_table_whole(monkeypatch):
-    pairs = [(_O2, _O3), (_O2, _O4), (_O3, _O2)]
-    last = _rule_size(_O4, _O5)
-    # up to the limit itself nothing is cleared
-    monkeypatch.setattr(convolve._rules, "limit", sum(_rule_size(*ab) for ab in pairs))
-    rules = {ab: convolve._pair(*ab) for ab in pairs}
-    # each rule is kept in the row of its first atom
-    assert convolve._rules == {_O2: {_O3: rules[_O2, _O3], _O4: rules[_O2, _O4]},
-                               _O3: {_O2: rules[_O3, _O2]}}
-    assert _held_size() == convolve._rules.held == convolve._rules.limit
-    rule = convolve._pair(_O4, _O5)
-    assert convolve._rules == {_O4: {_O5: rule}} and convolve._rules.held == last
 
 
 def test_a_rule_over_the_limit_is_never_kept(monkeypatch):

@@ -1,80 +1,34 @@
-"""The bounded table behind the kernel's rules and the datum table."""
+"""The bounded table behind the kernel's rules, convolve._rules, as convolve._pair fills it."""
 
 from __future__ import annotations
 
-from motivic.table import Table
+from motivic import convolve
 
-from conftest import YieldingTable, run_in_threads
-
-
-def test_a_keep_that_would_pass_the_limit_clears_the_table_whole():
-    t = Table(10)
-    t.keep(4, "a", 1)
-    t.keep(4, "b", 2)
-    assert t == {1: "a", 2: "b"} and t.held == 8
-    t.keep(3, "c", 3)
-    assert t == {3: "c"} and t.held == 3
-    t.keep(7, "d", 4)  # up to the limit itself, nothing is cleared
-    assert t == {3: "c", 4: "d"} and t.held == 10
+from conftest import _O2, _O3, _O4, _O5, _held_size, _rule_size
 
 
-def test_an_entry_over_the_limit_is_never_kept():
-    t = Table(10)
-    t.keep(4, "a", 1)
-    for _ in range(2):
-        t.keep(11, "b", 2)
-        assert t == {1: "a"} and t.held == 4
+def test_a_keep_that_would_pass_the_limit_clears_the_table_whole(monkeypatch):
+    first, second = (_O2, _O3), (_O2, _O4)
+    last = _rule_size(_O4, _O5)
+    # up to the limit itself nothing is cleared
+    monkeypatch.setattr(convolve._rules, "limit", _rule_size(*first) + _rule_size(*second))
+    rules = {ab: convolve._pair(*ab) for ab in (first, second)}
+    assert convolve._rules == {_O2: {_O3: rules[first], _O4: rules[second]}}
+    assert _held_size() == convolve._rules.held == convolve._rules.limit
+    rule = convolve._pair(_O4, _O5)
+    assert convolve._rules == {_O4: {_O5: rule}} and convolve._rules.held == last == _held_size()
 
 
-def test_a_key_kept_already_keeps_its_first_value_and_size():
-    t = Table(10)
-    t.keep(4, "a", 1)
-    t.keep(5, "b", 1)
-    assert t == {1: "a"} and t.held == 4
-
-
-def test_a_two_level_table_keeps_each_value_in_its_row():
-    t = Table(20)
-    t.keep(5, "ab", "a", "b")
-    t.keep(6, "ac", "a", "c")
-    t.keep(7, "ba", "b", "a")
-    t.keep(1, "again", "a", "b")
-    assert t == {"a": {"b": "ab", "c": "ac"}, "b": {"a": "ba"}} and t.held == 18
-    t.keep(3, "cd", "c", "d")
-    assert t == {"c": {"d": "cd"}} and t.held == 3
-    t.keep(21, "ce", "c", "e")
-    assert t == {"c": {"d": "cd"}} and t.held == 3
-
-
-def test_clear_empties_the_count_too():
-    t = Table(10)
-    t.keep(4, "a", 1)
-    t.clear()
-    assert t == {} and t.held == 0 and t.limit == 10
-
-
-def test_reads_are_the_dicts_own():
-    # both tables' hit paths call get on a Table: it must stay dict.get, in C
-    assert Table.get is dict.get
-    assert Table.__getitem__ is dict.__getitem__ and Table.__contains__ is dict.__contains__
-    assert not hasattr(Table(1), "__dict__")
-
-
-def test_threads_keep_a_count_that_matches_the_table():
-    t = YieldingTable(60)  # a few rows fill it: clears race the keeps
-    keys = [(a, b) for a in range(6) for b in range(8)]
-    miscounts: list = []
-
-    def work(k):
-        for _ in range(20):
-            for a, b in keys[k:] + keys[:k]:
-                t.keep(1 + (a + b) % 5, (a, b), a, b)
-                with t.lock:  # writers hold it, so the table and the count agree here
-                    kept = [(x, y, v) for x, row in t.items() for y, v in row.items()]
-                    held = sum(1 + (x + y) % 5 for x, y, _ in kept)
-                    if not held == t.held <= t.limit or any(v != (x, y) for x, y, v in kept):
-                        miscounts.append((held, t.held))
-
-    run_in_threads(work)
-    # a lost update of the count, or a key counted twice, breaks the equality
-    assert miscounts == []
+def test_a_two_level_table_keeps_each_value_in_its_row(monkeypatch):
+    pairs = [(_O2, _O3), (_O2, _O4), (_O3, _O2)]
+    monkeypatch.setattr(convolve._rules, "limit", sum(_rule_size(*ab) for ab in pairs))
+    rules = {ab: convolve._pair(*ab) for ab in pairs[:2]}
+    convolve._pair(_O2, _O3)  # a key kept already keeps its row as it was
+    rules[_O3, _O2] = convolve._pair(_O3, _O2)
+    # each rule is kept in the row of its first atom
+    assert convolve._rules == {_O2: {_O3: rules[_O2, _O3], _O4: rules[_O2, _O4]},
+                               _O3: {_O2: rules[_O3, _O2]}}
+    assert convolve._rules[_O2][_O3] is rules[_O2, _O3]
+    assert _held_size() == convolve._rules.held == convolve._rules.limit
+    rule = convolve._pair(_O4, _O5)  # past the limit: the rows go with the table
+    assert convolve._rules == {_O4: {_O5: rule}} and convolve._rules.held == _held_size()

@@ -28,9 +28,9 @@ critical values, and exactness beats generality.
 from __future__ import annotations
 
 import re
+from collections.abc import Mapping
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Mapping, Union
 
 from .classes import MuClass, sort_atoms
 from .convolve import _line_into, _psi
@@ -38,26 +38,37 @@ from .errors import ValidationError
 from .laurent import LaurentInt, leaves
 from .sparse import Sparse
 
-PointLike = Union[Fraction, int, str]
+TYPE_CHECKING = False  # typing.TYPE_CHECKING would load typing
+if TYPE_CHECKING:
+    from typing import Iterable, Union
+
+    PointLike = Union[Fraction, int, str]
 
 _POINT_STR = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
 
 def as_point(value: PointLike) -> Fraction:
-    """Coerce an exact base point: a Fraction, an int that is not a bool, or a
-    string [+-]?digits(/digits)? such as "-7/2"."""
-    if isinstance(value, Fraction):
+    """Coerce an exact base point: a string [+-]?digits(/digits)? such as
+    "-7/2", an int that is not a bool, or a Fraction.
+
+    The kinds are tested in that order, strings first, as JSON writes points:
+    a string is then told apart with no isinstance test against Fraction,
+    whose abstract base class would run a Python-level check.
+    """
+    if isinstance(value, str):
+        match = _POINT_STR.fullmatch(value)
+        if match is not None:
+            num, den = match.groups()
+            try:  # int() refuses more digits than sys.get_int_max_str_digits()
+                return Fraction(int(num), 1 if den is None else int(den))
+            except (ValueError, ZeroDivisionError) as exc:
+                raise ValidationError(f"bad base point {value!r}") from exc
+    elif isinstance(value, int):
+        if not isinstance(value, bool):
+            return Fraction(value)
+    elif isinstance(value, Fraction):
         return value
-    if isinstance(value, int) and not isinstance(value, bool):
-        return Fraction(value)
-    match = _POINT_STR.fullmatch(value) if isinstance(value, str) else None
-    if match is None:
-        raise ValidationError(f"bad base point {value!r}")
-    num, den = match.groups()
-    try:  # int() refuses more digits than sys.get_int_max_str_digits()
-        return Fraction(int(num), 1 if den is None else int(den))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValidationError(f"bad base point {value!r}") from exc
+    raise ValidationError(f"bad base point {value!r}")
 
 
 def point_str(p: Fraction) -> str:

@@ -47,11 +47,16 @@ from __future__ import annotations
 
 import math
 from functools import partial
-from typing import Callable, Iterable, Union
 
 from .errors import ValidationError
-from .laurent import L_MINUS_1, ZERO, Coeffable, EPoly, LaurentInt
+from .laurent import L_MINUS_1, ZERO, EPoly, LaurentInt
 from .sparse import Sparse
+
+TYPE_CHECKING = False  # typing.TYPE_CHECKING would load typing
+if TYPE_CHECKING:
+    from typing import Callable, Iterable, Union
+
+    from .laurent import Coeffable
 
 # Factors are plain tuples so atoms stay hashable:
 #   ("orb", d) | ("FER", n, r) | ("fer", n, r) | ("opq", tag, chi, epoly) | ("gm", d)
@@ -158,10 +163,13 @@ def atom_mul(a: Atom, b: Atom) -> tuple[Atom, int]:
     fusing orbit factors (rule N2: a multiset of orbits of sizes d_i fuses to
     (prod d_i / lcm d_i) copies of one orbit of size lcm d_i).
     """
-    orbs = [f[1] for f in a + b if f[0] == "orb"]
-    rest = [f for f in a + b if f[0] != "orb"]
+    factors = a + b
+    if len(factors) < 2:  # one factor or none: nothing to sort or fuse
+        return factors, 1
+    orbs = [f[1] for f in factors if f[0] == "orb"]
     if len(orbs) <= 1:
-        return tuple(sorted(a + b, key=factor_key)), 1
+        return tuple(sorted(factors, key=factor_key)), 1
+    rest = [f for f in factors if f[0] != "orb"]
     lcm = math.lcm(*orbs)
     mult = math.prod(orbs) // lcm
     if lcm > 1:
@@ -197,7 +205,8 @@ def _tower(r: int, fers: list) -> tuple[LaurentInt, LaurentInt, LaurentInt]:
 
 # --- MuClass ----------------------------------------------------------------
 
-RawTerm = tuple[Coeffable, Iterable[Factor]]
+if TYPE_CHECKING:
+    RawTerm = tuple[Coeffable, Iterable[Factor]]
 
 
 class MuClass(Sparse):

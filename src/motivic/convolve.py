@@ -45,24 +45,30 @@ _pair alone derives, sizes and keeps a rule, so every caller derives a rule
 once per pair of atoms.  A rule counts the bytes of its two key atoms and
 itself marshalled together; the table holds at most limit = 2 MiB of them,
 2.4 times one seed of star-fold's inputs (0.86-0.88 MB), and when full keeps
-about 3.6 MB by tracemalloc on those inputs.  A rule that would pass the
-limit clears the table whole first, a rule larger than the limit is never
-kept, and a rule that raises is not kept.  Writes take the table's lock;
-reads are the dict's own get, with no lock and no Python call, and a kept
-rule is never mutated.
+about 3.6 MB by tracemalloc on those inputs.  A rule that another thread
+kept since the miss is not kept again and clears nothing, a new rule that
+would pass the limit clears the table whole first, a rule larger than the
+limit is never kept, and a rule that raises is not kept.  Writes take the
+table's lock; reads are the dict's own get, with no lock and no Python call,
+and a kept rule is never mutated.
 """
 
 from __future__ import annotations
 
 import marshal
 import threading
-from typing import Iterable
 
 from .classes import FER, Atom, Factor, MuClass, atom_mul, factor_str, fer, orb, sort_atoms
 from .errors import ValidationError
-from .laurent import L_MINUS_1, ONE, Coeffable, LaurentInt, leaves
+from .laurent import L_MINUS_1, ONE, LaurentInt, leaves
 from .realize import atom_chi, chi_c
 from .sparse import Sparse
+
+TYPE_CHECKING = False  # typing.TYPE_CHECKING would load typing
+if TYPE_CHECKING:
+    from typing import Iterable
+
+    from .laurent import Coeffable
 
 
 class BiClass(Sparse):
@@ -139,11 +145,11 @@ def _pair(a: Atom, b: Atom):
     size = len(marshal.dumps((a, b, rule), 2))  # version 2: no back-references
     if size <= _rules.limit:
         with _rules.lock:
-            if _rules.held + size > _rules.limit:
-                _rules.clear()
-            row = _rules.setdefault(a, {})
-            if b not in row:  # another thread may have kept it since the miss
-                row[b] = rule
+            row = _rules.get(a)
+            if row is None or b not in row:  # another thread may have kept it since the miss
+                if _rules.held + size > _rules.limit:
+                    _rules.clear()
+                _rules.setdefault(a, {})[b] = rule
                 _rules.held += size
     return rule
 

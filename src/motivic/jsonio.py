@@ -17,6 +17,15 @@ separators), so identical values produce byte-identical documents, and
 parse(serialize(x)) == x.  The text itself is written by dumps, which lives in
 the leaf module canonical.py.
 
+A presentation's reader keeps one object per equal datum in a document, and
+builds a datum once per text: each critical's datum is keyed by its
+canonical text (dumps), so JSON-identical copies are built once, and a built
+datum is shared with any equal one already read, so equal data written as
+different JSON (key order, unnormalized classes) are one object too.  A datum
+that dumps cannot write (Python input that is not JSON) is built as it is,
+and raises the reader's own error.  The trade: Python input that dumps writes
+as a datum read before, such as a tuple for a list, is read as that datum.
+
 Class I/O needs only the class layers.  The line, datum, generator and
 presentation functions, and pretty on a line class, import the names of a1
 and vanishing they read when called: reading or writing a class loads neither.
@@ -24,46 +33,42 @@ and vanishing they read when called: reading or writing a class loads neither.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 from .canonical import dumps
 from .classes import Factor, MuClass
 from .errors import ParseError
 from .laurent import EPoly, LaurentInt
 from .sparse import monomial, power, signed_join
 
+TYPE_CHECKING = False  # typing.TYPE_CHECKING would load typing
 if TYPE_CHECKING:
     from .a1 import A1Class
     from .vanishing import Generator, Presentation, SNCDatum
 
 
-def _expect(condition: bool, message: str) -> None:
-    if not condition:
-        raise ParseError(message)
-
-
 def _fields(obj, what: str, *keys: str) -> tuple:
     """The values at keys of obj, which must be an object holding each of them."""
-    _expect(isinstance(obj, dict) and all(k in obj for k in keys),
-            f"{what} wants {{{', '.join(keys)}}}")
+    if not (isinstance(obj, dict) and all(k in obj for k in keys)):
+        raise ParseError(f"{what} wants {{{', '.join(keys)}}}")
     return tuple(obj[k] for k in keys)
 
 
 def _list(value, what: str) -> list:
-    _expect(isinstance(value, list), f"{what} must be a list")
+    if not isinstance(value, list):
+        raise ParseError(f"{what} must be a list")
     return value
 
 
 def _int(value, what: str) -> int:
     """value when it is a JSON integer; a float, string or boolean is refused."""
-    _expect(type(value) is int, f"{what} must be an integer, got {value!r}")
+    if type(value) is not int:
+        raise ParseError(f"{what} must be an integer, got {value!r}")
     return value
 
 
 def _point(value):
     """A base point as written: a "p/q" string or a JSON integer, never a boolean."""
-    _expect(isinstance(value, str) or type(value) is int,
-            f"point must be a string or integer, got {value!r}")
+    if not (isinstance(value, str) or type(value) is int):
+        raise ParseError(f"point must be a string or integer, got {value!r}")
     return value
 
 
@@ -73,7 +78,8 @@ def _decimal(text: str, what: str) -> int:
         value = int(text)
     except (TypeError, ValueError):
         value = None
-    _expect(value is not None and str(value) == text, f"bad {what} {text!r}")
+    if value is None or str(value) != text:
+        raise ParseError(f"bad {what} {text!r}")
     return value
 
 
@@ -83,7 +89,8 @@ def _coeff_to_json(c: LaurentInt) -> dict:
     return {str(e): v for e, v in c.items()}
 
 def _coeff_from_json(obj) -> LaurentInt:
-    _expect(isinstance(obj, dict), "coefficient must be an object of exponent: integer")
+    if not isinstance(obj, dict):
+        raise ParseError("coefficient must be an object of exponent: integer")
     return LaurentInt((_decimal(k, "exponent"), _int(v, f"coefficient of exponent {k!r}"))
                       for k, v in obj.items())
 
@@ -93,11 +100,12 @@ def _epoly_to_json(e) -> dict:
     return {f"({i},{j})": c for (i, j), c in items}
 
 def _epoly_from_json(obj) -> dict:
-    _expect(isinstance(obj, dict), "epoly must be an object")
+    if not isinstance(obj, dict):
+        raise ParseError("epoly must be an object")
     out = {}
     for k, v in obj.items():
-        _expect(isinstance(k, str) and k.startswith("(") and k.endswith(")"),
-                f"bad epoly key {k!r}")
+        if not (isinstance(k, str) and k.startswith("(") and k.endswith(")")):
+            raise ParseError(f"bad epoly key {k!r}")
         i, _, j = k[1:-1].partition(",")
         out[(_decimal(i, "epoly key entry"), _decimal(j, "epoly key entry"))] = \
             _int(v, f"epoly coefficient at {k!r}")
@@ -116,12 +124,14 @@ def _factor_to_json(f: Factor) -> dict:
     return {"opq": payload}
 
 def _factor_from_json(obj) -> Factor:
-    _expect(isinstance(obj, dict) and len(obj) == 1, f"factor must be a one-key object, got {obj!r}")
+    if not (isinstance(obj, dict) and len(obj) == 1):
+        raise ParseError(f"factor must be a one-key object, got {obj!r}")
     (kind, payload), = obj.items()
     if kind in ("orb", "gm"):
         return (kind, _int(payload, f"{kind} factor"))
     if kind in ("fer", "FER"):
-        _expect(isinstance(payload, list) and len(payload) == 2, f"{kind} factor wants [n, r]")
+        if not (isinstance(payload, list) and len(payload) == 2):
+            raise ParseError(f"{kind} factor wants [n, r]")
         return (kind, *(_int(x, f"{kind} factor entry") for x in payload))
     if kind == "opq":
         tag, chi = _fields(payload, "opq factor", "tag", "chi")
@@ -182,14 +192,16 @@ def datum_from_json(obj) -> SNCDatum:
     checked = []
     for c in _list(components, "components"):
         i, m = _fields(c, "component", "id", "m")
-        _expect(isinstance(i, str), "component id must be a string")
+        if not isinstance(i, str):
+            raise ParseError("component id must be a string")
         checked.append((i, _int(m, "component m")))
     built = []
     for s in _list(strata, "strata"):
         index_set, base, cover, locus = _fields(s, "stratum", "I", "base", "cover", "locus")
-        _expect(isinstance(index_set, list) and all(isinstance(i, str) for i in index_set),
-                "stratum index set must be a list of component ids")
-        _expect(isinstance(locus, str), "stratum locus must be a string")
+        if not (isinstance(index_set, list) and all(isinstance(i, str) for i in index_set)):
+            raise ParseError("stratum index set must be a list of component ids")
+        if not isinstance(locus, str):
+            raise ParseError("stratum locus must be a string")
         built.append(Stratum(index_set, class_from_json(base), class_from_json(cover), locus))
     return SNCDatum(checked, built, class_from_json(fiber_regular),
                     class_from_json(fiber_singular))
@@ -210,8 +222,8 @@ def _generator_from_json(obj, shared: dict) -> Generator:
     from .vanishing import Constant, Resolved, SmoothProper
     if obj == "smooth_proper":
         return SmoothProper()
-    _expect(isinstance(obj, dict) and len(obj) == 1,
-            'generator must be "smooth_proper" or a one-key object')
+    if not (isinstance(obj, dict) and len(obj) == 1):
+        raise ParseError('generator must be "smooth_proper" or a one-key object')
     (kind, payload), = obj.items()
     if kind == "constant":
         value, c = _fields(payload, "constant generator", "value", "class")
@@ -221,10 +233,24 @@ def _generator_from_json(obj, shared: dict) -> Generator:
         criticals = []
         for entry in _list(entries, "resolved generator criticals"):
             point, datum = _fields(entry, "critical entry", "point", "datum")
-            d = datum_from_json(datum)
-            criticals.append((_point(point), shared.setdefault(d, d)))  # one object per equal datum
+            criticals.append((_point(point), _shared_datum(datum, shared)))
         return Resolved(criticals)
     raise ParseError(f"unknown generator kind {kind!r}")
+
+def _shared_datum(obj, shared: dict) -> SNCDatum:
+    """The datum obj writes, as kept in shared, which maps the canonical text of
+    each datum document read and each datum built to the one object kept."""
+    try:
+        text = dumps(obj)
+    except (TypeError, ValueError, RecursionError):  # not JSON: build it, to raise as it does
+        text = None
+    d = shared.get(text)
+    if d is None:
+        d = datum_from_json(obj)
+        d = shared.setdefault(d, d)  # equal data written as different text share one object
+        if text is not None:
+            shared[text] = d
+    return d
 
 def generator_from_json(obj) -> Generator:
     return _generator_from_json(obj, {})

@@ -12,14 +12,16 @@ which skips the constructor's checks and _canonical's grouping.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, Mapping, Union
+from collections.abc import Mapping
 
 from .sparse import Sparse, monomial, power, signed_join
 
+TYPE_CHECKING = False  # typing.TYPE_CHECKING would load typing
 if TYPE_CHECKING:
     from fractions import Fraction
+    from typing import Iterable, Union
 
-Coeffable = Union["LaurentInt", int]
+    Coeffable = Union[LaurentInt, int]
 
 
 class LaurentInt(Sparse):

@@ -22,7 +22,10 @@ from __future__ import annotations
 
 from itertools import chain
 from operator import itemgetter
-from typing import Iterable
+
+TYPE_CHECKING = False  # typing.TYPE_CHECKING would load typing
+if TYPE_CHECKING:
+    from typing import Iterable
 
 
 class Sparse:

@@ -42,14 +42,17 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import chain
-from operator import itemgetter
-from typing import Union
+from operator import eq, itemgetter
 
-from .a1 import A1Class, _line, a1_star, as_point, point_str
+from .a1 import A1Class, _line, _point_key, a1_star, as_point, point_str
 from .classes import MuClass
 from .errors import DatumValidationError, ValidationError
 from .laurent import ONE_MINUS_L
 from .realize import chi_c
+
+TYPE_CHECKING = False  # typing.TYPE_CHECKING would load typing
+if TYPE_CHECKING:
+    from typing import Union
 
 LOCUS_TAGS = ("regular", "singular")
 
@@ -225,15 +228,23 @@ def vanishing_cycles(d: SNCDatum) -> tuple[MuClass, MuClass]:
 
 
 class Resolved(_Record):
-    """A family with finitely many critical values, each carrying SNC data."""
+    """A family with finitely many critical values, each carrying SNC data.
+
+    The critical values are sorted by a1._point_key, the order of A1Class
+    supports, and two equal ones sit side by side with equal keys; one critical
+    value is neither sorted nor compared.
+    """
 
     __slots__ = ("criticals",)
 
     def __init__(self, criticals: tuple[tuple[Fraction, SNCDatum], ...]):
         pts = [(as_point(p), d) for p, d in criticals]
-        if len({p for p, _ in pts}) != len(pts):
-            raise ValidationError("critical values must be pairwise distinct")
-        self._set(tuple(sorted(pts, key=lambda item: item[0])))
+        if len(pts) > 1:
+            pts.sort(key=_point_key)
+            keys = list(map(_point_key, pts))  # again: cheaper than carrying the sort's keys
+            if any(map(eq, keys, keys[1:])):
+                raise ValidationError("critical values must be pairwise distinct")
+        object.__setattr__(self, "criticals", tuple(pts))  # the one field, with no _set loop
 
 
 class Constant(_Record):
@@ -253,8 +264,8 @@ class SmoothProper(_Record):
     __slots__ = ()
 
 
-# named by strings, so typing's cache of Union values keeps no class of this module alive
-Generator = Union["Resolved", "Constant", "SmoothProper"]
+if TYPE_CHECKING:
+    Generator = Union[Resolved, Constant, SmoothProper]
 
 Presentation = tuple  # tuple of (int coefficient, Generator) pairs
 

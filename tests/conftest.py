@@ -7,6 +7,7 @@ import random
 import sys
 import threading
 import time
+from collections.abc import Mapping
 
 import pytest
 from hypothesis import HealthCheck, settings, strategies as st
@@ -106,6 +107,22 @@ def blowup_datum(n: int) -> SNCDatum:
                + [Stratum({"E", d}, one, one, "singular") for d in lines],
         fiber_regular=n * line,
         fiber_singular=one)
+
+
+class PlainMapping(Mapping):
+    """A Mapping that is no dict: it has only the methods Mapping asks for."""
+
+    def __init__(self, items):
+        self._items = dict(items)
+
+    def __getitem__(self, key):
+        return self._items[key]
+
+    def __iter__(self):
+        return iter(self._items)
+
+    def __len__(self):
+        return len(self._items)
 
 
 class CallLimitExceeded(BaseException):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from types import MappingProxyType
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -10,7 +11,7 @@ from motivic import (A1Class, Constant, Resolved, ValidationError, a1, a1_star, 
                      chi_of_a1, convolve, epsilon_push, phi_generator, psi_pair, star, tensor)
 from motivic.a1 import as_point
 
-from conftest import L, ONE, mu_classes, orb, power_datum, python_calls
+from conftest import L, ONE, PlainMapping, mu_classes, orb, power_datum, python_calls
 
 
 def a1_classes():
@@ -32,7 +33,8 @@ def test_points_parse_exactly():
 
 @pytest.mark.parametrize("value", ["1e3", "1e10000000", "0.5", " 1_0 ", "1_0", " 1", "1 ", "1\n",
                                    "", "+", "/2", "1/", "1/-2", "-1/+2", "1//2", "\u0661\u0662",
-                                   "inf", "nan", True, False, 1.5, None, [1]])
+                                   "inf", "nan", True, False, 1.5, None, [1], "1.5", "1/0", "+-1",
+                                   "0x1", "\u0661"])
 def test_other_points_are_refused(value):
     # Fraction() alone would take "1e10000000" and spend seconds expanding it
     with pytest.raises(ValidationError, match="bad base point"):
@@ -91,6 +93,12 @@ def test_zero_fibers_are_dropped():
     assert f.support() == ((Fraction(1), L),)
     with pytest.raises(ValidationError, match="fiber at 0 is not a class"):
         A1Class({0: 5})
+
+
+def test_any_mapping_is_read_as_points_to_fibers():
+    expected = A1Class([("1/2", L), (-1, ONE)])
+    for support in (MappingProxyType({-1: ONE, "1/2": L}), PlainMapping({"1/2": L, -1: ONE})):
+        assert A1Class(support) == expected
 
 
 def test_star_of_orbit_fibers_at_zero():

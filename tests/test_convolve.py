@@ -314,6 +314,20 @@ def test_a_rule_kept_already_keeps_its_first_value_and_size():
     assert convolve._rules[_O2][_O2] is first and convolve._rules.held == held == _held_size()
 
 
+def test_a_rule_kept_already_clears_no_full_table(monkeypatch):
+    # a thread that missed before another kept the same rule finds it kept
+    # before it asks whether a new rule would pass the limit
+    o7 = (("orb", 7),)
+    first = convolve._pair(_O2, _O3)
+    convolve._pair(_O5, o7)
+    held = convolve._rules.held
+    monkeypatch.setattr(convolve._rules, "limit", held)
+    assert convolve._pair(_O2, _O3) == first
+    assert set(convolve._rules) == {_O2, _O5} and convolve._rules[_O2][_O3] is first
+    assert o7 in convolve._rules[_O5]
+    assert convolve._rules.held == held == _held_size() == 196
+
+
 def test_clear_empties_the_count_too():
     star(orb(2) + orb(3), orb(2))
     assert convolve._rules.held > 0

@@ -10,6 +10,7 @@ from motivic import (A1Class, Constant, DatumValidationError, MuClass, ParseErro
                      class_to_json, datum_from_json, datum_to_json,
                      generator_from_json, generator_to_json, phi_measure,
                      presentation_from_json, presentation_to_json, pretty)
+from motivic import jsonio
 from motivic.classes import fer as fer_factor, gm as gm_factor, opq as opq_factor, orb as orb_factor
 from motivic.jsonio import dumps
 from motivic.laurent import L_MINUS_1, LaurentInt
@@ -258,6 +259,77 @@ def test_a_string_locus_that_is_no_tag_parses_and_is_reported_invalid():
     assert first is second
     with pytest.raises(DatumValidationError, match="bad locus tag"):
         phi_measure(pres)
+
+
+def _presentation_of(*data) -> dict:
+    """A presentation of one Resolved generator per datum document, at points 0, 1, 2, ..."""
+    return {"terms": [{"coeff": 1, "generator": {"resolved": {"criticals": [
+        {"point": k, "datum": doc}]}}} for k, doc in enumerate(data)]}
+
+
+def _counting_builds(monkeypatch) -> list:
+    """The datum documents the reader builds from, in order."""
+    built, build = [], jsonio.datum_from_json
+    monkeypatch.setattr(jsonio, "datum_from_json", lambda obj: built.append(obj) or build(obj))
+    return built
+
+
+@pytest.mark.parametrize("k", [1, 2, 40])
+def test_copies_of_one_datum_in_a_document_are_built_once(monkeypatch, k):
+    doc = datum_to_json(cross_datum())
+    built = _counting_builds(monkeypatch)
+    pres = presentation_from_json(_presentation_of(*(json.loads(json.dumps(doc)) for _ in range(k))))
+    assert len(built) == 1 and len(pres) == k
+    first = pres[0][1].criticals[0][1]
+    assert first == cross_datum() and all(g.criticals[0][1] is first for _, g in pres)
+
+
+def test_equal_data_written_as_different_json_are_one_object(monkeypatch):
+    doc = datum_to_json(cross_datum())
+    reordered = dict(reversed(doc.items()))  # the same text: built once
+    unnormalized = json.loads(json.dumps(doc))
+    unnormalized["strata"][2]["I"].reverse()
+    unnormalized["fiber_singular"]["terms"].append({"coeff": {"0": 0}, "factors": [{"orb": 1}]})
+    assert dumps(unnormalized) != dumps(doc)
+    built = _counting_builds(monkeypatch)
+    pres = presentation_from_json(_presentation_of(doc, reordered, unnormalized, doc))
+    assert len(built) == 2
+    data = [g.criticals[0][1] for _, g in pres]
+    assert data[0] == cross_datum() and all(d is data[0] for d in data)
+
+
+def test_a_repeated_invalid_datum_raises_as_one_does(monkeypatch):
+    doc = datum_to_json(power_datum(2))
+    doc["components"][0]["m"] = "2"
+    with pytest.raises(ParseError, match="^component m must be an integer, got '2'$"):
+        presentation_from_json(_presentation_of(doc, doc, doc))
+    doc["components"][0]["m"] = 3  # parses; the cover's chi then does not match
+    built = _counting_builds(monkeypatch)
+    pres = presentation_from_json(_presentation_of(doc, doc, doc))
+    assert len(built) == 1
+    with pytest.raises(DatumValidationError, match="differs from m_I"):
+        phi_measure(pres)
+
+
+def test_a_datum_that_is_no_json_is_built_and_raises_the_readers_error(monkeypatch):
+    doc = datum_to_json(power_datum(2))
+    doc["strata"][0]["locus"] = {"singular"}  # a set, which dumps cannot write
+    built = _counting_builds(monkeypatch)
+    with pytest.raises(ParseError, match="^stratum locus must be a string$"):
+        presentation_from_json(_presentation_of(doc, doc))
+    assert len(built) == 1
+
+
+def test_a_datum_past_the_digit_limit_is_built_each_time_and_shared(monkeypatch):
+    # dumps cannot write the integer, and the reader writes a value's text only
+    # into the message of an error it raises
+    huge = datum_to_json(power_datum(2))
+    huge["fiber_singular"]["terms"][0]["coeff"]["0"] = 10 ** 5000
+    built = _counting_builds(monkeypatch)
+    pres = presentation_from_json(_presentation_of(huge, huge))
+    first, second = (g.criticals[0][1] for _, g in pres)
+    assert len(built) == 2 and first is second
+    assert first.fiber_singular == MuClass.from_coeff(10 ** 5000)
 
 
 def test_pretty_contract_examples():

@@ -1,13 +1,14 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from types import MappingProxyType
 
 import pytest
 from hypothesis import given, strategies as st
 
 from motivic.laurent import L, L_MINUS_1, ONE, ONE_MINUS_L, ZERO, LaurentInt
 
-from conftest import laurents
+from conftest import PlainMapping, laurents
 
 
 def test_zero_coefficients_are_dropped():
@@ -15,6 +16,12 @@ def test_zero_coefficients_are_dropped():
     assert LaurentInt([(2, 1), (2, -1)]).is_zero()
     with pytest.raises(TypeError, match="integer exponents and coefficients"):
         LaurentInt({0: 1.5})
+
+
+def test_any_mapping_is_read_as_exponents_to_coefficients():
+    expected = LaurentInt([(2, -1), (0, 3)])
+    for coeffs in (MappingProxyType({0: 3, 2: -1}), PlainMapping({2: -1, 0: 3, 5: 0})):
+        assert LaurentInt(coeffs) == expected
 
 
 def test_arithmetic_examples():

@@ -397,6 +397,27 @@ def test_resolved_rejects_duplicate_criticals():
         Resolved([(0, power_datum(2)), ("0/1", power_datum(3))])
 
 
+@pytest.mark.parametrize("first, second", itertools.combinations(["1/2", "2/4", Fraction(1, 2)], 2))
+def test_resolved_refuses_one_value_written_two_ways(first, second):
+    criticals = [(first, power_datum(2)), (-1, power_datum(2)), (second, power_datum(3))]
+    with pytest.raises(ValidationError, match="^critical values must be pairwise distinct$"):
+        Resolved(criticals)
+
+
+def test_resolved_orders_values_closer_than_its_sort_key_tells_apart():
+    # the three values floor to one multiple of 2**-64, so their order is the
+    # exact comparison that breaks the key's tie
+    base = Fraction(5, 2**64)
+    low, mid, high = base + Fraction(1, 2**67), base + Fraction(1, 2**66), base + Fraction(1, 2**65)
+    assert len({(p.numerator << 64) // p.denominator for p in (low, mid, high)}) == 1
+    data = {p: power_datum(n) for p, n in ((low, 2), (mid, 3), (high, 4))}
+    g = Resolved([(high, data[high]), (low, data[low]), (point_str(mid), data[mid])])
+    assert g.criticals == ((low, data[low]), (mid, data[mid]), (high, data[high]))
+    assert all(d is data[p] for p, d in g.criticals)
+    with pytest.raises(ValidationError, match="pairwise distinct"):
+        Resolved([(high, data[high]), (low, data[low]), (high, data[mid])])
+
+
 def test_constant_generator():
     p2 = MuClass([(LaurentInt({2: 1, 1: 1, 0: 1}), [])])
     g = Constant(0, p2)

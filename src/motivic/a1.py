@@ -35,8 +35,7 @@ from math import gcd
 from .classes import MuClass, sort_atoms
 from .convolve import _line_into, _psi
 from .errors import ValidationError
-from .laurent import LaurentInt, leaves
-from .sparse import Sparse
+from .laurent import LaurentInt, Sparse, leaves
 
 TYPE_CHECKING = False  # typing.TYPE_CHECKING would load typing
 if TYPE_CHECKING:

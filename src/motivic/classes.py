@@ -49,8 +49,7 @@ import math
 from functools import partial
 
 from .errors import ValidationError
-from .laurent import L_MINUS_1, ZERO, EPoly, LaurentInt
-from .sparse import Sparse
+from .laurent import L_MINUS_1, ZERO, EPoly, LaurentInt, Sparse
 
 TYPE_CHECKING = False  # typing.TYPE_CHECKING would load typing
 if TYPE_CHECKING:

@@ -15,6 +15,7 @@ import json
 import sys
 from importlib import import_module
 
+from . import _HOME
 from .canonical import dumps
 from .errors import MotivicError, ParseError, ValidationError
 
@@ -59,34 +60,30 @@ def _phi_pretty(phis) -> str:
 
 
 # name: (reader, file arguments, computation, JSON form, pretty form or None).
-# An engine function is written "module:attribute", and _function reads it from
-# its module once argparse has picked the command, so a request loads only the
-# modules it runs and calls what the module holds then (rebound by a test or a
-# tracer).
+# An engine function is written by its public name, and _function reads it from
+# the module the package's _HOME names once the command is known, so a request
+# loads only the modules it runs and calls what the module holds then (rebound
+# by a test or a tracer).
 _COMMANDS = {
-    "normalize": ("jsonio:class_from_json", ("class_file",), _same,
-                  "jsonio:class_to_json", "jsonio:pretty"),
-    "convolve": ("jsonio:class_from_json", ("a_file", "b_file"), "convolve:star",
-                 "jsonio:class_to_json", "jsonio:pretty"),
-    "star-a1": ("jsonio:a1_from_json", ("f_file", "g_file"), "a1:a1_star",
-                "jsonio:a1_to_json", "jsonio:pretty"),
-    "assoc-check": ("jsonio:class_from_json", ("a_file", "b_file", "c_file"),
-                    "convolve:assoc_check", _same, None),
-    "vanishing": ("jsonio:datum_from_json", ("datum_file",), "vanishing:vanishing_cycles",
-                  _phi_json, _phi_pretty),
-    "measure": ("jsonio:presentation_from_json", ("presentation_file",),
-                "vanishing:phi_measure", "jsonio:a1_to_json", "jsonio:pretty"),
-    "ts-check": ("jsonio:generator_from_json", ("v_file", "w_file", "direct_file"),
-                 "vanishing:ts_check", _same, None),
+    "normalize": ("class_from_json", ("class_file",), _same, "class_to_json", "pretty"),
+    "convolve": ("class_from_json", ("a_file", "b_file"), "star", "class_to_json", "pretty"),
+    "star-a1": ("a1_from_json", ("f_file", "g_file"), "a1_star", "a1_to_json", "pretty"),
+    "assoc-check": ("class_from_json", ("a_file", "b_file", "c_file"), "assoc_check",
+                    _same, None),
+    "vanishing": ("datum_from_json", ("datum_file",), "vanishing_cycles", _phi_json,
+                  _phi_pretty),
+    "measure": ("presentation_from_json", ("presentation_file",), "phi_measure",
+                "a1_to_json", "pretty"),
+    "ts-check": ("generator_from_json", ("v_file", "w_file", "direct_file"), "ts_check",
+                 _same, None),
 }
 
 
 def _function(entry):
-    """A table entry's function: for "module:attribute", read from its module now."""
+    """A table entry's function: for a public name, read from its module now."""
     if not isinstance(entry, str):
         return entry
-    module, _, attr = entry.partition(":")
-    return getattr(import_module(f"{__package__}.{module}"), attr)
+    return getattr(import_module(f"{__package__}.{_HOME[entry]}"), entry)
 
 
 def _build_parser(command: str | None = None):

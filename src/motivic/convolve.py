@@ -6,9 +6,8 @@ of atoms the rules are tried in order:
     P1  Laurent coefficients pull out (bilinearity),
     P2  if one atom has only trivial-action factors, Psi(A x B) = A * B,
     P3  trivial-action factors split off multiplicatively from either side,
-    P4  Psi(ORB(n) x ORB(n))   = n (L-1) - FER(n,2),
-    P5  Psi(FER(n,r) x ORB(n)) = (L-1) fer(n,r-1) ORB(n) + FER(n,r+1)
-                                  - (L-1) fer(n,r),      (either order)
+    P4  Psi(ORB(n) x ORB(n))   = O_2,
+    P5  Psi(FER(n,r) x ORB(n)) = (L-1) fer(n,r-1) ORB(n) - O_{r+1},   (either order)
     P6  anything else becomes a single opaque atom whose tag records the
         pair and whose chi is the product of the factors' chi values.
 
@@ -16,7 +15,9 @@ The trivial-action factors are the fer atoms; opaque atoms are treated as
 equivariant, so a side containing one only short-circuits through P2 when
 the *other* side is trivial.  P6 tags are canonical in the unordered pair,
 which keeps star exactly commutative.  The convolution is chi_c
-multiplicative on all inputs by construction of P6.
+multiplicative on all inputs by construction of P6.  O_k is the closed form
+of the k-fold convolution power ORB(n)^{*k} = (L-1) fer(n,k-1) - FER(n,k)
+(star_power), so O_2 = n (L-1) - FER(n,2).
 
 The pair rules run on atoms that are already normal and emit normal terms:
 P2 is one atom product, P6 one atom of the trivial factors and the opaque
@@ -60,9 +61,8 @@ import threading
 
 from .classes import FER, Atom, Factor, MuClass, atom_mul, factor_str, fer, orb, sort_atoms
 from .errors import ValidationError
-from .laurent import L_MINUS_1, ONE, LaurentInt, leaves
+from .laurent import L_MINUS_1, ONE, LaurentInt, Sparse, leaves
 from .realize import atom_chi, chi_c
-from .sparse import Sparse
 
 TYPE_CHECKING = False  # typing.TYPE_CHECKING would load typing
 if TYPE_CHECKING:
@@ -243,23 +243,25 @@ def _line_into(acc: dict, xs: dict, ys: dict, slots: list) -> None:
                                 coeffs[e1 + e2] = coeffs.get(e1 + e2, 0) + x1 * x2
 
 
+def _power(n: int, k: int) -> list[tuple[Coeffable, tuple[Factor]]]:
+    """Raw terms of O_k = ORB(n)^{*k} = (L-1) fer(n,k-1) - FER(n,k), for k >= 2."""
+    return [(L_MINUS_1, (fer(n, k - 1),)), (-1, (FER(n, k),))]
+
+
 def _core_form(core_a: Atom, core_b: Atom) -> list[tuple[Atom, tuple]] | Factor:
-    """Psi of two cores: P4/P5 as (atom, LaurentInt items) terms, else the P6 opaque factor."""
+    """Psi of two cores: P4 (O_2) and P5 ((L-1) fer(n,r-1) ORB(n) - O_{r+1}) as
+    (atom, LaurentInt items) terms, else the P6 opaque factor."""
     inner = None
     if len(core_a) == 1 and len(core_b) == 1:
         kinds = (core_a[0][0], core_b[0][0])
         if kinds == ("orb", "orb") and core_a == core_b:
-            n = core_a[0][1]
-            inner = MuClass([(n * L_MINUS_1, ()), (-1, (FER(n, 2),))])
+            inner = MuClass(_power(core_a[0][1], 2))
         elif kinds in (("FER", "orb"), ("orb", "FER")):
             f_fer, f_orb = (core_a[0], core_b[0]) if kinds[0] == "FER" else (core_b[0], core_a[0])
             n, r = f_fer[1], f_fer[2]
             if f_orb[1] == n:
-                inner = MuClass([
-                    (L_MINUS_1, (fer(n, r - 1), orb(n))),
-                    (1, (FER(n, r + 1),)),
-                    (-L_MINUS_1, (fer(n, r),)),
-                ])
+                inner = MuClass([(L_MINUS_1, (fer(n, r - 1), orb(n)))]
+                                + [(-c, factors) for c, factors in _power(n, r + 1)])
     if inner is not None:
         return [(atom, k.items()) for atom, k in inner.terms()]
     # made only for P6: the chi of a Fermat factor past TOWER_LIMIT raises
@@ -283,7 +285,7 @@ def star_power(n: int, r: int) -> MuClass:
         raise ValidationError(f"star_power wants n >= 2 and r >= 1, got ({n!r}, {r!r})")
     if r == 1:
         return MuClass.orbit(n)
-    return MuClass([(L_MINUS_1, (fer(n, r - 1),)), (-1, (FER(n, r),))])
+    return MuClass(_power(n, r))
 
 
 def assoc_check(a: MuClass, b: MuClass, c: MuClass) -> dict:

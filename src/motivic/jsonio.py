@@ -36,8 +36,7 @@ from __future__ import annotations
 from .canonical import dumps
 from .classes import Factor, MuClass
 from .errors import ParseError
-from .laurent import EPoly, LaurentInt
-from .sparse import monomial, power, signed_join
+from .laurent import EPoly, LaurentInt, monomial, power, signed_join
 
 TYPE_CHECKING = False  # typing.TYPE_CHECKING would load typing
 if TYPE_CHECKING:
@@ -58,10 +57,13 @@ def _list(value, what: str) -> list:
     return value
 
 
-def _int(value, what: str) -> int:
-    """value when it is a JSON integer; a float, string or boolean is refused."""
+def _int(value, what: str, *pieces) -> int:
+    """value when it is a JSON integer; a float, string or boolean is refused.
+
+    The message names the value as what.format(*pieces), formatted only when it fails.
+    """
     if type(value) is not int:
-        raise ParseError(f"{what} must be an integer, got {value!r}")
+        raise ParseError(f"{what.format(*pieces)} must be an integer, got {value!r}")
     return value
 
 
@@ -91,7 +93,7 @@ def _coeff_to_json(c: LaurentInt) -> dict:
 def _coeff_from_json(obj) -> LaurentInt:
     if not isinstance(obj, dict):
         raise ParseError("coefficient must be an object of exponent: integer")
-    return LaurentInt((_decimal(k, "exponent"), _int(v, f"coefficient of exponent {k!r}"))
+    return LaurentInt((_decimal(k, "exponent"), _int(v, "coefficient of exponent {!r}", k))
                       for k, v in obj.items())
 
 
@@ -108,7 +110,7 @@ def _epoly_from_json(obj) -> dict:
             raise ParseError(f"bad epoly key {k!r}")
         i, _, j = k[1:-1].partition(",")
         out[(_decimal(i, "epoly key entry"), _decimal(j, "epoly key entry"))] = \
-            _int(v, f"epoly coefficient at {k!r}")
+            _int(v, "epoly coefficient at {!r}", k)
     return out
 
 
@@ -128,11 +130,11 @@ def _factor_from_json(obj) -> Factor:
         raise ParseError(f"factor must be a one-key object, got {obj!r}")
     (kind, payload), = obj.items()
     if kind in ("orb", "gm"):
-        return (kind, _int(payload, f"{kind} factor"))
+        return (kind, _int(payload, "{} factor", kind))
     if kind in ("fer", "FER"):
         if not (isinstance(payload, list) and len(payload) == 2):
             raise ParseError(f"{kind} factor wants [n, r]")
-        return (kind, *(_int(x, f"{kind} factor entry") for x in payload))
+        return (kind, *(_int(x, "{} factor entry", kind) for x in payload))
     if kind == "opq":
         tag, chi = _fields(payload, "opq factor", "tag", "chi")
         epoly = _epoly_from_json(payload["epoly"]) if "epoly" in payload else None

@@ -152,3 +152,61 @@ def torus_fermat_chi(n: int, r: int) -> int:
     for k in range(1, r + 1):
         torus[k] = affine[k] - sum(math.comb(k, j) * torus[j] for j in range(k))
     return torus[r]
+
+
+# --- blow-ups -----------------------------------------------------------------
+#
+# Resolution data of a surface family after one more point blow-up, written from
+# the geometry of the blow-up: the exceptional curve is a P^1 = L + 1, and it
+# meets the strict transform of each component through the point once.  Unlike
+# the oracles above, these hold their values in the engine's classes and use
+# their arithmetic, but none of the engine's nearby-fiber or vanishing formulas.
+
+def blow_up_regular_point(datum, component: str, new_id: str):
+    """The datum of the family blown up at a point of the regular stratum {component}.
+
+    component has multiplicity 1, so the new curve new_id has multiplicity 1
+    too; it meets component in one singular point of the new fiber and is L
+    away from it.  The fiber gains L - 1 on its regular part and that point on
+    its singular part: the total space changes, so its fiber does too.
+    """
+    from motivic import MuClass, SNCDatum, Stratum
+
+    index_set = frozenset({component})
+    old = next(s for s in datum.strata if s.index_set == index_set)
+    if datum.multiplicity(component) != 1 or old.locus != "regular":
+        raise ValueError(f"{component!r} is no multiplicity-one component with a regular stratum")
+    one, lef = MuClass.one(), MuClass.lefschetz()
+    strata = [Stratum(index_set, s.base_class - one, s.cover_class - one, s.locus)
+              if s is old else s for s in datum.strata]
+    strata += [Stratum({new_id}, lef, lef, "regular"),
+               Stratum({component, new_id}, one, one, "singular")]
+    return SNCDatum(datum.components + ((new_id, 1),), strata,
+                    datum.fiber_regular + lef - one, datum.fiber_singular + one)
+
+
+def blow_up(datum, index_set, new_id: str):
+    """The datum of the same family with its resolution blown up once more.
+
+    The point lies on the singular-locus stratum index_set of surface data: on
+    one component (|I| = 1) or where two meet (|I| = 2).  The new curve new_id
+    has multiplicity sum m_i and is P^1 minus |I| points, L + 1 - |I|.  Over it
+    and over each point where it meets a component the cover is ORB(g) times
+    the base, g = gcd m_i, as over the point the stratum loses.  The family is
+    unchanged, and so are its fibers.
+    """
+    from motivic import MuClass, SNCDatum, Stratum
+
+    index_set = frozenset(index_set)
+    old = next(s for s in datum.strata if s.index_set == index_set)
+    if old.locus != "singular" or len(index_set) > 2:
+        raise ValueError(f"{sorted(index_set)} is no singular stratum of surface data")
+    mults = [datum.multiplicity(i) for i in index_set]
+    one, orbit = MuClass.one(), MuClass.orbit(math.gcd(*mults))
+    base = MuClass.lefschetz() + (1 - len(index_set)) * one
+    strata = [Stratum(index_set, s.base_class - one, s.cover_class - orbit, s.locus)
+              if s is old else s for s in datum.strata]
+    strata.append(Stratum({new_id}, base, base * orbit, "singular"))
+    strata += [Stratum({i, new_id}, one, orbit, "singular") for i in sorted(index_set)]
+    return SNCDatum(datum.components + ((new_id, sum(mults)),), strata,
+                    datum.fiber_regular, datum.fiber_singular)

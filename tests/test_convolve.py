@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 import tracemalloc
 
 import pytest
@@ -397,7 +398,8 @@ def _released(pairs):
     return case
 
 
-def test_the_limit_counts_the_words_of_each_kept_chi():
+@pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
+def test_the_limit_counts_the_words_of_each_kept_chi(traced):
     # a P6 chi grows with r log n: each FER(10^20 + i, 400) with ORB(2) keeps a chi
     # of ~26 600 bits; a P6 tag holds the tags of its cores; a P2 rule's key may
     # hold the only copy of a long tag, of a long Fermat n or of a long E-data
@@ -414,16 +416,38 @@ def test_the_limit_counts_the_words_of_each_kept_chi():
              _released(lambda i: (orb(10 ** 4000 + i),) * 2),
              _released(lambda i: (MuClass.opaque("t", 1, {(0, 0): 10 ** 4000 + i}), fer32)),
              lambda: star(small, small + MuClass.fermat(3, 2)))
-    # kept bytes per counted byte: 0.50-1.24, and 2.0 on the small atoms; with
-    # the rules' own bytes not counted, 61 on the first case and 4.1 on the last
-    for case in cases:
-        convolve._rules.clear()
-        tracemalloc.start()
-        case()
-        kept = tracemalloc.get_traced_memory()[0]
-        tracemalloc.stop()
-        assert kept <= 4 * convolve._rules.held
-        assert _held_size() == convolve._rules.held
+    lines: list = []
+
+    def line_tracer(frame, event, arg):  # a coverage tool's kind of tracer
+        if event == "line":
+            lines.append((frame.f_code.co_filename, frame.f_lineno))
+        return line_tracer
+
+    outer = sys.gettrace()
+    if traced:
+        sys.settrace(line_tracer)
+    try:
+        # kept bytes per counted byte: 0.50-1.24, and 2.0 on the small atoms; with
+        # the rules' own bytes not counted, 61 on the first case and 4.1 on the last
+        for case in cases:
+            convolve._rules.clear()
+            # the window counts the table alone, not what a tracer or profiler keeps
+            trace, profile = sys.gettrace(), sys.getprofile()
+            sys.settrace(None)
+            sys.setprofile(None)
+            try:
+                tracemalloc.start()
+                case()
+                kept = tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+                sys.settrace(trace)
+                sys.setprofile(profile)
+            assert kept <= 4 * convolve._rules.held
+            assert _held_size() == convolve._rules.held
+    finally:
+        sys.settrace(outer)
+    assert bool(lines) == traced
 
 
 def test_threads_sharing_the_tables_get_serial_results(monkeypatch):

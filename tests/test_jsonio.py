@@ -353,3 +353,38 @@ def test_pretty_more_forms():
         pretty(5)
     assert pretty(orb(2) * LaurentInt({1: -3})) == "-3*L*[mu_2]"
     assert pretty(orb(2) * L_MINUS_1 - MuClass.fermat(3, 2)) == "(L - 1)*[mu_2] - [F(3,2)]"
+
+
+class _CountedKey(str):
+    """A JSON key that counts the calls of its repr."""
+
+    reprs = 0
+
+    def __repr__(self):
+        type(self).reprs += 1
+        return str.__repr__(self)
+
+
+def test_a_valid_class_is_read_with_no_message_formatted(monkeypatch):
+    monkeypatch.setattr(_CountedKey, "reprs", 0)
+    epoly = {_CountedKey("(0,0)"): 1, _CountedKey("(1,1)"): -2}
+    doc = {"terms": [{"coeff": {_CountedKey("0"): 3, _CountedKey("-2"): -1},
+                      "factors": [{"orb": 2}, {"fer": [3, 2]},
+                                  {"opq": {"tag": "t", "chi": 1, "epoly": epoly}}]}]}
+    assert class_from_json(doc) == MuClass(
+        [(LaurentInt({0: 3, -2: -1}),
+          (orb_factor(2), fer_factor(3, 2), opq_factor("t", 1, {(0, 0): 1, (1, 1): -2})))])
+    assert _CountedKey.reprs == 0
+
+
+@pytest.mark.parametrize("coeff, factor, message", [
+    ({"-1": 1.5}, {"orb": 2}, "coefficient of exponent '-1' must be an integer, got 1.5"),
+    ({"0": 1}, {"orb": 2.0}, "orb factor must be an integer, got 2.0"),
+    ({"0": 1}, {"FER": [3, "2"]}, "FER factor entry must be an integer, got '2'"),
+    ({"0": 1}, {"opq": {"tag": "t", "chi": 1, "epoly": {"(0,0)": True}}},
+     "epoly coefficient at '(0,0)' must be an integer, got True"),
+])
+def test_a_bad_integer_names_where_it_is(coeff, factor, message):
+    with pytest.raises(ParseError) as info:
+        class_from_json({"terms": [{"coeff": coeff, "factors": [factor]}]})
+    assert str(info.value) == message

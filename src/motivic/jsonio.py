@@ -137,6 +137,8 @@ def _factor_from_json(obj) -> Factor:
         return (kind, *(_int(x, "{} factor entry", kind) for x in payload))
     if kind == "opq":
         tag, chi = _fields(payload, "opq factor", "tag", "chi")
+        if not isinstance(tag, str):
+            raise ParseError(f"opq tag must be a string, got {tag!r}")
         epoly = _epoly_from_json(payload["epoly"]) if "epoly" in payload else None
         return ("opq", tag, _int(chi, "opq chi"), epoly)
     raise ParseError(f"unknown factor kind {kind!r}")

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
+from fractions import Fraction
 
 
 def diagonal_orbit_structure(d: int, e: int) -> tuple[int, int]:
@@ -45,20 +47,58 @@ def count_fermat_affine(n: int, r: int, q: int, target: int) -> int:
     return rec(0, 0)
 
 
-def sum_of_powers_counts(n: int, r: int, q: int) -> list[int]:
-    """#{x in F_q^r : sum x_i^n = t} for t = 0, ..., q - 1 (q prime).
+def sum_of_powers_counts(n: int, r: int, q: int, k: int = 0) -> list[int]:
+    """#{x in (F_q[s]/s^{k+1})^r : sum x_i^n = t s^k mod s^{k+1}} for t = 0, ..., q - 1.
 
-    r steps of additive convolution of the value distribution of x^n over F_q,
-    zero included; no tuple is enumerated.
+    q is prime and r >= 1.  At k = 0 these are the points of F_q^r on each
+    level set sum x_i^n = t; at k >= 1, the arcs of f = sum x_i^n of order k
+    and angular component t, which Denef-Loeser's zeta function counts.  The value
+    distribution of x^n over the q^{k+1} arcs of one variable is added to
+    itself r times (additive convolution); the last step is read at the q
+    targets only, and no r-tuple of arcs is enumerated.
     """
-    values = [0] * q
-    for x in range(q):
-        values[pow(x, n, q)] += 1
-    counts = [1] + [0] * (q - 1)  # r = 0: the empty sum is 0
-    for _ in range(r):
-        counts = [sum(k * counts[(t - v) % q] for v, k in enumerate(values) if k)
-                  for t in range(q)]
-    return counts
+    values: Counter = Counter()
+    for x in itertools.product(range(q), repeat=k + 1):
+        power = (1,) + (0,) * k
+        for _ in range(n):
+            power = tuple(sum(power[i] * x[j - i] for i in range(j + 1)) % q
+                          for j in range(k + 1))
+        values[power] += 1
+    sums = {(0,) * (k + 1): 1}  # the empty sum; the last of the r terms is read below
+    for _ in range(r - 1):
+        added: Counter = Counter()
+        for u, a in sums.items():
+            for v, b in values.items():
+                added[tuple((x + y) % q for x, y in zip(u, v))] += a * b
+        sums = added
+    return [sum(a * values.get(tuple((x - y) % q for x, y in zip((0,) * k + (t,), u)), 0)
+                for u, a in sums.items())
+            for t in range(q)]
+
+
+def zeta_coefficient(datum, nu: dict[str, int], q: int, t: int, k: int) -> Fraction:
+    """The T^k coefficient of Denef-Loeser's motivic zeta function, twisted by t, over F_q.
+
+    From a resolution datum of f and the log discrepancy nu[i] of each
+    component i (multiplicity N_i),
+        Z(T) = sum_{I != 0} (L - 1)^{|I| - 1} [U_I] prod_{i in I} w_i / (1 - w_i),
+    w_i = L^{-nu_i} T^{N_i}, with [U_I] the cover of stratum I counted by N_t
+    and L = q (q prime).  It equals sum_of_powers_counts(n, r, q, k)[t] / q^{kr}
+    when the datum resolves f = sum_{i <= r} x_i^n (Denef-Loeser, J. Algebraic
+    Geom. 7, 1998).
+    """
+    multiplicity = dict(datum.components)
+    total = Fraction(0)
+    for stratum in datum.strata:
+        ids = sorted(stratum.index_set)
+        # T^k in the product: one m_i >= 1 per component with sum N_i m_i = k
+        weight = sum(Fraction(1, q ** sum(nu[i] * m for i, m in zip(ids, ms)))
+                     for ms in itertools.product(range(1, k + 1), repeat=len(ids))
+                     if sum(multiplicity[i] * m for i, m in zip(ids, ms)) == k)
+        if weight:
+            # a cover's exponents are not negative, so its count is an exact integer
+            total += (q - 1) ** (len(ids) - 1) * N_t(stratum.cover_class, q, t) * weight
+    return total
 
 
 def N_t(cls, q: int, t: int) -> int:

@@ -74,6 +74,13 @@ def test_a_locus_that_is_not_a_string_exits_two(tmp_path, capsys):
     assert json.loads(out) == {"error": "parse", "detail": "stratum locus must be a string"}
 
 
+def test_an_opaque_tag_that_is_not_a_string_exits_two(tmp_path, capsys):
+    doc = {"terms": [{"coeff": {"0": 1}, "factors": [{"opq": {"tag": 5, "chi": 1}}]}]}
+    code, out = run_cli(capsys, "normalize", write(tmp_path, "c.json", doc))
+    assert code == 2 and len(out.splitlines()) == 1
+    assert json.loads(out) == {"error": "parse", "detail": "opq tag must be a string, got 5"}
+
+
 def test_convolve(tmp_path, capsys):
     a = write(tmp_path, "a.json", class_to_json(orb(2)))
     code, out = run_cli(capsys, "convolve", a, a)

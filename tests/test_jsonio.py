@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -244,6 +245,21 @@ def test_a_locus_that_is_not_a_string_is_a_parse_error(locus):
     with pytest.raises(ParseError, match="^stratum locus must be a string$"):
         datum_from_json(doc)
     with pytest.raises(ParseError, match="^stratum locus must be a string$"):
+        presentation_from_json({"terms": [
+            {"coeff": 1, "generator": {"resolved": {"criticals": [entry]}}}]})
+
+
+@pytest.mark.parametrize("tag", [5, ["t"], None, True], ids=["integer", "list", "null", "boolean"])
+def test_an_opaque_tag_that_is_not_a_string_is_a_parse_error(tag):
+    # every other JSON type error in a factor is a parse error too, never a validation error
+    doc = _class_doc(factors=[{"opq": {"tag": tag, "chi": 1}}])
+    message = f"^opq tag must be a string, got {re.escape(repr(tag))}$"
+    with pytest.raises(ParseError, match=message):
+        class_from_json(doc)
+    datum = datum_to_json(power_datum(2))
+    datum["strata"][0]["cover"] = doc
+    entry = {"point": 0, "datum": datum}
+    with pytest.raises(ParseError, match=message):
         presentation_from_json({"terms": [
             {"coeff": 1, "generator": {"resolved": {"criticals": [entry]}}}]})
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 from types import MappingProxyType
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from motivic.laurent import L, L_MINUS_1, ONE, ONE_MINUS_L, ZERO, LaurentInt
 
@@ -69,6 +69,12 @@ def test_ring_axioms(a, b, c):
 @given(laurents())
 def test_hash_consistent_with_equality(a):
     assert hash(a) == hash(LaurentInt(dict(a.items())))
+
+
+@given(laurents())
+@example(LaurentInt({}))
+def test_repr_evaluates_back_to_an_equal_value(a):
+    assert eval(repr(a), {"LaurentInt": LaurentInt}) == a
 
 
 @given(st.integers())

@@ -70,8 +70,11 @@ def fresh_package():
 def test_a_fresh_package_has_loaded_no_submodule(fresh_package):
     assert [k for k in sys.modules if k.startswith("motivic.")] == []
     assert "star" not in vars(fresh_package)
-    # a submodule's public names are bound as the submodule loads, whoever loads it
+    # importing a submodule binds none of its public names in the package
     importlib.import_module("motivic.convolve")
+    assert "star" not in vars(fresh_package)
+    # the first read binds the submodule's own object
+    assert fresh_package.star is sys.modules["motivic.convolve"].star
     assert vars(fresh_package)["star"] is sys.modules["motivic.convolve"].star
 
 

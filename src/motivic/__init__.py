@@ -9,13 +9,15 @@ E-polynomial.
 
 The package loads its submodules on first use (PEP 562): ``import motivic``
 runs no engine code, and the first read of a public name, or of a submodule,
-imports the module that defines it and binds the module's own object in the
-package, so each later read is a plain attribute read.  Importing a submodule
-directly binds the submodule here, as in any package, but none of its public
-names.  A CLI request thus loads only the modules its subcommand runs.
+imports the module that defines it.  A submodule's public names are bound in
+the package as the import system binds the submodule itself, whoever imports
+it, so each later read is a plain attribute read of the module's own object.
+A CLI request thus loads only the modules its subcommand runs.
 """
 
 import importlib
+import sys
+import types
 
 __version__ = "0.1.0"
 
@@ -45,12 +47,31 @@ _HOME = {name: module for module, names in _MODULES.items() for name in names}
 __all__ = list(_HOME)
 
 
+class _Package(types.ModuleType):
+    """The package's type: binding a submodule here binds its public names too.
+
+    The import system binds each submodule on the package as it finishes
+    loading, whoever imports it.  The package then holds the module's own
+    objects from that moment, so a tracer that later rebinds a name in every
+    loaded module, this one included, puts the originals back here as well.
+    """
+
+    def __setattr__(self, name, value):
+        super().__setattr__(name, value)
+        if isinstance(value, types.ModuleType) and value.__name__ == f"{__name__}.{name}":
+            for public in _MODULES.get(name, ()):
+                super().__setattr__(public, getattr(value, public))
+
+
+sys.modules[__name__].__class__ = _Package
+
+
 def __getattr__(name):
     module = name if name in _MODULES else _HOME.get(name)
     if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     loaded = importlib.import_module(f"{__name__}.{module}")
-    # the first read binds the name; a thread that loses the race reads the winner's object
+    # bound already, unless another thread is between loading the module and binding it
     return globals().setdefault(name, loaded if module == name else getattr(loaded, name))
 
 

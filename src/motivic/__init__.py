@@ -71,8 +71,7 @@ def __getattr__(name):
     if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     loaded = importlib.import_module(f"{__name__}.{module}")
-    # bound already, unless another thread is between loading the module and binding it
-    return globals().setdefault(name, loaded if module == name else getattr(loaded, name))
+    return loaded if module == name else getattr(loaded, name)
 
 
 def __dir__():

@@ -118,11 +118,12 @@ def atom_order(a: Atom) -> tuple:
     """atom_key's order on normal atoms, as a key that is one cheap call to build.
 
     The atoms then compare as plain tuples.  That is atom_key's order: a normal
-    atom holds at most one orbit factor, and first, the only kind whose rank is
-    out of ASCII order; FER < fer < opq in both; two factors of one kind compare
-    their entries.  Only two opaque factors of equal tag and chi, one with
-    E-data and one without, do not compare: the tuple comparison raises
-    TypeError where factor_key ranks the one without first.
+    atom's factors are in factor_key order, as atom_mul leaves them, and it holds
+    at most one orbit factor, and first, the only kind whose rank is out of ASCII
+    order; FER < fer < opq in both; two factors of one kind compare their
+    entries.  Only two opaque factors of equal tag and chi, one with E-data and
+    one without, do not compare: the tuple comparison raises TypeError where
+    factor_key ranks the one without first.
     """
     return len(a), not (a and a[0][0] == "orb"), a
 
@@ -307,12 +308,13 @@ class MuClass(Sparse):
 
     def forget_action(self) -> "MuClass":
         """Forget the group action: ORB(d) -> d, FER -> fer; idempotent."""
-        # a normal atom has at most one orbit and no FER(2,r), so its image is normal
+        # a normal atom has at most one orbit and no FER(2,r), so its image is normal;
+        # the kept factors hold no orbit, so atom_mul only orders them
         terms = []
         for a, c in self._terms:
-            kept = (("fer", f[1], f[2]) if f[0] == "FER" else f for f in a if f[0] != "orb")
+            kept = tuple(("fer", f[1], f[2]) if f[0] == "FER" else f for f in a if f[0] != "orb")
             size = math.prod(f[1] for f in a if f[0] == "orb")
-            terms.append((tuple(sorted(kept, key=factor_key)), c * size))
+            terms.append((atom_mul(kept, ())[0], c * size))
         return MuClass._make(terms)
 
     def __str__(self) -> str:

@@ -19,11 +19,13 @@ multiplicative on all inputs by construction of P6.  O_k is the closed form
 of the k-fold convolution power ORB(n)^{*k} = (L-1) fer(n,k-1) - FER(n,k)
 (star_power), so O_2 = n (L-1) - FER(n,2).
 
-The pair rules run on atoms that are already normal and emit normal terms:
-P2 is one atom product, P6 one atom of the trivial factors and the opaque
-factor, and only the closed forms of P4/P5 go through the rewrite rules
-(FER(2,2), fer(n,1) and fer(2,r) need N4/N5).  The trivial factors split off
-by P3 are multiplied back with atom_mul.
+The pair rules run on atoms that are already normal and emit normal terms.
+_core_form gives every rule as terms of the two cores, the factors left when
+P3 splits off the trivial ones: P2 the non-empty core and P6 the opaque atom,
+each with coefficient 1, and only the closed forms of P4/P5 go through the
+rewrite rules (FER(2,2), fer(n,1) and fer(2,r) need N4/N5).  _pair multiplies
+the trivial factors back onto each term with atom_mul, which alone orders an
+atom's factors, and keeps a rule of one term with coefficient 1 as its atom.
 
 The kernel has one table of rules and two accumulation loops, both summing
 into integer coefficients and adding P2 and P6 pairs with no multiplication
@@ -122,26 +124,18 @@ class _Rules(dict):
 
 
 _rules = _Rules(1 << 21)  # a -> {b: the one atom of Psi(a x b), coefficient 1, or its terms}
+_UNIT = ONE.items()  # the items of the coefficient 1
 
 
 def _pair(a: Atom, b: Atom):
     """Derive Psi(a x b), keep it in _rules and return it."""
-    # the fer factors act trivially; the core of an atom is the rest
+    # the fer factors act trivially and hold no orbit, so multiplying them back
+    # onto each term of the cores' form fuses nothing (P3); the core is the rest
     triv = tuple(f for f in a + b if f[0] == "fer")
     core_a, core_b = (tuple(f for f in x if f[0] != "fer") for x in (a, b))
-    if not core_a or not core_b:
-        # P2: one side acts trivially, convolution degenerates to the product;
-        # that side holds no orbit, so atom_mul fuses nothing
-        rule = atom_mul(a, b)[0]
-    else:
-        form = _core_form(core_a, core_b)
-        if type(form) is list:
-            # P3: the trivial factors hold no orbit, so atom_mul fuses nothing
-            rule = [(atom_mul(atom, triv)[0], k) for atom, k in form]
-        else:
-            # P6: the cores' orbits went into the tag, so nothing fuses; fer factors
-            # sort as plain tuples in factor_key order, and opaque ones rank last
-            rule = tuple(sorted(triv)) + (form,)
+    rule = [(atom_mul(atom, triv)[0], k) for atom, k in _core_form(core_a, core_b)]
+    if len(rule) == 1 and rule[0][1] == _UNIT:  # P2 and P6: the loops add a bare atom in as it is
+        rule = rule[0][0]
     size = len(marshal.dumps((a, b, rule), 2))  # version 2: no back-references
     if size <= _rules.limit:
         with _rules.lock:
@@ -248,25 +242,25 @@ def _power(n: int, k: int) -> list[tuple[Coeffable, tuple[Factor]]]:
     return [(L_MINUS_1, (fer(n, k - 1),)), (-1, (FER(n, k),))]
 
 
-def _core_form(core_a: Atom, core_b: Atom) -> list[tuple[Atom, tuple]] | Factor:
-    """Psi of two cores: P4 (O_2) and P5 ((L-1) fer(n,r-1) ORB(n) - O_{r+1}) as
-    (atom, LaurentInt items) terms, else the P6 opaque factor."""
-    inner = None
-    if len(core_a) == 1 and len(core_b) == 1:
-        kinds = (core_a[0][0], core_b[0][0])
-        if kinds == ("orb", "orb") and core_a == core_b:
-            inner = MuClass(_power(core_a[0][1], 2))
-        elif kinds in (("FER", "orb"), ("orb", "FER")):
-            f_fer, f_orb = (core_a[0], core_b[0]) if kinds[0] == "FER" else (core_b[0], core_a[0])
-            n, r = f_fer[1], f_fer[2]
-            if f_orb[1] == n:
-                inner = MuClass([(L_MINUS_1, (fer(n, r - 1), orb(n)))]
-                                + [(-c, factors) for c, factors in _power(n, r + 1)])
-    if inner is not None:
-        return [(atom, k.items()) for atom, k in inner.terms()]
-    # made only for P6: the chi of a Fermat factor past TOWER_LIMIT raises
+def _core_form(core_a: Atom, core_b: Atom) -> list[tuple[Atom, tuple]]:
+    """Psi of two cores as (atom, LaurentInt items) terms: P2 the non-empty core,
+    P4 O_2, P5 (L-1) fer(n,r-1) ORB(n) - O_{r+1}, and P6 one opaque atom."""
+    if not core_a or not core_b:  # P2: one side acts trivially
+        return [(core_a + core_b, _UNIT)]
+    if len(core_a) == 1 == len(core_b):
+        f, g = core_a + core_b if core_a[0][0] <= core_b[0][0] else core_b + core_a  # "FER" < "orb"
+        inner = None
+        if f[0] == "orb" and f == g:
+            inner = MuClass(_power(f[1], 2))
+        elif f[0] == "FER" and g == orb(f[1]):
+            n, r = f[1], f[2]
+            inner = MuClass([(L_MINUS_1, (fer(n, r - 1), orb(n)))]
+                            + [(-c, factors) for c, factors in _power(n, r + 1)])
+        if inner is not None:
+            return [(atom, k.items()) for atom, k in inner.terms()]
+    # P6, made only here: the chi of a Fermat factor past TOWER_LIMIT raises
     sa, sb = sorted("*".join(map(factor_str, core)) for core in (core_a, core_b))
-    return ("opq", f"psi({sa}|{sb})", atom_chi(core_a) * atom_chi(core_b), None)
+    return [((("opq", f"psi({sa}|{sb})", atom_chi(core_a) * atom_chi(core_b), None),), _UNIT)]
 
 
 def psi_pair(p: BiClass) -> MuClass:

@@ -8,6 +8,7 @@ freeze the numbers these oracles produce and compare the engine against them.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections import Counter
@@ -105,24 +106,54 @@ def N_t(cls, q: int, t: int) -> int:
     """The count of a class twisted by the torsor {s^n = t}, over F_q (q prime).
 
     It counts the points x with Frob(x) = zeta_t x, so it is multiplicative over
-    each atom's factors: L -> q (each coefficient is evaluated at q), ORB(d) -> d
-    if t is a d-th power in F_q^* and 0 otherwise, FER(n,2) -> #{x^n + y^n = t,
-    xy != 0} and fer(n,k) with k <= 2 -> its plain count.  Other factors raise.
+    each atom's factors (_twisted_count); L -> q (each coefficient is evaluated
+    at q).  Opaque and raw factors raise.
     """
     total = 0
     for atom, coeff in cls.terms():
         value = sum(k * q ** e for e, k in coeff.items())
         for f in atom:
-            if f[0] == "orb":
-                value *= f[1] if any(pow(x, f[1], q) == t % q for x in range(1, q)) else 0
-            elif f[0] == "FER" and f[2] == 2:
-                value *= count_fermat_affine(f[1], 2, q, t)
-            elif f[0] == "fer" and f[2] <= 2:
-                value *= count_fermat_affine(f[1], f[2], q, 1)
-            else:
-                raise ValueError(f"no twisted count for the factor {f!r}")
+            value *= _twisted_count(f, q, t)
         total += value
     return total
+
+
+def _twisted_count(f: tuple, q: int, t: int) -> int:
+    """N_t of one factor: ORB(d) -> d if t is a d-th power in F_q^* and 0 otherwise,
+    FER(n,2) -> #{x^n + y^n = t, xy != 0}, fer(n,k) with k <= 2 -> its plain count,
+    and at r >= 3 by the definitions FER(n,r) = (L-1) fer(n,r-1) - ORB(n)^{*r} and
+    N_t(fer(n,r)) = N_1(FER(n,r))."""
+    kind, t = f[0], t % q
+    if kind == "orb":
+        return f[1] if any(pow(x, f[1], q) == t for x in range(1, q)) else 0
+    if kind == "FER" and f[2] == 2:
+        return count_fermat_affine(f[1], 2, q, t)
+    if kind == "FER":
+        n, r = f[1], f[2]
+        return (q - 1) * _twisted_count(("fer", n, r - 1), q, 1) - _orbit_power_counts(n, r, q)[t]
+    if kind == "fer" and f[2] <= 2:
+        return count_fermat_affine(f[1], f[2], q, 1)
+    if kind == "fer":
+        return _twisted_count(("FER", f[1], f[2]), q, 1)
+    raise ValueError(f"no twisted count for the factor {f!r}")
+
+
+@functools.lru_cache(maxsize=None)
+def _orbit_power_counts(n: int, r: int, q: int) -> tuple[int, ...]:
+    """N_t(ORB(n)^{*r}) at index t of F_q^* (index 0 unused), with no engine rule.
+
+    Each step counts A * ORB(n) by the twisted count of the convolution,
+        N_t(A * B) = sum_u N_u(A) N_{-u}(B) - sum_{u != t} N_u(A) N_{t-u}(B),
+    u over F_q^*: the loci {x + y = 0} and {x + y = t} of A x B (Looijenga,
+    Sem. Bourbaki 874; Denef-Loeser, Duke Math. J. 99, 1999).
+    """
+    orbit = [0] + [_twisted_count(("orb", n), q, t) for t in range(1, q)]
+    counts = orbit
+    for _ in range(r - 1):
+        counts = [0] + [sum(counts[u] * orbit[-u % q] for u in range(1, q))
+                        - sum(counts[u] * orbit[(t - u) % q] for u in range(1, q) if u != t)
+                        for t in range(1, q)]
+    return tuple(counts)
 
 
 def count_fermat_gf_p2(n: int, r: int, p: int) -> int:

@@ -35,11 +35,12 @@ _CASES = [
     (power_datum(2), {"E1": 1}, 2, 1, 5),
     (power_datum(3), {"E1": 1}, 3, 1, 7),
     (blowup_datum(2), {"E": 2, "D1": 1, "D2": 1}, 2, 2, 5),
+    (blowup_datum(3), {"E": 2, "D1": 1, "D2": 1, "D3": 1}, 3, 2, 7),
 ]
 
 
 @pytest.mark.parametrize("datum, nu, n, r, q", _CASES,
-                         ids=["x^2 at q=5", "x^3 at q=7", "x^2+y^2 at q=5"])
+                         ids=["x^2 at q=5", "x^3 at q=7", "x^2+y^2 at q=5", "x^3+y^3 at q=7"])
 def test_the_zeta_function_of_a_datum_counts_the_arcs_of_its_polynomial(datum, nu, n, r, q):
     # k <= 4 reaches the strata {E, D_j} of the blow-up, which enter at k = n + 1
     assert _mismatches(datum, nu, n, r, q, k_max=4) == []

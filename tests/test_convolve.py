@@ -90,14 +90,55 @@ def _primes_1_mod(m: int, k: int) -> list[int]:
     return found
 
 
-@pytest.mark.parametrize("n, q", [(n, q) for n in range(2, 7) for q in _primes_1_mod(2 * n, 3)])
+def _twisted_mismatches(n: int, r: int, q: int) -> list[int]:
+    """The t at which phi = (1 - ORB(n))^{*r} twisted by {s^n = t} does not count
+    #{f = 0} - #{f = t} on A^r, f = x_1^n + ... + x_r^n."""
+    phi = ONE
+    for _ in range(r):
+        phi = star(phi, ONE - orb(n))
+    counts = sum_of_powers_counts(n, r, q)
+    return [t for t in range(1, q) if counts[0] - counts[t] != N_t(phi, q, t)]
+
+
+_TWISTED = [(n, q) for n in range(2, 7) for q in _primes_1_mod(2 * n, 3)]
+
+
+@pytest.mark.parametrize("n, q", _TWISTED)
 def test_sums_of_two_powers_count_with_the_action_twisted(n, q):
-    # #{x^n + y^n = 0} - #{x^n + y^n = t} on A^2 counts phi twisted by the torsor
-    # {s^n = t}, which sees the mu_n-action that forget_action drops; r = 2 only,
-    # since FER/fer at r >= 3 are the classes the convolution defines
-    phi = star(ONE - orb(n), ONE - orb(n))
-    counts = sum_of_powers_counts(n, 2, q)
-    assert [counts[0] - counts[t] for t in range(1, q)] == [N_t(phi, q, t) for t in range(1, q)]
+    # the twist by the torsor {s^n = t} sees the mu_n-action that forget_action
+    # drops; r = 3 and 4 run P5 at r = 2 and 3, and the oracle counts FER/fer
+    # at r >= 3 by their definitions, with no engine rule
+    for r in (2, 3, 4):
+        assert _twisted_mismatches(n, r, q) == [], r
+
+
+@pytest.mark.parametrize("mutant", ["as written", "drops -(L-1) fer(n,r)", "fer(n,r-1) for fer(n,r)"])
+def test_the_twisted_counts_see_a_wrong_orbit_fermat_rule(monkeypatch, mutant):
+    # P5: Psi(FER(n,r) x ORB(n)) = (L-1) fer(n,r-1) ORB(n) - (L-1) fer(n,r) + FER(n,r+1);
+    # written out as it is, the wrapped rule counts right, so a miss is the mutant's
+    core_form = convolve._core_form
+
+    def mutated(core_a, core_b):
+        kinds = {core[0][0]: core[0] for core in (core_a, core_b) if len(core) == 1}
+        f, g = kinds.get("FER"), kinds.get("orb")
+        if f is None or g != ("orb", f[1]):
+            return core_form(core_a, core_b)
+        n, r = f[1], f[2]
+        raw = [(L_MINUS_1, [("fer", n, r - 1), g]), (1, [("FER", n, r + 1)])]
+        if mutant == "as written":
+            raw.append((-L_MINUS_1, [("fer", n, r)]))
+        elif mutant == "fer(n,r-1) for fer(n,r)":
+            raw.append((-L_MINUS_1, [("fer", n, r - 1)]))
+        return [(atom, k.items()) for atom, k in normalize(raw).terms()]
+
+    try:
+        with monkeypatch.context() as patch:
+            patch.setattr(convolve, "_core_form", mutated)
+            convolve._rules.clear()
+            missed = [(n, q) for n, q in _TWISTED if _twisted_mismatches(n, 3, q)]
+    finally:
+        convolve._rules.clear()
+    assert bool(missed) == (mutant != "as written"), missed
 
 
 def test_trivial_coefficient_pulls_out():
@@ -295,6 +336,20 @@ def test_a1_star_derives_each_pair_of_atoms_once(monkeypatch):
     derived.clear()
     assert a1_star(f, g) == first
     assert derived == []
+
+
+def test_a_rule_of_one_atom_with_coefficient_1_is_kept_as_its_atom():
+    # both loops add a bare atom in with no multiplication; the other rules are terms
+    fer32, fer42, FER32 = ("fer", 3, 2), ("fer", 4, 2), ("FER", 3, 2)
+    assert convolve._pair(_O2, (fer32,)) == (("orb", 2), fer32)  # P2
+    p6 = convolve._pair(_O2, _O3)
+    assert len(p6) == 1 and p6[0][:2] == ("opq", "psi(ORB(2)|ORB(3))")
+    # P6 with the trivial factors of both sides multiplied back, in factor order
+    p6_fer = convolve._pair((("orb", 2), fer42), (FER32, fer32))
+    assert p6_fer[:2] == (fer32, fer42) and p6_fer[2][:2] == ("opq", "psi(FER(3,2)|ORB(2))")
+    p4, p5 = convolve._pair(_O2, _O2), convolve._pair((FER32,), _O3)
+    assert type(p4) is list and len(p4) == 2
+    assert type(p5) is list and len(p5) > 1 and convolve._pair(_O3, (FER32,)) == p5
 
 
 def test_a_rule_over_the_limit_is_never_kept(monkeypatch):

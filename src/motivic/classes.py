@@ -12,10 +12,12 @@ combinations of atoms, an atom being a canonically sorted product of factors
 
 plus, in raw input only, GM(d): a one-torus with multiplication action.
 
-Atoms are ordered by atom_key: by factor count, then factor by factor in
-factor_key order (ORB < FER < fer < OPQ, then the entries).  Every sort of
-atoms goes through sort_atoms, which sorts by the cheap key atom_order and
-falls back to atom_key in the one case atom_order's tuples do not compare.
+Atoms are ordered by atom_order: by factor count, then those with an orbit
+factor first, then as plain tuples of factors.  atom_mul orders a normal atom's
+factors: its one orbit factor first, the others as plain tuples (FER < fer <
+OPQ in ASCII, then the entries).  An opaque factor without E-data has no
+E-data entry, so it sorts before one with, and any two normal atoms compare.
+Every sort of terms by atom goes through sort_atoms.
 
 Rewriting rules (applied to a fixed point; each strictly shrinks a
 (factor-count, orbit-size) measure, and the system is confluent because every
@@ -46,24 +48,22 @@ eigenvalues 1 +- sqrt(L), and three identities give the expansions:
 from __future__ import annotations
 
 import math
-from functools import partial
 
 from .errors import ValidationError
 from .laurent import L_MINUS_1, ZERO, EPoly, LaurentInt, Sparse
 
 TYPE_CHECKING = False  # typing.TYPE_CHECKING would load typing
 if TYPE_CHECKING:
-    from typing import Callable, Iterable, Union
+    from typing import Iterable, Union
 
     from .laurent import Coeffable
 
 # Factors are plain tuples so atoms stay hashable:
-#   ("orb", d) | ("FER", n, r) | ("fer", n, r) | ("opq", tag, chi, epoly) | ("gm", d)
-# where epoly is None or the items() of an EPoly: sorted ((i, j), coeff) pairs.
+#   ("orb", d) | ("FER", n, r) | ("fer", n, r) | ("opq", tag, chi[, epoly]) | ("gm", d)
+# where epoly, present only with E-data, is the items() of an EPoly: sorted
+# ((i, j), coeff) pairs.
 Factor = tuple
 Atom = tuple  # sorted tuple of factors; () is the point class 1
-
-_KIND_RANK = {"orb": 0, "FER": 1, "fer": 2, "opq": 3}
 
 
 def orb(d: int) -> Factor:
@@ -94,55 +94,29 @@ def gm(d: int) -> Factor:
 def opq(tag: str, chi: int, epoly=None) -> Factor:
     if not isinstance(tag, str) or not isinstance(chi, int):
         raise ValidationError("opaque factor wants a string tag and integer chi")
-    if epoly is not None:
-        try:
-            epoly = EPoly(dict(epoly)).items()
-        except (TypeError, ValueError) as exc:
-            raise ValidationError(f"bad opaque epoly data: {exc}") from exc
-    return ("opq", str.__str__(tag), int(chi), epoly)  # a str subclass is stored as the plain str
-
-
-def factor_key(f: Factor):
-    if f[0] == "opq":
-        # None (no E-data) and a tuple of E-data do not compare: order by presence first
-        return (_KIND_RANK["opq"], (f[1], f[2], f[3] is not None, f[3] or ()))
-    return (_KIND_RANK[f[0]], f[1:])
-
-
-def atom_key(a: Atom):
-    """The atom order, exact and total: by factor count, then factor by factor."""
-    return (len(a), tuple(map(factor_key, a)))
+    factor = ("opq", str.__str__(tag), int(chi))  # a str subclass is stored as the plain str
+    if epoly is None:
+        return factor
+    try:
+        return factor + (EPoly(dict(epoly)).items(),)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"bad opaque epoly data: {exc}") from exc
 
 
 def atom_order(a: Atom) -> tuple:
-    """atom_key's order on normal atoms, as a key that is one cheap call to build.
+    """The atom order as a sort key: by factor count, an orbit first, then the factors.
 
-    The atoms then compare as plain tuples.  That is atom_key's order: a normal
-    atom's factors are in factor_key order, as atom_mul leaves them, and it holds
-    at most one orbit factor, and first, the only kind whose rank is out of ASCII
-    order; FER < fer < opq in both; two factors of one kind compare their
-    entries.  Only two opaque factors of equal tag and chi, one with E-data and
-    one without, do not compare: the tuple comparison raises TypeError where
-    factor_key ranks the one without first.
+    A normal atom holds at most one orbit factor, first, as atom_mul leaves it;
+    "orb" is the one kind that ASCII puts last.  Past it, the factors compare as
+    plain tuples: FER < fer < opq, then the entries, and an opaque factor
+    without E-data, one entry shorter, before one with.
     """
     return len(a), not (a and a[0][0] == "orb"), a
 
 
-def _term_key(order: Callable, term: tuple):
-    return order(term[0])
-
-
-def sort_atoms(items: list, key: Callable = _term_key) -> None:
-    """Sort items in place in the atom order; each sort of atoms goes through here.
-
-    key(order, item) is an item's sort key made with the atom key order; by
-    default an item is a term (atom, value).  The sort uses atom_order, and
-    sorts again with atom_key when atom_order's tuples do not compare.
-    """
-    try:
-        items.sort(key=partial(key, atom_order))
-    except TypeError:
-        items.sort(key=partial(key, atom_key))
+def sort_atoms(terms: list) -> None:
+    """Sort terms (atom, value) in place in the atom order; each sort of them goes through here."""
+    terms.sort(key=lambda term: atom_order(term[0]))
 
 
 def factor_str(f: Factor) -> str:
@@ -167,14 +141,11 @@ def atom_mul(a: Atom, b: Atom) -> tuple[Atom, int]:
     if len(factors) < 2:  # one factor or none: nothing to sort or fuse
         return factors, 1
     orbs = [f[1] for f in factors if f[0] == "orb"]
-    if len(orbs) <= 1:
-        return tuple(sorted(factors, key=factor_key)), 1
-    rest = [f for f in factors if f[0] != "orb"]
+    if not orbs:
+        return tuple(sorted(factors)), 1
+    rest = tuple(sorted(f for f in factors if f[0] != "orb"))
     lcm = math.lcm(*orbs)
-    mult = math.prod(orbs) // lcm
-    if lcm > 1:
-        rest.append(("orb", lcm))
-    return tuple(sorted(rest, key=factor_key)), mult
+    return (("orb", lcm),) + rest if lcm > 1 else rest, math.prod(orbs) // lcm
 
 
 # --- the quadratic tower ---------------------------------------------------

@@ -61,7 +61,8 @@ from __future__ import annotations
 import marshal
 import threading
 
-from .classes import FER, Atom, Factor, MuClass, atom_mul, factor_str, fer, orb, sort_atoms
+from .classes import (FER, Atom, Factor, MuClass, atom_mul, atom_order, factor_str, fer, orb,
+                      sort_atoms)
 from .errors import ValidationError
 from .laurent import L_MINUS_1, ONE, LaurentInt, Sparse, leaves
 from .realize import atom_chi, chi_c
@@ -80,7 +81,7 @@ class BiClass(Sparse):
 
     @staticmethod
     def _sort(terms: list) -> None:
-        sort_atoms(terms, lambda order, term: (order(term[0][0]), order(term[0][1])))
+        terms.sort(key=lambda term: (atom_order(term[0][0]), atom_order(term[0][1])))
 
     def __init__(self, terms: Iterable[tuple[Atom, Atom, Coeffable]] = ()):
         self._terms = self._canonical(
@@ -260,7 +261,7 @@ def _core_form(core_a: Atom, core_b: Atom) -> list[tuple[Atom, tuple]]:
             return [(atom, k.items()) for atom, k in inner.terms()]
     # P6, made only here: the chi of a Fermat factor past TOWER_LIMIT raises
     sa, sb = sorted("*".join(map(factor_str, core)) for core in (core_a, core_b))
-    return [((("opq", f"psi({sa}|{sb})", atom_chi(core_a) * atom_chi(core_b), None),), _UNIT)]
+    return [((("opq", f"psi({sa}|{sb})", atom_chi(core_a) * atom_chi(core_b)),), _UNIT)]
 
 
 def psi_pair(p: BiClass) -> MuClass:

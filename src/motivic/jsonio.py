@@ -121,7 +121,7 @@ def _factor_to_json(f: Factor) -> dict:
     if kind in ("fer", "FER"):
         return {kind: [f[1], f[2]]}
     payload = {"tag": f[1], "chi": f[2]}
-    if f[3] is not None:
+    if len(f) > 3:
         payload["epoly"] = _epoly_to_json(f[3])
     return {"opq": payload}
 

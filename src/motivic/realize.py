@@ -71,7 +71,7 @@ def _factor_epoly(f: Factor) -> EPoly:
         n = f[1]
         g = (n - 1) * (n - 2) // 2
         return EPoly({(1, 1): 1, (1, 0): -g, (0, 1): -g, (0, 0): 1 - 3 * n})
-    if kind == "opq" and f[3] is not None:
+    if kind == "opq" and len(f) > 3:
         return EPoly._wrap(f[3])  # opq() stored it in EPoly's canonical form
     raise RealizationUndefinedError(factor_str(f))
 

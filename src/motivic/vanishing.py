@@ -103,6 +103,13 @@ class _Record:
         return f"{self.__class__.__qualname__}({shown})"
 
 
+def _checked(value, kind: type, field: str):
+    """value, if it is a kind; else a ValidationError that names the field."""
+    if not isinstance(value, kind):
+        raise ValidationError(f"{field} must be a {kind.__name__}, got {value!r}")
+    return value
+
+
 class Stratum(_Record):
     __slots__ = ("index_set", "base_class", "cover_class", "locus")
 
@@ -111,7 +118,8 @@ class Stratum(_Record):
         ids = frozenset(index_set)
         if isinstance(index_set, str) or not all(isinstance(i, str) for i in ids):
             raise ValidationError(f"index set {index_set!r} wants a collection of string ids")
-        self._set(ids, base_class, cover_class, locus)
+        self._set(ids, _checked(base_class, MuClass, "base_class"),
+                  _checked(cover_class, MuClass, "cover_class"), locus)
 
 
 class SNCDatum(_Record):
@@ -124,7 +132,9 @@ class SNCDatum(_Record):
             if not isinstance(i, str) or not isinstance(m, int):
                 raise ValidationError(f"component ({i!r}, {m!r}) wants a string id and integer m")
             checked.append((i, int(m)))  # int() stores a bool as the integer it stands for
-        self._set(tuple(checked), tuple(strata), fiber_regular, fiber_singular)
+        self._set(tuple(checked), tuple([_checked(s, Stratum, "stratum") for s in strata]),
+                  _checked(fiber_regular, MuClass, "fiber_regular"),
+                  _checked(fiber_singular, MuClass, "fiber_singular"))
 
     def multiplicity(self, component_id: str) -> int:
         for i, m in self.components:
@@ -238,7 +248,7 @@ class Resolved(_Record):
     __slots__ = ("criticals",)
 
     def __init__(self, criticals: tuple[tuple[Fraction, SNCDatum], ...]):
-        pts = [(as_point(p), d) for p, d in criticals]
+        pts = [(as_point(p), _checked(d, SNCDatum, "critical datum")) for p, d in criticals]
         if len(pts) > 1:
             pts.sort(key=_point_key)
             keys = list(map(_point_key, pts))  # again: cheaper than carrying the sort's keys
@@ -253,7 +263,7 @@ class Constant(_Record):
     __slots__ = ("value", "fiber_class")
 
     def __init__(self, value: Fraction, fiber_class: MuClass):
-        if not fiber_class.is_trivial_action():
+        if not _checked(fiber_class, MuClass, "fiber_class").is_trivial_action():
             raise ValidationError("constant generator class carries a nontrivial action")
         self._set(as_point(value), fiber_class)
 

@@ -156,6 +156,87 @@ def _orbit_power_counts(n: int, r: int, q: int) -> tuple[int, ...]:
     return tuple(counts)
 
 
+# --- the equivariant Hodge realization -------------------------------------------------
+#
+# E sends a class to a sum of c * u^p v^q [alpha]: Hodge-Deligne numbers per
+# monodromy eigenvalue exp(2 pi i alpha), alpha in [0, 1).  A value is a dict
+# {(p, q, alpha): c} with no zero c; alpha is a Fraction.
+
+def _hodge(terms) -> dict:
+    """The value summing the ((p, q, alpha), c) terms."""
+    acc: dict = {}
+    for key, c in terms:
+        acc[key] = acc.get(key, 0) + c
+    return {key: c for key, c in acc.items() if c}
+
+
+def hodge_product(x: dict, y: dict) -> dict:
+    """The product of two values as factors of one atom (the diagonal action):
+    u, v exponents add and eigenvalues multiply, alpha + beta mod 1."""
+    return _hodge(((p + s, q + t, (a + b) % 1), c * d)
+                  for (p, q, a), c in x.items() for (s, t, b), d in y.items())
+
+
+def hodge_star(x: dict, y: dict) -> dict:
+    """The Thom-Sebastiani product of two values, the image of the convolution.
+
+    [alpha] * [beta] is the plain product if alpha or beta is 0; otherwise it is
+    v [alpha + beta] when alpha + beta < 1, u [alpha + beta - 1] when
+    alpha + beta > 1 and uv [0] when alpha + beta = 1.  This is the Hodge form
+    of the motivic Thom-Sebastiani theorem (Denef-Loeser, Duke Math. J. 99,
+    1999; Looijenga, Sem. Bourbaki 874), whose spectrum is multiplicative.
+    """
+    def key(p, q, a, b):
+        if a == 0 or b == 0:
+            return p, q, a + b
+        if a + b < 1:
+            return p, q + 1, a + b
+        if a + b > 1:
+            return p + 1, q, a + b - 1
+        return p + 1, q + 1, a + b - 1
+
+    return _hodge((key(p + s, q + t, a, b), c * d)
+                  for (p, q, a), c in x.items() for (s, t, b), d in y.items())
+
+
+def hodge(cls) -> dict:
+    """E of a class: L -> uv [0], and each atom the product of its factors' values.
+
+    Opaque and raw factors raise.
+    """
+    total: list = []
+    for atom, coeff in cls.terms():
+        value = _hodge(((e, e, Fraction(0)), k) for e, k in coeff.items())
+        for f in atom:
+            value = hodge_product(value, hodge_factor(f))
+        total += value.items()
+    return _hodge(total)
+
+
+@functools.lru_cache(maxsize=None)
+def hodge_factor(f: tuple) -> dict:
+    """E of one factor, kept, so not to be mutated: ORB(d), fer(n,1) = n, and
+    FER(n,r) = (L - 1) fer(n,r-1) - ORB(n)^{*r} for r >= 2, with fer(n,r) its
+    value with every alpha set to 0."""
+    kind = f[0]
+    if kind == "orb":
+        return {(0, 0, Fraction(j, f[1])): 1 for j in range(f[1])}
+    if kind == "fer" and f[2] == 1:
+        return {(0, 0, Fraction(0)): f[1]}
+    if kind == "fer":
+        return _hodge(((p, q, Fraction(0)), c)
+                      for (p, q, _), c in hodge_factor(("FER", f[1], f[2])).items())
+    if kind == "FER":
+        n, r = f[1], f[2]
+        lower = hodge_product({(1, 1, Fraction(0)): 1, (0, 0, Fraction(0)): -1},
+                              hodge_factor(("fer", n, r - 1)))
+        power = orbit = hodge_factor(("orb", n))
+        for _ in range(r - 1):
+            power = hodge_star(power, orbit)
+        return _hodge(list(lower.items()) + [(k, -c) for k, c in power.items()])
+    raise ValueError(f"no Hodge realization for the factor {f!r}")
+
+
 def count_fermat_gf_p2(n: int, r: int, p: int) -> int:
     """#{x in (GF(p^2)^*)^r : sum x_i^n = 1} by plain enumeration (p odd prime).
 

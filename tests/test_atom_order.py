@@ -1,9 +1,11 @@
-"""The atom order: classes.sort_atoms against its exact definition, atom_key.
+"""The atom order: classes.sort_atoms against its exact definition, atom_key below.
 
-sort_atoms sorts by the cheap key atom_order and sorts again by atom_key when
-atom_order's tuples do not compare: two opaque factors of equal tag and chi,
-one with E-data and one without.  The generated atoms and the pinned class
-below make that case common.
+sort_atoms sorts by atom_order, whose keys compare as plain tuples.  atom_key
+defines the order without relying on the factor form: by factor count, then
+factor by factor, each factor by kind rank ORB < FER < fer < OPQ, then by its
+entries, an opaque factor without E-data before one with.  The generated atoms
+and the pinned class below make the case that most needs it common: opaque
+factors of equal tag and chi, one with E-data and one without.
 """
 
 from __future__ import annotations
@@ -15,13 +17,37 @@ from pathlib import Path
 from hypothesis import given, strategies as st
 
 from motivic import (A1Class, BiClass, Constant, LaurentInt, MuClass, a1_star, a1_to_json,
-                     class_to_json, classes, phi_measure, psi_pair, star)
-from motivic.classes import atom_key, atom_order, factor_key, sort_atoms
+                     class_to_json, phi_measure, psi_pair, star)
+from motivic.classes import atom_order, sort_atoms
 from motivic.jsonio import dumps
 
 from conftest import python_calls
 
+# --- the reference order --------------------------------------------------------------
+
+_KIND_RANK = {"orb": 0, "FER": 1, "fer": 2, "opq": 3}
+
+
+def factor_key(f):
+    if f[0] == "opq":  # an absent E-data entry ranks before a present one
+        return (_KIND_RANK["opq"], (f[1], f[2], len(f) > 3, f[3:]))
+    return (_KIND_RANK[f[0]], f[1:])
+
+
+def atom_key(a):
+    """The atom order, exact and total: by factor count, then factor by factor."""
+    return (len(a), tuple(map(factor_key, a)))
+
+
 # --- generated normal atoms -----------------------------------------------------------
+
+_EDATA = [(((0, 0), 1),), (((1, 1), 1),)]
+
+
+def _opaque(tag, chi, epoly):
+    """An opaque factor as the engine stores it: E-data, when there is any, as a fourth entry."""
+    return ("opq", tag, chi) + ((epoly,) if epoly else ())
+
 
 # small pools, so that atoms often agree up to a pair of opaque factors of equal
 # tag and chi, one with E-data and one without
@@ -30,8 +56,7 @@ _others = st.one_of(
     st.integers(2, 3).map(lambda r: ("FER", 3, r)),
     st.integers(3, 4).map(lambda n: ("fer", n, 2)),
     st.tuples(st.sampled_from(["t", "u"]), st.integers(0, 1),
-              st.sampled_from([None, None, (((0, 0), 1),), (((1, 1), 1),)])).map(
-        lambda t: ("opq", *t)),
+              st.sampled_from([None, None] + _EDATA)).map(lambda t: _opaque(*t)),
 )
 # at most one orbit, first; the other factors in factor_key order, as atom_mul leaves them
 normal_atoms = st.tuples(st.lists(_orbit, max_size=1), st.lists(_others, max_size=2)).map(
@@ -40,7 +65,7 @@ normal_atoms = st.tuples(st.lists(_orbit, max_size=1), st.lists(_others, max_siz
 
 def _twin(a):
     """a with its opaque factors' E-data present where absent and absent where present."""
-    flipped = [("opq", f[1], f[2], None if f[3] else (((0, 0), 1),)) if f[0] == "opq" else f
+    flipped = [_opaque(f[1], f[2], None if len(f) > 3 else _EDATA[0]) if f[0] == "opq" else f
                for f in a]
     return tuple(sorted(flipped, key=factor_key))
 
@@ -60,23 +85,19 @@ def test_sort_atoms_is_the_atom_key_order(atoms, rnd):
 
 @given(st.lists(normal_atoms, unique=True, min_size=1, max_size=6))
 def test_the_cheap_key_agrees_with_atom_key_wherever_it_compares(atoms):
+    # every pair compares: a TypeError fails the test
     for a, b in combinations(dict.fromkeys(atoms + [_twin(a) for a in atoms]), 2):
-        try:
-            cheap = atom_order(a) < atom_order(b)
-        except TypeError:  # only opaque factors of equal tag and chi, with and without E-data
-            assert any(f[0] == g[0] == "opq" and f[1:3] == g[1:3] and (f[3] is None) != (g[3] is None)
-                       for f, g in zip(a, b))
-            continue
-        assert cheap == (atom_key(a) < atom_key(b))
+        assert (atom_order(a) < atom_order(b)) == (atom_key(a) < atom_key(b))
+        assert (atom_order(a) > atom_order(b)) == (atom_key(a) > atom_key(b))
 
 
-# --- the fallback, pinned ---------------------------------------------------------------
+# --- opaque factors with and without E-data, pinned -------------------------------------
 
 PINS = Path(__file__).with_name("atom_order_pins.txt")
 
 
 def fallback_outputs() -> dict:
-    """Canonical JSON of each sort of atoms on a class whose atoms make the cheap key raise."""
+    """Canonical JSON of each sort of atoms on a class whose atoms differ only in E-data."""
     t, te, f = ("opq", "t", 3), ("opq", "t", 3, (((0, 0), 3),)), ("fer", 3, 2)
     c = MuClass([(1, [t]), (2, [te]), (-1, [t, f]), (1, [te, f])])
     triv = MuClass([(1, []), (1, [f]), (-2, [("fer", 4, 2)])])
@@ -118,22 +139,12 @@ def _star_fold_class(rng: random.Random, n_terms: int) -> MuClass:
                     for a in atoms])
 
 
-def test_star_sorts_without_atom_key(rng, monkeypatch):
+def test_star_sorts_without_atom_key(rng):
     a, b = _star_fold_class(rng, 40), _star_fold_class(rng, 40)
-    expected = star(a, b)  # derives the pair rules, which multiply factors with factor_key
-    calls = {"atom_key": 0, "factor_key": 0}
-
-    def counted(name, fn):
-        def call(*args):
-            calls[name] += 1
-            return fn(*args)
-        return call
-
-    monkeypatch.setattr(classes, "atom_key", counted("atom_key", atom_key))
-    monkeypatch.setattr(classes, "factor_key", counted("factor_key", factor_key))
+    expected = star(a, b)  # derives the pair rules
     out, count = python_calls(lambda: star(a, b))
-    assert out == expected and calls == {"atom_key": 0, "factor_key": 0}
-    # two Python calls per output term to build its key (atom_key made two plus
-    # one per factor), one per term of either side to read its coefficient, 50 more
+    assert out == expected
+    # two Python calls per output term to build its key (sort_atoms' key and
+    # atom_order), one per term of either side to read its coefficient, 50 more
     n_a, n_b, n_out = len(a.terms()), len(b.terms()), len(out.terms())
     assert n_out > 200 and count <= 2 * n_out + n_a + n_b + 50

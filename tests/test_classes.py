@@ -3,7 +3,8 @@ from __future__ import annotations
 import pytest
 from hypothesis import given
 
-from motivic import MuClass, ValidationError, add, chi_c, forget_action, mul, normalize
+from motivic import (MuClass, ValidationError, add, chi_c, class_from_json, forget_action, mul,
+                     normalize)
 from motivic.classes import TOWER_LIMIT
 from motivic.laurent import LaurentInt
 
@@ -188,6 +189,18 @@ def test_no_forbidden_atoms_are_ever_stored():
             assert not (f[0] == "fer" and f[2] == 1)
         orbs = [f for f in atom if f[0] == "orb"]
         assert len(orbs) <= 1
+
+
+def test_an_opaque_factor_without_e_data_has_no_e_data_entry():
+    # each way in stores ("opq", tag, chi), which sorts before the factor with E-data
+    plain, with_data = ("opq", "t", 1), ("opq", "t", 1, (((0, 0), 1),))
+    read = class_from_json({"terms": [{"coeff": {"0": 1},
+                                       "factors": [{"opq": {"tag": "t", "chi": 1}}]}]})
+    for c in [MuClass.opaque("t", 1), MuClass.opaque("t", 1, None),
+              MuClass([(1, [plain + (None,)])]), read]:
+        assert c.terms() == (((plain,), LaurentInt.from_int(1)),)
+    both = MuClass.opaque("t", 1, {(0, 0): 1}) + MuClass.opaque("t", 1)
+    assert [atom for atom, _ in both.terms()] == [(plain,), (with_data,)]
 
 
 def test_opaque_e_data_refuses_non_integer_keys_and_values():

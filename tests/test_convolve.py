@@ -6,7 +6,7 @@ import sys
 import tracemalloc
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from motivic import (A1Class, BiClass, Constant, MuClass, Resolved, ValidationError, a1_star,
                      assoc_check, chi_c, count_fermat_points, forget_action, mul, normalize,
@@ -18,7 +18,8 @@ from motivic.laurent import L_MINUS_1
 from conftest import (GM, L, ONE, YieldingTable, _O2, _O3, _O4, _O5, _factors, _held_size,
                       _rule_size, _size_of, cross_datum, mu_classes, orb, power_datum,
                       raw_terms, run_in_threads)
-from oracles import N_t, count_fermat_affine, nth_roots_of_minus_one, sum_of_powers_counts
+from oracles import (N_t, count_fermat_affine, hodge, hodge_factor, hodge_star, nth_roots_of_minus_one,
+                     sum_of_powers_counts)
 
 
 def fold(n, r):
@@ -112,33 +113,101 @@ def test_sums_of_two_powers_count_with_the_action_twisted(n, q):
         assert _twisted_mismatches(n, r, q) == [], r
 
 
-@pytest.mark.parametrize("mutant", ["as written", "drops -(L-1) fer(n,r)", "fer(n,r-1) for fer(n,r)"])
-def test_the_twisted_counts_see_a_wrong_orbit_fermat_rule(monkeypatch, mutant):
-    # P5: Psi(FER(n,r) x ORB(n)) = (L-1) fer(n,r-1) ORB(n) - (L-1) fer(n,r) + FER(n,r+1);
-    # written out as it is, the wrapped rule counts right, so a miss is the mutant's
-    core_form = convolve._core_form
+def _mutated(core_form, mutant: str):
+    """core_form with P4 and P5 written out here, one term changed as mutant names.
 
+    P4: Psi(ORB(n) x ORB(n)) = n(L-1) - FER(n,2);
+    P5: Psi(FER(n,r) x ORB(n)) = (L-1) fer(n,r-1) ORB(n) - (L-1) fer(n,r) + FER(n,r+1).
+    Written out as they are, the wrapped rules are the engine's, so a miss is
+    the mutant's.
+    """
     def mutated(core_a, core_b):
-        kinds = {core[0][0]: core[0] for core in (core_a, core_b) if len(core) == 1}
-        f, g = kinds.get("FER"), kinds.get("orb")
-        if f is None or g != ("orb", f[1]):
+        if not len(core_a) == 1 == len(core_b):
             return core_form(core_a, core_b)
-        n, r = f[1], f[2]
-        raw = [(L_MINUS_1, [("fer", n, r - 1), g]), (1, [("FER", n, r + 1)])]
-        if mutant == "as written":
-            raw.append((-L_MINUS_1, [("fer", n, r)]))
-        elif mutant == "fer(n,r-1) for fer(n,r)":
-            raw.append((-L_MINUS_1, [("fer", n, r - 1)]))
+        f, g = sorted(core_a + core_b)  # "FER" < "orb"
+        n = f[1]
+        if f == g == ("orb", n):
+            lead = (L_MINUS_1, [g]) if mutant == "(L-1) ORB(n) for n(L-1)" else (n * L_MINUS_1, [])
+            raw = [lead, (-1, [("FER", n, 2)])]
+        elif f[0] == "FER" and g == ("orb", n):
+            r = f[2]
+            top = r if mutant == "FER(n,r) for FER(n,r+1)" else r + 1
+            raw = [(L_MINUS_1, [("fer", n, r - 1), g]), (1, [("FER", n, top)])]
+            if mutant != "drops -(L-1) fer(n,r)":
+                low = r - 1 if mutant == "fer(n,r-1) for fer(n,r)" else r
+                raw.append((-L_MINUS_1, [("fer", n, low)]))
+        else:
+            return core_form(core_a, core_b)
         return [(atom, k.items()) for atom, k in normalize(raw).terms()]
 
+    return mutated
+
+
+@pytest.mark.parametrize("mutant", ["as written", "drops -(L-1) fer(n,r)", "fer(n,r-1) for fer(n,r)"])
+def test_the_twisted_counts_see_a_wrong_orbit_fermat_rule(monkeypatch, mutant):
     try:
         with monkeypatch.context() as patch:
-            patch.setattr(convolve, "_core_form", mutated)
+            patch.setattr(convolve, "_core_form", _mutated(convolve._core_form, mutant))
             convolve._rules.clear()
             missed = [(n, q) for n, q in _TWISTED if _twisted_mismatches(n, 3, q)]
     finally:
         convolve._rules.clear()
     assert bool(missed) == (mutant != "as written"), missed
+
+
+# --- the equivariant Hodge realization ----------------------------------------------------
+
+# ROADMAP item 18's pool at n = 2..4: every class is opaque-free, and star of
+# two of them is opaque-free unless a pair of cores falls to P6
+def _hodge_pool() -> list:
+    pool = [ONE, L, L - ONE]
+    for n in range(2, 5):
+        pool += [MuClass.orbit(d) for d in range(2, n + 1) if n % d == 0]
+        pool += [MuClass.fermat(n, r) for r in (2, 3, 4)]
+        pool += [MuClass.fermat_trivial(n, r) for r in (2, 3)]
+        pool += [MuClass([(1, [("orb", n), ("fer", n, 2)])]), ONE - orb(n)]
+    return list(dict.fromkeys(pool))
+
+
+_HODGE_POOL = _hodge_pool()
+
+
+def _hodge_misses() -> list:
+    """The pairs of the pool whose star is opaque-free and not E(a) * E(b)."""
+    return [(a, b) for a in _HODGE_POOL for b in _HODGE_POOL
+            for out in [star(a, b)]
+            if not out.has_opaque() and hodge(out) != hodge_star(hodge(a), hodge(b))]
+
+
+@given(st.sampled_from(_HODGE_POOL), st.sampled_from(_HODGE_POOL))
+def test_star_realizes_as_the_thom_sebastiani_product(a, b):
+    out = star(a, b)
+    assume(not out.has_opaque())
+    assert hodge(out) == hodge_star(hodge(a), hodge(b))
+
+
+@pytest.mark.parametrize("mutant", ["as written", "(L-1) ORB(n) for n(L-1)",
+                                    "FER(n,r) for FER(n,r+1)", "drops -(L-1) fer(n,r)",
+                                    "fer(n,r-1) for fer(n,r)"])
+def test_the_hodge_realization_sees_a_wrong_orbit_rule(monkeypatch, mutant):
+    try:
+        with monkeypatch.context() as patch:
+            patch.setattr(convolve, "_core_form", _mutated(convolve._core_form, mutant))
+            convolve._rules.clear()
+            missed = _hodge_misses()
+    finally:
+        convolve._rules.clear()
+    assert bool(missed) == (mutant != "as written"), len(missed)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_the_hodge_realization_of_a_fermat_curve_is_the_genus_formula(n):
+    # E(fer(n,2)) from P4 alone; the genus formula fixed where u and v go, so
+    # this checks consistency, not the placement
+    formula = dict(realize._factor_epoly(("fer", n, 2)).items())
+    for value in (hodge_factor(("fer", n, 2)), hodge(MuClass.fermat_trivial(n, 2))):
+        assert {alpha for _, _, alpha in value} == {0}
+        assert {(p, q): c for (p, q, _), c in value.items()} == formula
 
 
 def test_trivial_coefficient_pulls_out():
@@ -381,7 +450,7 @@ def test_a_rule_kept_already_clears_no_full_table(monkeypatch):
     assert convolve._pair(_O2, _O3) == first
     assert set(convolve._rules) == {_O2, _O5} and convolve._rules[_O2][_O3] is first
     assert o7 in convolve._rules[_O5]
-    assert convolve._rules.held == held == _held_size() == 196
+    assert convolve._rules.held == held == _held_size() == 194
 
 
 def test_clear_empties_the_count_too():
@@ -543,7 +612,7 @@ def test_an_int_subclass_in_a_factor_is_kept_as_the_int():
     assert odd == dumps(class_to_json(star(MuClass.fermat(3, 2), orb(2))))
     assert "three" not in odd
     (factor,) = MuClass.opaque(Tag("t"), 2).terms()[0][0]
-    assert factor == ("opq", "t", 2, None) and type(factor[1]) is str
+    assert factor == ("opq", "t", 2) and type(factor[1]) is str
     odd = dumps(class_to_json(star(MuClass.opaque(Tag("t"), 2), orb(2))))
     assert odd == dumps(class_to_json(star(MuClass.opaque("t", 2), orb(2))))
     assert "other" not in odd

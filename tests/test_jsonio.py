@@ -196,7 +196,7 @@ def test_bool_factor_entries_are_stored_as_integers():
     assert blob == '{"terms":[{"coeff":{"0":1},"factors":[{"opq":{"chi":1,"tag":"t"}}]}]}'
     assert class_from_json(json.loads(blob)) == c == MuClass.opaque("t", 1)
     assert MuClass.opaque("t", False) == MuClass.opaque("t", 0)
-    for made, plain in [(opq_factor("t", True), ("opq", "t", 1, None)), (orb_factor(True), ("orb", 1)),
+    for made, plain in [(opq_factor("t", True), ("opq", "t", 1)), (orb_factor(True), ("orb", 1)),
                         (fer_factor(3, True), ("fer", 3, 1)), (gm_factor(True), ("gm", 1))]:
         assert made == plain and [type(x) for x in made] == [type(x) for x in plain]
     assert MuClass([(1, [fer_factor(3, True), gm_factor(True), orb_factor(True)])]) == \

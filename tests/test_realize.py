@@ -137,7 +137,8 @@ def test_epoly_at_one_one_is_chi_after_forgetting(c):
 # --- point-count oracle -------------------------------------------------------------------
 
 def test_counts_match_independent_enumeration():
-    for n, r, q in [(2, 2, 5), (2, 2, 7), (3, 2, 7), (2, 3, 5)]:
+    for n, r, q in [(2, 2, 5), (2, 2, 7), (3, 2, 7), (2, 3, 5), (3, 2, 2), (3, 3, 2), (2, 2, 3),
+                    (2, 3, 3), (4, 4, 3)]:
         assert count_fermat_points(n, r, q) == count_fermat_affine(n, r, q, target=1)
 
 

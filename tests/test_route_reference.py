@@ -313,8 +313,8 @@ def test_psi_pair_equals_the_reference_route(p):
 # opaque atom with or without E-data, or two of them) times up to two trivial
 # Fermat factors, so P2, P4, P5 and P6 each fire with trivial factors attached;
 # orbits are drawn twice as often so that equal-orbit (P4) pairs are common.
-# The trivial factors differ in r as well as in n, so that sorting them as
-# plain tuples is checked against factor_key order.
+# The trivial factors differ in r as well as in n, so that the factor order
+# compares both entries.
 _orbits = st.integers(2, 6).map(orb)
 _core_factors = st.one_of(_orbits, _orbits,
                           st.tuples(st.integers(2, 4), st.integers(2, 3)).map(lambda t: FER(*t)),
@@ -521,8 +521,8 @@ _one_pair_fibers = _classes.filter(bool) | st.just(_PAST_THE_LIMIT)
          MuClass([(1, (orb(2),)), (-1, (opq("blob", 2),))]))
 @example((Fraction(-7, 2), Fraction(5, 3)), MuClass([(1, (fer(3, 2),)), (1, (orb(5),))]),
          _PAST_THE_LIMIT)
-# blob with and without E-data, times fer(3,2), are two atoms whose cheap keys
-# do not compare, so the fiber is sorted by sort_atoms' fallback
+# blob with and without E-data, times fer(3,2), are two atoms that differ only
+# in E-data: the one without it, a shorter factor, sorts first
 @example((Fraction(0), Fraction(1)), MuClass([(1, (fer(3, 2),)), (1, (orb(2),))]),
          MuClass([(1, (BLOB,)), (1, (opq("blob", 2),))]))
 def test_one_pair_a1_star_equals_the_line_kernel_and_star_at_the_sum(points, c, d):

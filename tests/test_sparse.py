@@ -14,8 +14,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from motivic import A1Class, EPoly, LaurentInt, MuClass, tensor
-from motivic.classes import atom_key
 from motivic.laurent import ZERO
+
+from test_atom_order import atom_key
 
 NORMAL_ATOMS = [(), (("orb", 2),), (("orb", 3),), (("FER", 3, 2),), (("fer", 3, 2),),
                 (("orb", 2), ("fer", 3, 2))]

@@ -91,6 +91,23 @@ def test_index_sets_are_not_coerced():
     assert Stratum(["E1", "E2"], ONE, ONE, "singular").index_set == frozenset({"E1", "E2"})
 
 
+# each record constructor refuses a class field of the wrong type, naming the field
+@pytest.mark.parametrize("build, field", [
+    (lambda: Stratum({"E1"}, 5, ONE, "singular"), "base_class"),
+    (lambda: Stratum({"E1"}, ONE, 5, "singular"), "cover_class"),
+    (lambda: SNCDatum([("E1", 1)], [({"E1"}, ONE, ONE, "singular")], MuClass.zero(), ONE),
+     "stratum"),
+    (lambda: SNCDatum([], [], 5, ONE), "fiber_regular"),
+    (lambda: SNCDatum([], [], MuClass.zero(), LaurentInt.from_int(1)), "fiber_singular"),
+    (lambda: Constant(0, 5), "fiber_class"),
+    (lambda: Resolved([(0, power_datum(2)), (1, 5)]), "critical datum"),
+], ids=["stratum base", "stratum cover", "datum stratum", "datum fiber_regular",
+        "datum fiber_singular", "constant class", "resolved datum"])
+def test_record_constructors_check_their_class_fields(build, field):
+    with pytest.raises(ValidationError, match=f"^{field} must be a "):
+        build()
+
+
 def test_a_duplicate_id_reads_the_first_multiplicity():
     # m_I of {"E1"} is 2, from the first ("E1", 2): the cover of chi 2 then matches
     d = SNCDatum([("E1", 2), ("E1", 3)], [Stratum({"E1"}, ONE, orb(2), "singular")],
@@ -681,10 +698,14 @@ def test_invalid_and_unhashable_data_are_never_kept(monkeypatch):
             with pytest.raises(error) as raised:
                 vanishing_cycles(d)
             assert str(raised.value) == text
+            if not isinstance(d, SNCDatum):  # Resolved refuses a datum that is none
+                with pytest.raises(ValidationError, match="^critical datum must be a SNCDatum"):
+                    Resolved([(0, d)])
+                continue
             with pytest.raises(error) as raised:
                 phi_measure([(1, Resolved([(0, d)]))])
             assert str(raised.value) == text
-    assert len(calls) == 16 and not hasattr(bad, "_memo") and not hasattr(unhashable, "_memo")
+    assert len(calls) == 12 and not hasattr(bad, "_memo") and not hasattr(unhashable, "_memo")
 
 
 def test_threads_sharing_the_table_get_serial_results(monkeypatch):

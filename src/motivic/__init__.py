@@ -9,15 +9,13 @@ E-polynomial.
 
 The package loads its submodules on first use (PEP 562): ``import motivic``
 runs no engine code, and the first read of a public name, or of a submodule,
-imports the module that defines it.  A submodule's public names are bound in
-the package as the import system binds the submodule itself, whoever imports
-it, so each later read is a plain attribute read of the module's own object.
-A CLI request thus loads only the modules its subcommand runs.
+imports the module that defines it.  That first read is the one place a name
+is bound in the package, and only if the value is its home module's own
+object, so each later read is a plain attribute read of that object.  A CLI
+request thus loads only the modules its subcommand runs.
 """
 
 import importlib
-import sys
-import types
 
 __version__ = "0.1.0"
 
@@ -47,31 +45,21 @@ _HOME = {name: module for module, names in _MODULES.items() for name in names}
 __all__ = list(_HOME)
 
 
-class _Package(types.ModuleType):
-    """The package's type: binding a submodule here binds its public names too.
-
-    The import system binds each submodule on the package as it finishes
-    loading, whoever imports it.  The package then holds the module's own
-    objects from that moment, so a tracer that later rebinds a name in every
-    loaded module, this one included, puts the originals back here as well.
-    """
-
-    def __setattr__(self, name, value):
-        super().__setattr__(name, value)
-        if isinstance(value, types.ModuleType) and value.__name__ == f"{__name__}.{name}":
-            for public in _MODULES.get(name, ()):
-                super().__setattr__(public, getattr(value, public))
-
-
-sys.modules[__name__].__class__ = _Package
-
-
 def __getattr__(name):
     module = name if name in _MODULES else _HOME.get(name)
     if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     loaded = importlib.import_module(f"{__name__}.{module}")
-    return loaded if module == name else getattr(loaded, name)
+    if module == name:
+        return loaded
+    value = getattr(loaded, name)
+    # kept only if it is the home module's own object, as every public name is
+    # (tests/test_package.py): so each real name is read through here once,
+    # and a tracer's wrapper or a test's stand-in, which comes from another
+    # module, is returned but never outlives its uninstall or monkeypatch
+    if getattr(value, "__module__", None) == loaded.__name__:
+        globals()[name] = value
+    return value
 
 
 def __dir__():

@@ -34,7 +34,7 @@ from math import gcd
 
 from .classes import MuClass, sort_atoms
 from .convolve import _line_into, _psi
-from .errors import ValidationError
+from .errors import ValidationError, _checked
 from .laurent import LaurentInt, Sparse, leaves
 
 TYPE_CHECKING = False  # typing.TYPE_CHECKING would load typing
@@ -170,6 +170,8 @@ def _line(acc: dict, points: list) -> A1Class:
 def a1_star(f: A1Class, g: A1Class) -> A1Class:
     """Convolution over the line: Psi of fibers pushed along point addition.
     Two one-point classes take star's loop, any other shape the line kernel."""
+    _checked(f, A1Class, "f")
+    _checked(g, A1Class, "g")
     if len(f._terms) == 1 == len(g._terms):
         ((p, c),), ((q, d),) = f._terms, g._terms
         fiber = _psi([(c._terms, d._terms)])
@@ -204,4 +206,4 @@ def _by_atom(f: A1Class) -> dict:
 
 
 def epsilon_push(f: A1Class) -> MuClass:
-    return f.pushforward()
+    return _checked(f, A1Class, "f").pushforward()

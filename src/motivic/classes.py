@@ -49,7 +49,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import ValidationError
+from .errors import ValidationError, _checked
 from .laurent import L_MINUS_1, ZERO, EPoly, LaurentInt, Sparse
 
 TYPE_CHECKING = False  # typing.TYPE_CHECKING would load typing
@@ -348,4 +348,4 @@ def mul(a: MuClass, b: MuClass) -> MuClass:
 
 
 def forget_action(c: MuClass) -> MuClass:
-    return c.forget_action()
+    return _checked(c, MuClass, "c").forget_action()

@@ -63,7 +63,7 @@ import threading
 
 from .classes import (FER, Atom, Factor, MuClass, atom_mul, atom_order, factor_str, fer, orb,
                       sort_atoms)
-from .errors import ValidationError
+from .errors import ValidationError, _checked
 from .laurent import L_MINUS_1, ONE, LaurentInt, Sparse, leaves
 from .realize import atom_chi, chi_c
 
@@ -106,8 +106,8 @@ def tensor(a: MuClass, b: MuClass) -> BiClass:
     """Exterior product A x B of two classes."""
     # both factors are sorted by atom key with nonzero coefficients, so the
     # pairs come out distinct, nonzero and in BiClass order
-    return BiClass._wrap(tuple(((a1, a2), c1 * c2)
-                               for a1, c1 in a.terms() for a2, c2 in b.terms()))
+    xs, ys = _checked(a, MuClass, "a").terms(), _checked(b, MuClass, "b").terms()
+    return BiClass._wrap(tuple(((a1, a2), c1 * c2) for a1, c1 in xs for a2, c2 in ys))
 
 
 class _Rules(dict):
@@ -266,12 +266,12 @@ def _core_form(core_a: Atom, core_b: Atom) -> list[tuple[Atom, tuple]]:
 
 def psi_pair(p: BiClass) -> MuClass:
     """Psi of an exterior product, by bilinear extension of the pair rules."""
-    return _psi((((a, c),), ((b, ONE),)) for (a, b), c in p.terms())
+    return _psi((((a, c),), ((b, ONE),)) for (a, b), c in _checked(p, BiClass, "p").terms())
 
 
 def star(a: MuClass, b: MuClass) -> MuClass:
     """The convolution product on classes over the point."""
-    return _psi([(a.terms(), b.terms())])
+    return _psi([(_checked(a, MuClass, "a").terms(), _checked(b, MuClass, "b").terms())])
 
 
 def star_power(n: int, r: int) -> MuClass:
@@ -290,6 +290,7 @@ def assoc_check(a: MuClass, b: MuClass, c: MuClass) -> dict:
     normal forms is then not informative either way); the chi_c comparison
     always runs and must succeed.
     """
+    _checked(c, MuClass, "c")  # star checks a and b before any work
     left = star(star(a, b), c)
     right = star(a, star(b, c))
     if left.has_opaque() or right.has_opaque():

@@ -1,7 +1,8 @@
 """Exception types shared across the engine.
 
 The CLI maps these onto its exit-code contract: ParseError -> exit 2,
-everything else here -> exit 1 with a structured error object.
+everything else here -> exit 1 with a structured error object.  _checked is
+the one argument type check of the library entries and record constructors.
 """
 
 
@@ -45,3 +46,10 @@ class ParseError(MotivicError):
     """Input could not be decoded into the expected JSON shape."""
 
     kind = "parse"
+
+
+def _checked(value, kind: type, field: str):
+    """value, if it is a kind; else a ValidationError that names the field."""
+    if not isinstance(value, kind):
+        raise ValidationError(f"{field} must be a {kind.__name__}, got {value!r}")
+    return value

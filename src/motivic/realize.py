@@ -22,7 +22,7 @@ import math
 from collections import Counter
 
 from .classes import TOWER_LIMIT, Atom, Factor, MuClass, factor_str
-from .errors import RealizationUndefinedError, ValidationError
+from .errors import RealizationUndefinedError, ValidationError, _checked
 from .laurent import EPoly, LaurentInt
 from .oracle import count_fermat_points
 
@@ -50,12 +50,14 @@ def atom_chi(atom: Atom) -> int:
 
 def chi_c(c: MuClass) -> int:
     """Compactly supported Euler characteristic of a class."""
-    return sum(coeff.sum_of_coefficients() * atom_chi(atom) for atom, coeff in c.terms())
+    return sum(coeff.sum_of_coefficients() * atom_chi(atom)
+               for atom, coeff in _checked(c, MuClass, "c").terms())
 
 
 def chi_of_a1(f) -> int:
     """chi_c of the pushforward to the point of a class over the affine line."""
-    return chi_c(f.pushforward())
+    from .a1 import A1Class  # a1 imports this module
+    return chi_c(_checked(f, A1Class, "f").pushforward())
 
 
 # --- E-polynomial -----------------------------------------------------------
@@ -84,7 +86,7 @@ def e_polynomial(c: MuClass) -> EPoly:
     factor without stored E-data raise RealizationUndefinedError.
     """
     terms: list = []
-    for atom, coeff in c.terms():
+    for atom, coeff in _checked(c, MuClass, "c").terms():
         terms += math.prod(map(_factor_epoly, atom), start=_coeff_epoly(coeff)).items()
     return EPoly._make(terms)
 

@@ -46,7 +46,7 @@ from operator import eq, itemgetter
 
 from .a1 import A1Class, _line, _point_key, a1_star, as_point, point_str
 from .classes import MuClass
-from .errors import DatumValidationError, ValidationError
+from .errors import DatumValidationError, ValidationError, _checked
 from .laurent import ONE_MINUS_L
 from .realize import chi_c
 
@@ -103,13 +103,6 @@ class _Record:
         return f"{self.__class__.__qualname__}({shown})"
 
 
-def _checked(value, kind: type, field: str):
-    """value, if it is a kind; else a ValidationError that names the field."""
-    if not isinstance(value, kind):
-        raise ValidationError(f"{field} must be a {kind.__name__}, got {value!r}")
-    return value
-
-
 class Stratum(_Record):
     __slots__ = ("index_set", "base_class", "cover_class", "locus")
 
@@ -148,7 +141,10 @@ class SNCDatum(_Record):
 
 def validate_datum(d: SNCDatum) -> list[str]:
     """All violated invariants of a datum; empty iff valid.  The cost is linear
-    in the size of the datum: each index is looked up once in one dict."""
+    in the size of the datum: each index is looked up once in one dict.  A
+    value that is no SNCDatum raises ValidationError, here for nearby_fiber and
+    vanishing_cycles too."""
+    _checked(d, SNCDatum, "datum")
     report: list[str] = []
     first = dict(reversed(d.components))  # id -> the first multiplicity, as multiplicity() reads
     if len(first) != len(d.components):

@@ -4,20 +4,22 @@ import itertools
 import math
 import sys
 import tracemalloc
+from collections import Counter
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, strategies as st
 
 from motivic import (A1Class, BiClass, Constant, MuClass, Resolved, ValidationError, a1_star,
                      assoc_check, chi_c, count_fermat_points, forget_action, mul, normalize,
-                     phi_measure, psi_pair, star, star_power, tensor)
+                     phi_measure, psi_pair, star, star_power, tensor, vanishing_cycles)
 from motivic import convolve, realize
 from motivic.jsonio import a1_to_json, class_to_json, dumps
 from motivic.laurent import L_MINUS_1
 
 from conftest import (GM, L, ONE, YieldingTable, _O2, _O3, _O4, _O5, _factors, _held_size,
-                      _rule_size, _size_of, cross_datum, mu_classes, orb, power_datum,
-                      raw_terms, run_in_threads)
+                      _rule_size, _size_of, blowup_datum, cross_datum, mu_classes, orb,
+                      power_datum, raw_terms, run_in_threads)
 from oracles import (N_t, count_fermat_affine, hodge, hodge_factor, hodge_star, nth_roots_of_minus_one,
                      sum_of_powers_counts)
 
@@ -208,6 +210,59 @@ def test_the_hodge_realization_of_a_fermat_curve_is_the_genus_formula(n):
     for value in (hodge_factor(("fer", n, 2)), hodge(MuClass.fermat_trivial(n, 2))):
         assert {alpha for _, _, alpha in value} == {0}
         assert {(p, q): c for (p, q, _), c in value.items()} == formula
+
+
+def _spectrum(value: dict) -> dict:
+    """The Hodge spectrum of a realization: c u^p v^q [alpha] goes to c t^(p + alpha)."""
+    acc: Counter = Counter()
+    for (p, _, alpha), c in value.items():
+        acc[p + alpha] += c
+    return {e: c for e, c in acc.items() if c}
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_the_spectrum_of_phi_is_steenbrinks(n):
+    # the spectra of x^n + y^n (through its blow-up at 0) and of x^n
+    # (Steenbrink, Compositio Math. 34, 1977), in the sign convention
+    # phi = [fiber] - psi
+    curve = Counter(Fraction(a + b, n) for a in range(1, n) for b in range(1, n))
+    assert _spectrum(hodge(vanishing_cycles(blowup_datum(n))[0])) == dict(curve)
+    point = {Fraction(a, n): -1 for a in range(1, n)}
+    assert _spectrum(hodge(vanishing_cycles(power_datum(n))[0])) == point
+
+
+@pytest.mark.parametrize("n, expected", [
+    (2, {(2, 2): 1, (1, 1): -2, (0, 0): 9}),
+    (3, {(2, 2): 1, (1, 1): 3, (1, 0): 4, (0, 1): 4, (0, 0): 15}),
+    (4, {(2, 2): 1, (2, 0): 1, (0, 2): 1, (1, 1): 16, (1, 0): 12, (0, 1): 12, (0, 0): 21})])
+def test_the_fermat_surfaces_in_the_torus_are_the_classical_ones(n, expected):
+    """lambda(n,3) = -FER(n,3) + 2(L - 1) fer(n,2), the action forgotten, is the
+    surface {x^n + y^n + z^n = 1} in the torus G_m^3; its E-polynomial, keyed
+    (p, q) for u^p v^q, is found by hand from the projective surface.
+
+    Each count takes the projective Fermat surface, removes its curve at
+    infinity, removes the three coordinate slices {x = 0}, ... (affine Fermat
+    curves: a projective Fermat curve of genus g minus its n points at
+    infinity, 1 - g u - g v + uv - n) and adds back the 3 n points where two
+    coordinates vanish; no point has all three zero.
+
+    - n = 2 (Katz's polynomial): the quadric P^1 x P^1 is 1 + 2uv + u^2v^2, the
+      conic at infinity 1 + uv, each slice uv - 1, so
+      u^2v^2 + uv - 3(uv - 1) + 6 = u^2v^2 - 2uv + 9.
+    - n = 3: the cubic surface is 1 + 7uv + u^2v^2, the elliptic curve at
+      infinity 1 - u - v + uv, each slice uv - u - v - 2, so
+      u^2v^2 + 6uv + u + v - 3(uv - u - v - 2) + 9 = u^2v^2 + 3uv + 4u + 4v + 15.
+    - n = 4: the Fermat quartic is a K3 surface (h^{2,0} = 1, h^{1,1} = 20),
+      1 + u^2 + v^2 + 20uv + u^2v^2; the plane quartic at infinity has genus 3,
+      1 - 3u - 3v + uv; each slice is uv - 3u - 3v - 3, so
+      u^2v^2 + u^2 + v^2 + 19uv + 3u + 3v - 3(uv - 3u - 3v - 3) + 12
+      = u^2v^2 + u^2 + v^2 + 16uv + 12u + 12v + 21.
+    """
+    surface = forget_action(-MuClass.fermat(n, 3) + 2 * GM * MuClass.fermat_trivial(n, 2))
+    value: Counter = Counter()
+    for (p, q, _), c in hodge(surface).items():  # alpha set to 0
+        value[p, q] += c
+    assert {key: c for key, c in value.items() if c} == expected
 
 
 def test_trivial_coefficient_pulls_out():

@@ -47,6 +47,20 @@ def test_dir_lists_every_public_name_and_submodule():
     assert {"cli", "jsonio", "oracle", "canonical"} <= set(listed)
 
 
+@pytest.mark.parametrize("value", [5, []], ids=["int", "list"])
+@pytest.mark.parametrize("entry, leading", [
+    ("star", 1), ("tensor", 1), ("psi_pair", 0), ("assoc_check", 2), ("chi_c", 0),
+    ("e_polynomial", 0), ("forget_action", 0), ("a1_star", 1), ("epsilon_push", 0),
+    ("chi_of_a1", 0), ("vanishing_cycles", 0), ("nearby_fiber", 0), ("validate_datum", 0)])
+def test_an_entry_refuses_a_value_of_the_wrong_type(entry, leading, value):
+    # the value comes last, after valid classes; a1_star's first class has two
+    # points, so the value reaches the line kernel's route, not star's
+    one = motivic.MuClass.one()
+    first = motivic.A1Class({0: one, 1: one}) if entry == "a1_star" else one
+    with pytest.raises(motivic.ValidationError, match=r"must be a \w+, got "):
+        getattr(motivic, entry)(*[first] * leading, value)
+
+
 def test_an_unknown_name_is_an_attribute_error():
     assert not hasattr(motivic, "nope")
     with pytest.raises(AttributeError, match="no attribute 'nope'"):
@@ -70,9 +84,28 @@ def fresh_package():
 def test_a_fresh_package_has_loaded_no_submodule(fresh_package):
     assert [k for k in sys.modules if k.startswith("motivic.")] == []
     assert "star" not in vars(fresh_package)
-    # a submodule's public names are bound as the submodule loads, whoever loads it
+    # loading a submodule binds none of its names; the first read binds its own object
     importlib.import_module("motivic.convolve")
+    assert "star" not in vars(fresh_package)
+    assert fresh_package.star is sys.modules["motivic.convolve"].star
     assert vars(fresh_package)["star"] is sys.modules["motivic.convolve"].star
+
+
+def test_a_stand_in_read_first_is_returned_but_never_bound(fresh_package, monkeypatch):
+    # a tracer's wrapper or a test's stand-in comes from another module, so
+    # the package must not keep it past its uninstall or monkeypatch
+    convolve = importlib.import_module("motivic.convolve")
+    star = convolve.star
+
+    def stand_in(a, b):
+        return star(a, b)
+
+    monkeypatch.setattr(convolve, "star", stand_in)
+    assert fresh_package.star is stand_in
+    assert "star" not in vars(fresh_package)
+    monkeypatch.undo()
+    assert fresh_package.star is star
+    assert vars(fresh_package)["star"] is star
 
 
 def test_threads_resolving_names_first_get_the_same_objects(fresh_package):

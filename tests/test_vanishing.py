@@ -691,8 +691,8 @@ def test_invalid_and_unhashable_data_are_never_kept(monkeypatch):
                "stratum ['E1']: chi(cover) = 2 differs from m_I * chi(base) = 1 * 1; "
                "stratum ['E1'] has m_I = 1 but cover differs from base"),
               (unhashable, DatumValidationError, "stratum ['E1'] has bad locus tag ['singular']"),
-              ([], AttributeError, "'list' object has no attribute 'components'"),
-              (None, AttributeError, "'NoneType' object has no attribute 'components'")]
+              ([], ValidationError, "datum must be a SNCDatum, got []"),
+              (None, ValidationError, "datum must be a SNCDatum, got None")]
     for _ in range(2):
         for d, error, text in errors:
             with pytest.raises(error) as raised:

@@ -28,7 +28,7 @@ critical values, and exactness beats generality.
 from __future__ import annotations
 
 import re
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from math import gcd
 
@@ -37,11 +37,7 @@ from .convolve import _line_into, _psi
 from .errors import ValidationError, _checked
 from .laurent import LaurentInt, Sparse, leaves
 
-TYPE_CHECKING = False  # typing.TYPE_CHECKING would load typing
-if TYPE_CHECKING:
-    from typing import Iterable, Union
-
-    PointLike = Union[Fraction, int, str]
+PointLike = Fraction | int | str
 
 _POINT_STR = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
@@ -119,7 +115,7 @@ class A1Class(Sparse):
     __neg__ = Sparse.__neg__
     __sub__ = Sparse.__sub__
 
-    def __mul__(self, other: Union[int, LaurentInt, MuClass]) -> "A1Class":
+    def __mul__(self, other: "int | LaurentInt | MuClass") -> "A1Class":
         if not isinstance(other, (int, LaurentInt, MuClass)):
             return NotImplemented
         return A1Class._make((p, c * other) for p, c in self._terms)

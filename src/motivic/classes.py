@@ -48,15 +48,10 @@ eigenvalues 1 +- sqrt(L), and three identities give the expansions:
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 
-from .errors import ValidationError, _checked
-from .laurent import L_MINUS_1, ZERO, EPoly, LaurentInt, Sparse
-
-TYPE_CHECKING = False  # typing.TYPE_CHECKING would load typing
-if TYPE_CHECKING:
-    from typing import Iterable, Union
-
-    from .laurent import Coeffable
+from .errors import ValidationError, _checked, _iterated
+from .laurent import L_MINUS_1, ZERO, Coeffable, EPoly, LaurentInt, Sparse
 
 # Factors are plain tuples so atoms stay hashable:
 #   ("orb", d) | ("FER", n, r) | ("fer", n, r) | ("opq", tag, chi[, epoly]) | ("gm", d)
@@ -125,9 +120,7 @@ def factor_str(f: Factor) -> str:
         return f"ORB({f[1]})"
     if kind in ("FER", "fer"):
         return f"{kind}({f[1]},{f[2]})"
-    if kind == "opq":
-        return f"OPQ[{f[1]}]"
-    return f"GM({f[1]})"
+    return f"OPQ[{f[1]}]"
 
 
 def atom_mul(a: Atom, b: Atom) -> tuple[Atom, int]:
@@ -176,8 +169,7 @@ def _tower(r: int, fers: list) -> tuple[LaurentInt, LaurentInt, LaurentInt]:
 
 # --- MuClass ----------------------------------------------------------------
 
-if TYPE_CHECKING:
-    RawTerm = tuple[Coeffable, Iterable[Factor]]
+RawTerm = tuple[Coeffable, Iterable[Factor]]
 
 
 class MuClass(Sparse):
@@ -263,7 +255,7 @@ class MuClass(Sparse):
     __neg__ = Sparse.__neg__
     __sub__ = Sparse.__sub__
 
-    def __mul__(self, other: Union["MuClass", LaurentInt, int]) -> "MuClass":
+    def __mul__(self, other: "MuClass | LaurentInt | int") -> "MuClass":
         if isinstance(other, (LaurentInt, int)):
             c = other if isinstance(other, LaurentInt) else LaurentInt.from_int(other)
             if not c:
@@ -336,11 +328,11 @@ def _expand_term(coeff: LaurentInt, factors: tuple,
 
 def normalize(raw_terms: Iterable[RawTerm]) -> MuClass:
     """Normal form of a raw combination of factor products."""
-    return MuClass(raw_terms)
+    return MuClass(_iterated(raw_terms, "raw_terms"))
 
 
 def add(a: MuClass, b: MuClass) -> MuClass:
-    return a + b
+    return _checked(a, MuClass, "a") + _checked(b, MuClass, "b")
 
 
 def mul(a: MuClass, b: MuClass) -> MuClass:

@@ -176,7 +176,3 @@ def run(argv: list[str]) -> int:
 
 def main() -> None:
     sys.exit(run(sys.argv[1:]))
-
-
-if __name__ == "__main__":
-    main()

@@ -60,18 +60,13 @@ from __future__ import annotations
 
 import marshal
 import threading
+from collections.abc import Iterable
 
 from .classes import (FER, Atom, Factor, MuClass, atom_mul, atom_order, factor_str, fer, orb,
                       sort_atoms)
 from .errors import ValidationError, _checked
-from .laurent import L_MINUS_1, ONE, LaurentInt, Sparse, leaves
+from .laurent import L_MINUS_1, ONE, Coeffable, LaurentInt, Sparse, leaves
 from .realize import atom_chi, chi_c
-
-TYPE_CHECKING = False  # typing.TYPE_CHECKING would load typing
-if TYPE_CHECKING:
-    from typing import Iterable
-
-    from .laurent import Coeffable
 
 
 class BiClass(Sparse):

@@ -53,3 +53,11 @@ def _checked(value, kind: type, field: str):
     if not isinstance(value, kind):
         raise ValidationError(f"{field} must be a {kind.__name__}, got {value!r}")
     return value
+
+
+def _iterated(value, field: str):
+    """iter(value), if value is iterable; else a ValidationError that names the field."""
+    try:
+        return iter(value)
+    except TypeError:
+        raise ValidationError(f"{field} must be iterable, got {value!r}") from None

@@ -35,11 +35,11 @@ from __future__ import annotations
 
 from .canonical import dumps
 from .classes import Factor, MuClass
-from .errors import ParseError
+from .errors import ParseError, ValidationError, _checked, _iterated
 from .laurent import EPoly, LaurentInt, monomial, power, signed_join
 
 TYPE_CHECKING = False  # typing.TYPE_CHECKING would load typing
-if TYPE_CHECKING:
+if TYPE_CHECKING:  # in annotations only: reading or writing a class loads neither module
     from .a1 import A1Class
     from .vanishing import Generator, Presentation, SNCDatum
 
@@ -147,7 +147,7 @@ def _factor_from_json(obj) -> Factor:
 def class_to_json(c: MuClass) -> dict:
     return {"terms": [{"coeff": _coeff_to_json(coeff),
                        "factors": [_factor_to_json(f) for f in atom]}
-                      for atom, coeff in c.terms()]}
+                      for atom, coeff in _checked(c, MuClass, "c").terms()]}
 
 def class_from_json(obj) -> MuClass:
     terms, = _fields(obj, "class", "terms")
@@ -162,9 +162,9 @@ def class_from_json(obj) -> MuClass:
 # --- classes over the line ---------------------------------------------------
 
 def a1_to_json(f: A1Class) -> dict:
-    from .a1 import point_str
+    from .a1 import A1Class, point_str
     return {"support": [{"point": point_str(p), "class": class_to_json(c)}
-                        for p, c in f.support()]}
+                        for p, c in _checked(f, A1Class, "f").support()]}
 
 def a1_from_json(obj) -> A1Class:
     from .a1 import A1Class
@@ -179,6 +179,8 @@ def a1_from_json(obj) -> A1Class:
 # --- resolution data and presentations ----------------------------------------
 
 def datum_to_json(d: SNCDatum) -> dict:
+    from .vanishing import SNCDatum
+    _checked(d, SNCDatum, "d")
     return {
         "components": [{"id": i, "m": m} for i, m in d.components],
         "strata": [{"I": sorted(s.index_set),
@@ -213,14 +215,16 @@ def datum_from_json(obj) -> SNCDatum:
 
 def generator_to_json(g: Generator):
     from .a1 import point_str
-    from .vanishing import Constant, SmoothProper
+    from .vanishing import Constant, Resolved, SmoothProper
     if isinstance(g, SmoothProper):
         return "smooth_proper"
     if isinstance(g, Constant):
         return {"constant": {"value": point_str(g.value),
                              "class": class_to_json(g.fiber_class)}}
-    return {"resolved": {"criticals": [{"point": point_str(p), "datum": datum_to_json(d)}
-                                       for p, d in g.criticals]}}
+    if isinstance(g, Resolved):
+        return {"resolved": {"criticals": [{"point": point_str(p), "datum": datum_to_json(d)}
+                                           for p, d in g.criticals]}}
+    raise ValidationError(f"unknown generator {g!r}")
 
 def _generator_from_json(obj, shared: dict) -> Generator:
     from .vanishing import Constant, Resolved, SmoothProper
@@ -261,7 +265,8 @@ def generator_from_json(obj) -> Generator:
 
 
 def presentation_to_json(p: Presentation) -> dict:
-    return {"terms": [{"coeff": c, "generator": generator_to_json(g)} for c, g in p]}
+    return {"terms": [{"coeff": c, "generator": generator_to_json(g)}
+                      for c, g in _iterated(p, "p")]}
 
 def presentation_from_json(obj) -> Presentation:
     entries, = _fields(obj, "presentation", "terms")

@@ -27,16 +27,13 @@ The module also holds the signed infix renderer used by ``LaurentInt``,
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping
 from itertools import chain
 from operator import itemgetter
 
 TYPE_CHECKING = False  # typing.TYPE_CHECKING would load typing
-if TYPE_CHECKING:
+if TYPE_CHECKING:  # in annotations only: a normalize request loads no fractions
     from fractions import Fraction
-    from typing import Iterable, Union
-
-    Coeffable = Union[LaurentInt, int]
 
 
 class Sparse:
@@ -244,6 +241,8 @@ def leaves(dicts: Iterable[dict]) -> list:
         out.append(leaf)
     return out
 
+
+Coeffable = LaurentInt | int
 
 ZERO = LaurentInt()
 ONE = LaurentInt({0: 1})

@@ -35,9 +35,7 @@ def factor_chi(f: Factor) -> int:
         if f[2] > TOWER_LIMIT:  # n^r has more than r bits: refuse before computing it
             raise ValidationError(f"chi_c of {factor_str(f)} exceeds the limit r <= {TOWER_LIMIT}")
         return -(f[1] ** f[2])
-    if kind == "opq":
-        return f[2]
-    raise ValidationError(f"no Euler characteristic for raw factor {f!r}")
+    return f[2]
 
 
 def atom_chi(atom: Atom) -> int:

@@ -46,13 +46,9 @@ from operator import eq, itemgetter
 
 from .a1 import A1Class, _line, _point_key, a1_star, as_point, point_str
 from .classes import MuClass
-from .errors import DatumValidationError, ValidationError, _checked
+from .errors import DatumValidationError, ValidationError, _checked, _iterated
 from .laurent import ONE_MINUS_L
 from .realize import chi_c
-
-TYPE_CHECKING = False  # typing.TYPE_CHECKING would load typing
-if TYPE_CHECKING:
-    from typing import Union
 
 LOCUS_TAGS = ("regular", "singular")
 
@@ -270,8 +266,7 @@ class SmoothProper(_Record):
     __slots__ = ()
 
 
-if TYPE_CHECKING:
-    Generator = Union[Resolved, Constant, SmoothProper]
+Generator = Resolved | Constant | SmoothProper
 
 Presentation = tuple  # tuple of (int coefficient, Generator) pairs
 
@@ -312,7 +307,7 @@ def phi_measure(p: Presentation) -> A1Class:
     """
     weights: dict = {}  # ((numerator, denominator), id of a class) -> its summed coefficient
     classes: dict = {}  # id -> class; holding each class keeps its id its own
-    for coeff, g in p:
+    for coeff, g in _iterated(p, "p"):
         if not isinstance(coeff, int):
             raise ValidationError(f"presentation coefficient {coeff!r} is not an integer")
         if not isinstance(g, Resolved):

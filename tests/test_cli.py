@@ -5,6 +5,7 @@ import contextlib
 import io
 import json
 import os
+import runpy
 import subprocess
 import sys
 import time
@@ -15,7 +16,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import motivic
 from motivic import MuClass, class_to_json, datum_to_json, generator_to_json
-from motivic.cli import run
+from motivic.cli import main, run
 
 from conftest import GM, ONE, cross_datum, orb, power_datum, python_calls
 
@@ -79,6 +80,35 @@ def test_an_opaque_tag_that_is_not_a_string_exits_two(tmp_path, capsys):
     code, out = run_cli(capsys, "normalize", write(tmp_path, "c.json", doc))
     assert code == 2 and len(out.splitlines()) == 1
     assert json.loads(out) == {"error": "parse", "detail": "opq tag must be a string, got 5"}
+
+
+@pytest.mark.parametrize("coeff, factor, message", [
+    (5, {"orb": 2}, "coefficient must be an object of exponent: integer"),
+    ({"0": 1}, {"opq": {"tag": "t", "chi": 1, "epoly": 5}}, "epoly must be an object"),
+])
+def test_a_coefficient_or_epoly_that_is_no_object_exits_two(tmp_path, capsys, coeff, factor,
+                                                            message):
+    doc = {"terms": [{"coeff": coeff, "factors": [factor]}]}
+    with pytest.raises(motivic.ParseError, match=f"^{message}$"):
+        motivic.class_from_json(doc)
+    code, out = run_cli(capsys, "normalize", write(tmp_path, "c.json", doc))
+    assert code == 2 and len(out.splitlines()) == 1
+    assert json.loads(out) == {"error": "parse", "detail": message}
+
+
+@pytest.mark.parametrize("enter", [main, lambda: runpy.run_module("motivic", run_name="__main__")],
+                         ids=["cli.main", "python -m motivic"])
+@pytest.mark.parametrize("argv, exit_code, out", [
+    (["oracle", "--fer", "2", "2", "--q", "13"], 0, "8\n"),
+    (["oracle", "--fer", "2", "2", "--q", "12"], 1,
+     '{"detail":"12 is not a prime power","error":"validation"}\n'),
+])
+def test_each_entry_exits_with_the_requests_code(monkeypatch, capsys, enter, argv, exit_code, out):
+    monkeypatch.setattr(sys, "argv", ["motivic", *argv])
+    with pytest.raises(SystemExit) as info:
+        enter()
+    assert info.value.code == exit_code
+    assert capsys.readouterr().out == out
 
 
 def test_convolve(tmp_path, capsys):

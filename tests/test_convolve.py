@@ -231,6 +231,26 @@ def test_the_spectrum_of_phi_is_steenbrinks(n):
     assert _spectrum(hodge(vanishing_cycles(power_datum(n))[0])) == point
 
 
+@pytest.mark.parametrize("r", range(1, 6))
+@pytest.mark.parametrize("n", range(2, 7))
+def test_the_spectrum_of_a_fermat_sum_is_its_jacobian_algebras(n, r):
+    """(1 - ORB(n))^{*r} is phi of x_1^n + ... + x_r^n, and its spectrum is
+    (-1)^r times the sum of t^w over a monomial basis of the Jacobian algebra
+    C[x]/(x_1^{n-1}, ..., x_r^{n-1}): the x^a with 0 <= a_i <= n - 2, of
+    weight w = sum (a_i + 1)/n (Steenbrink, Compositio Math. 34, 1977).  For
+    an isolated singularity that algebra is the Hochschild homology of the
+    category of matrix factorizations MF(f) (Dyckerhoff, Duke Math. J. 159,
+    2011), so this is the paper's comparison of the measure with the
+    matrix-factorization one, on the Fermat sums.
+    """
+    phi = ONE - orb(n)
+    power = phi
+    for _ in range(r - 1):
+        power = star(power, phi)
+    expected = Counter(Fraction(sum(a) + r, n) for a in itertools.product(range(n - 1), repeat=r))
+    assert _spectrum(hodge(power)) == {w: (-1) ** r * c for w, c in expected.items()}
+
+
 @pytest.mark.parametrize("n, expected", [
     (2, {(2, 2): 1, (1, 1): -2, (0, 0): 9}),
     (3, {(2, 2): 1, (1, 1): 3, (1, 0): 4, (0, 1): 4, (0, 0): 15}),

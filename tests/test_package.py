@@ -61,6 +61,27 @@ def test_an_entry_refuses_a_value_of_the_wrong_type(entry, leading, value):
         getattr(motivic, entry)(*[first] * leading, value)
 
 
+_WRONG_TYPE = {
+    "add": "b must be a MuClass, got 5",
+    "normalize": "raw_terms must be iterable, got 5",
+    "phi_measure": "p must be iterable, got 5",
+    "class_to_json": "c must be a MuClass, got 5",
+    "a1_to_json": "f must be a A1Class, got 5",
+    "datum_to_json": "d must be a SNCDatum, got 5",
+    "generator_to_json": "unknown generator 5",
+    "presentation_to_json": "p must be iterable, got 5",
+}
+
+
+@pytest.mark.parametrize("entry", _WRONG_TYPE)
+def test_a_sum_fold_or_writer_names_the_argument_of_the_wrong_type(entry):
+    # each checks its argument once, at entry, and names it
+    leading = [motivic.MuClass.one()] if entry == "add" else []
+    with pytest.raises(motivic.ValidationError) as info:
+        getattr(motivic, entry)(*leading, 5)
+    assert str(info.value) == _WRONG_TYPE[entry]
+
+
 def test_an_unknown_name_is_an_attribute_error():
     assert not hasattr(motivic, "nope")
     with pytest.raises(AttributeError, match="no attribute 'nope'"):
@@ -83,6 +104,8 @@ def fresh_package():
 
 def test_a_fresh_package_has_loaded_no_submodule(fresh_package):
     assert [k for k in sys.modules if k.startswith("motivic.")] == []
+    # the first read of a submodule loads it
+    assert fresh_package.oracle is sys.modules["motivic.oracle"]
     assert "star" not in vars(fresh_package)
     # loading a submodule binds none of its names; the first read binds its own object
     importlib.import_module("motivic.convolve")
